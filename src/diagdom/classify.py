@@ -86,7 +86,8 @@ def _s_sdd1_margins(A, S) -> np.ndarray:
     n = A.shape[0]
     _, off, d = _abs_off(A)
     S = list(S)
-    sbar = [j for j in range(n) if j not in set(S)]
+    Sset = set(S)
+    sbar = [j for j in range(n) if j not in Sset]
     R = off.sum(axis=1)
     w = R[S] / d[S]
     margins = d.astype(float).copy()

@@ -19,6 +19,7 @@ from .classify import b1_split, is_b1, is_sdd1, is_s_sdd1
 from .core import _abs_off, as_matrix, dominance_partition
 from .errors import HypothesisError, SingularMatrixError, SizeLimitError, ValidationError
 from .mmio import matrix_digest
+from .normbounds import _pairwise_terms
 from .oracle import inf_norm, inverse
 
 __all__ = [
@@ -101,34 +102,30 @@ def lcp_b1_bound(M) -> BoundCertificate:
     a = split.a
     part = dominance_partition(a)
     _, off, d = _abs_off(a)
-    n1, n2 = list(part.n1), list(part.n2)
-    R, P = part.row_sums, part.p_values
+    n1 = np.asarray(part.n1, dtype=np.intp)
+    n2 = np.asarray(part.n2, dtype=np.intp)
+    P = part.p_values
     rs = off[:, n2].sum(axis=1)
 
     if len(n2) == 1:
         phi = max(1.0, 1.0 / d[n2[0]])
     else:
-        phi = 0.0
-        for i in n2:
-            for j in n2:
-                if i == j:
-                    continue
-                num = max(1.0, d[j]) + rs[i]
-                den = min(1.0, d[i], d[j], d[i] * d[j] - rs[i] * rs[j])
-                assert den > 0.0
-                phi = max(phi, num / den)
+        di, dj, ri, den = _pairwise_terms(d, rs, n2)
+        den = np.minimum(np.minimum(np.minimum(1.0, di), dj), den)
+        phi = np.max((np.maximum(1.0, dj) + ri) / den, initial=0.0)
 
     psi = None
-    if n1:
+    d2, P2 = d[n2], P[n2]
+    if len(n1):
         psi = 0.0
         for i in n1:
-            inner = d[i] - off[i, n1].sum() - (off[i, n2] / d[n2]) @ P[n2]
+            inner = d[i] - off[i, n1].sum() - (off[i, n2] / d2) @ P2
             assert inner > 0.0
             psi = max(psi, (1.0 + phi * rs[i]) / min(1.0, inner))
 
     zero_shift = bool((split.r == 0.0).all())
     coefficient = 1 if zero_shift else n - 1
-    prefactor = 1.0 + float((P[n2] / d[n2]).max())
+    prefactor = 1.0 + float((P2 / d2).max())
     best = phi if psi is None else max(phi, psi)
     value = coefficient * prefactor * best
     params = {

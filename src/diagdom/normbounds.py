@@ -53,17 +53,20 @@ def with_exact_norm(cert: BoundCertificate, A) -> BoundCertificate:
     return cert.with_exact(inf_norm(inverse(A)))
 
 
+def _pairwise_terms(d, rs, rows):
+    """Flattened ordered pairs i != j in ``rows``: (d_i, d_j, rs_i, d_i d_j - rs_i rs_j)."""
+    rows = np.asarray(rows, dtype=np.intp)
+    i, j = np.nonzero(~np.eye(len(rows), dtype=bool))
+    di, dj, ri = d[rows[i]], d[rows[j]], rs[rows[i]]
+    den = di * dj - ri * rs[rows[j]]
+    assert (den > 0.0).all(), "pairwise denominator must be positive on a dominant block"
+    return di, dj, ri, den
+
+
 def _pairwise_max(d, rs, rows):
     """max over ordered pairs i != j in ``rows`` of (d_j + rs_i) / (d_i d_j - rs_i rs_j)."""
-    best = 0.0
-    for i in rows:
-        for j in rows:
-            if i == j:
-                continue
-            den = d[i] * d[j] - rs[i] * rs[j]
-            assert den > 0.0, "pairwise denominator must be positive on a dominant block"
-            best = max(best, (d[j] + rs[i]) / den)
-    return best
+    _, dj, ri, den = _pairwise_terms(d, rs, rows)
+    return np.max((dj + ri) / den, initial=0.0)
 
 
 def sdd_pairwise_bound(A) -> BoundCertificate:
@@ -81,11 +84,8 @@ def sdd_pairwise_bound(A) -> BoundCertificate:
 
 def _epsilon_sup(d, P, rs):
     """Supremum of admissible epsilon; rows without dominant-column mass impose nothing."""
-    sup = math.inf
-    for i in range(len(d)):
-        if rs[i] > 0.0:
-            sup = min(sup, (d[i] - P[i]) / rs[i])
-    return sup
+    pos = rs > 0.0
+    return np.min((d[pos] - P[pos]) / rs[pos], initial=math.inf)
 
 
 def _epsilon_pieces(off, d, R, P, n1, n2, rs):
@@ -103,10 +103,12 @@ def _epsilon_pieces(off, d, R, P, n1, n2, rs):
 
 
 def _epsilon_value(pieces, eps):
+    """The bound at ``eps``, a scalar or a 1-D array of points evaluated at once."""
     h0, rs1, g, q0, max_ratio = pieces
-    den = min((h0 - eps * rs1).min(), (eps * g + q0).min())
-    assert den > 0.0, "epsilon denominators are positive on the admissible interval"
-    return max(1.0, max_ratio + eps) / den
+    den = np.minimum((h0 - np.multiply.outer(eps, rs1)).min(axis=-1),
+                     (np.multiply.outer(eps, g) + q0).min(axis=-1))
+    assert (den > 0.0).all(), "epsilon denominators are positive on the admissible interval"
+    return np.maximum(1.0, max_ratio + eps) / den
 
 
 def _golden_min(f, a, b, width):
@@ -171,7 +173,7 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
     lo = finite_sup * EPSILON_GRID_MARGIN
     hi = finite_sup * (1.0 - EPSILON_GRID_MARGIN)
     grid = np.linspace(lo, hi, EPSILON_GRID_POINTS)
-    values = [_epsilon_value(pieces, e) for e in grid]
+    values = _epsilon_value(pieces, grid)
     k = int(np.argmin(values))
     a = grid[max(0, k - 1)]
     b = grid[min(len(grid) - 1, k + 1)]
@@ -191,25 +193,25 @@ def _restricted_schur_value(A, S, prefactor_margins):
     Returns (value, phi, psi); psi is None when S covers every row.
     """
     _, off, d = _abs_off(A)
-    n = A.shape[0]
-    Sset = set(S)
-    sbar = [i for i in range(n) if i not in Sset]
-    rs = off[:, list(S)].sum(axis=1)
+    S = np.asarray(S, dtype=np.intp)
+    sbar = np.delete(np.arange(A.shape[0]), S)
+    rs = off[:, S].sum(axis=1)
 
     if len(S) == 1:
         phi = 1.0 / d[S[0]]
     else:
-        phi = _pairwise_max(d, rs, list(S))
+        phi = _pairwise_max(d, rs, S)
 
     psi = None
-    if sbar:
+    dS, mS = d[S], prefactor_margins[S]
+    if len(sbar):
         psi = 0.0
         for i in sbar:
-            den = d[i] - off[i, sbar].sum() - (off[i, list(S)] / d[list(S)]) @ prefactor_margins[list(S)]
+            den = d[i] - off[i, sbar].sum() - (off[i, S] / dS) @ mS
             assert den > 0.0, "restricted margins are positive under the S-dominance hypothesis"
             psi = max(psi, (1.0 + phi * rs[i]) / den)
 
-    prefactor = 1.0 + float((prefactor_margins[list(S)] / d[list(S)]).max())
+    prefactor = 1.0 + float((mS / dS).max())
     best = phi if psi is None else max(phi, psi)
     return prefactor * best, phi, psi
 

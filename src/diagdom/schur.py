@@ -78,7 +78,8 @@ def _validate_alpha(A, alpha):
     alpha = as_index_set(alpha, n, allow_empty=True, name="alpha")
     if not alpha or len(alpha) >= n:
         raise ValidationError("alpha must be a nonempty proper subset of the row indices")
-    bar = tuple(j for j in range(n) if j not in set(alpha))
+    alpha_set = set(alpha)
+    bar = tuple(j for j in range(n) if j not in alpha_set)
     return A, alpha, bar
 
 
@@ -171,13 +172,15 @@ def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
     n1set, n2set = set(n1), set(n2)
     w = np.zeros(A.shape[0])
     w[n2] = part.row_sums[n2] / d[n2]
-    n2_rest = [j for j in n2 if j not in set(alpha)]
+    alpha_set = set(alpha)
+    n2_rest = np.array([j for j in n2 if j not in alpha_set], dtype=np.intp)
+    w_rest = w[n2_rest]
     rn1 = off[:, n1].sum(axis=1)       # R^{n1}_h for every row
     qn2 = off[:, n2] @ w[n2]           # Q^{n2}_h for every row
 
     out = {}
     for jt in bar:
-        base = d[jt] - rn1[jt] - off[jt, n2_rest] @ w[n2_rest]
+        base = d[jt] - rn1[jt] - off[jt, n2_rest] @ w_rest
         coupling = 0.0
         for h in alpha:
             if off[jt, h] == 0.0:
@@ -203,11 +206,12 @@ def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
     if not part.n2:
         raise HypothesisError("n2 is empty", "there is no dominant set to eliminate")
     _, off, d = _abs_off(A)
-    n1 = list(part.n1)
-    n2 = list(part.n2)
+    n1 = np.asarray(part.n1, dtype=np.intp)
+    n2 = np.asarray(part.n2, dtype=np.intp)
+    d2, p2 = d[n2], part.p_values[n2]
     out = {}
-    for jt in n1:
-        coupling = (off[jt, n2] / d[n2]) @ part.p_values[n2]
+    for jt in part.n1:
+        coupling = (off[jt, n2] / d2) @ p2
         out[jt] = float(d[jt] - off[jt, n1].sum() - coupling)
     return out
 
@@ -223,11 +227,13 @@ def certified_bound_superset(A, alpha) -> dict[int, float]:
             "this regime needs n2 strictly inside alpha, alpha strictly inside N",
         )
     _, off, d = _abs_off(A)
+    alpha_idx = np.asarray(alpha, dtype=np.intp)
+    bar_idx = np.asarray(bar, dtype=np.intp)
+    d_alpha, p_alpha = d[alpha_idx], part.p_values[alpha_idx]
     out = {}
-    bar_list = list(bar)
     for jt in bar:
-        coupling = (off[jt, list(alpha)] / d[list(alpha)]) @ part.p_values[list(alpha)]
-        out[jt] = float(d[jt] - off[jt, bar_list].sum() - coupling)
+        coupling = (off[jt, alpha_idx] / d_alpha) @ p_alpha
+        out[jt] = float(d[jt] - off[jt, bar_idx].sum() - coupling)
     return out
 
 
@@ -272,7 +278,8 @@ def quotient_formula_check(A, beta, gamma) -> bool:
     outer = schur_complement(A, gamma)
     # Positions of beta \ gamma inside the outer complement's index list.
     remaining = outer.alpha_bar
-    inner_alpha = [remaining.index(j) for j in beta if j not in set(gamma)]
+    gamma_set = set(gamma)
+    inner_alpha = [remaining.index(j) for j in beta if j not in gamma_set]
     nested = schur_complement(outer.complement, inner_alpha).complement
 
     tol = ENTRYWISE_RTOL * inf_norm(A)

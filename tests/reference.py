@@ -1,0 +1,222 @@
+"""Scalar reference implementations that the vectorized library code must match.
+
+These are the column-by-column LU factorization and the per-element Python
+loops the library used before its hot paths became whole-array NumPy work.
+The library's LU must agree with ``lu_factor_unblocked`` exactly up to its
+block width; every other function here must agree with its library
+counterpart bit for bit (``==``, not ``allclose``).
+"""
+
+import math
+
+import numpy as np
+
+from diagdom import SingularMatrixError
+from diagdom.certificates import FORMULA_LCP_B1, FORMULA_SDD1_EPSILON, BoundCertificate
+from diagdom.classify import b1_split
+from diagdom.core import _abs_off, as_matrix, dominance_partition
+from diagdom.normbounds import (
+    EPSILON_GRID_MARGIN,
+    EPSILON_GRID_POINTS,
+    EPSILON_REFINE_WIDTH,
+    _epsilon_pieces,
+    _golden_min,
+)
+from diagdom.oracle import SINGULAR_PIVOT_RTOL
+
+
+def lu_factor_unblocked(A):
+    """Column-by-column LU with partial pivoting: (packed, perm, sign)."""
+    A = as_matrix(A)
+    n = A.shape[0]
+    lu = np.array(A)
+    perm = np.arange(n)
+    sign = 1
+    thresh = SINGULAR_PIVOT_RTOL * float(np.abs(A).sum(axis=1).max())
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(lu[k:, k])))
+        if abs(lu[p, k]) <= thresh:
+            raise SingularMatrixError(f"singular pivot in column {k}", column=k)
+        if p != k:
+            lu[[k, p]] = lu[[p, k]]
+            perm[[k, p]] = perm[[p, k]]
+            sign = -sign
+        if k + 1 < n:
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
+    return lu, tuple(int(i) for i in perm), sign
+
+
+def pairwise_max(d, rs, rows):
+    best = 0.0
+    for i in rows:
+        for j in rows:
+            if i == j:
+                continue
+            den = d[i] * d[j] - rs[i] * rs[j]
+            assert den > 0.0
+            best = max(best, (d[j] + rs[i]) / den)
+    return best
+
+
+def restricted_schur_value(A, S, prefactor_margins):
+    _, off, d = _abs_off(A)
+    n = A.shape[0]
+    Sset = set(S)
+    sbar = [i for i in range(n) if i not in Sset]
+    rs = off[:, list(S)].sum(axis=1)
+    if len(S) == 1:
+        phi = 1.0 / d[S[0]]
+    else:
+        phi = pairwise_max(d, rs, list(S))
+    psi = None
+    if sbar:
+        psi = 0.0
+        for i in sbar:
+            den = d[i] - off[i, sbar].sum() - (off[i, list(S)] / d[list(S)]) @ prefactor_margins[list(S)]
+            assert den > 0.0
+            psi = max(psi, (1.0 + phi * rs[i]) / den)
+    prefactor = 1.0 + float((prefactor_margins[list(S)] / d[list(S)]).max())
+    best = phi if psi is None else max(phi, psi)
+    return prefactor * best, phi, psi
+
+
+def epsilon_value(pieces, eps):
+    h0, rs1, g, q0, max_ratio = pieces
+    den = min((h0 - eps * rs1).min(), (eps * g + q0).min())
+    assert den > 0.0
+    return max(1.0, max_ratio + eps) / den
+
+
+def epsilon_sup(d, P, rs):
+    sup = math.inf
+    for i in range(len(d)):
+        if rs[i] > 0.0:
+            sup = min(sup, (d[i] - P[i]) / rs[i])
+    return sup
+
+
+def sdd1_epsilon_bound(A):
+    """The automatic-epsilon SDD1 bound, grid evaluated one point at a time."""
+    A = as_matrix(A)
+    part = dominance_partition(A)
+    _, off, d = _abs_off(A)
+    n1, n2 = list(part.n1), list(part.n2)
+    R, P = part.row_sums, part.p_values
+    rs = off[:, n2].sum(axis=1)
+    pieces = _epsilon_pieces(off, d, R, P, n1, n2, rs)
+    sup = epsilon_sup(d, P, rs)
+    finite_sup = sup
+    if not math.isfinite(finite_sup):
+        finite_sup = max(1.0, 2.0 * (1.0 - (P[n2] / d[n2]).max()))
+    lo = finite_sup * EPSILON_GRID_MARGIN
+    hi = finite_sup * (1.0 - EPSILON_GRID_MARGIN)
+    grid = np.linspace(lo, hi, EPSILON_GRID_POINTS)
+    values = [epsilon_value(pieces, e) for e in grid]
+    k = int(np.argmin(values))
+    a = grid[max(0, k - 1)]
+    b = grid[min(len(grid) - 1, k + 1)]
+    eps = _golden_min(lambda e: epsilon_value(pieces, e), a, b, EPSILON_REFINE_WIDTH)
+    refined = epsilon_value(pieces, eps)
+    if refined > values[k]:
+        eps, refined = float(grid[k]), values[k]
+    params = {"epsilon": float(eps), "interval_sup": float(sup), "auto": True}
+    return BoundCertificate(FORMULA_SDD1_EPSILON, float(refined), params)
+
+
+def lcp_b1_bound(M):
+    M = as_matrix(M)
+    n = M.shape[0]
+    split = b1_split(M)
+    a = split.a
+    part = dominance_partition(a)
+    _, off, d = _abs_off(a)
+    n1, n2 = list(part.n1), list(part.n2)
+    P = part.p_values
+    rs = off[:, n2].sum(axis=1)
+    if len(n2) == 1:
+        phi = max(1.0, 1.0 / d[n2[0]])
+    else:
+        phi = 0.0
+        for i in n2:
+            for j in n2:
+                if i == j:
+                    continue
+                num = max(1.0, d[j]) + rs[i]
+                den = min(1.0, d[i], d[j], d[i] * d[j] - rs[i] * rs[j])
+                assert den > 0.0
+                phi = max(phi, num / den)
+    psi = None
+    if n1:
+        psi = 0.0
+        for i in n1:
+            inner = d[i] - off[i, n1].sum() - (off[i, n2] / d[n2]) @ P[n2]
+            assert inner > 0.0
+            psi = max(psi, (1.0 + phi * rs[i]) / min(1.0, inner))
+    zero_shift = bool((split.r == 0.0).all())
+    coefficient = 1 if zero_shift else n - 1
+    prefactor = 1.0 + float((P[n2] / d[n2]).max())
+    best = phi if psi is None else max(phi, psi)
+    params = {
+        "coefficient": coefficient,
+        "zero_shift": zero_shift,
+        "phi": float(phi),
+        "psi": None if psi is None else float(psi),
+        "prefactor": prefactor,
+    }
+    if psi is None:
+        params["reason"] = "n1 empty"
+    return BoundCertificate(FORMULA_LCP_B1, float(coefficient * prefactor * best), params)
+
+
+def certified_bound_proper_subset(A, alpha):
+    A = as_matrix(A)
+    bar = tuple(j for j in range(A.shape[0]) if j not in set(alpha))
+    part = dominance_partition(A)
+    _, off, d = _abs_off(A)
+    n1 = list(part.n1)
+    n2 = list(part.n2)
+    n1set, n2set = set(n1), set(n2)
+    w = np.zeros(A.shape[0])
+    w[n2] = part.row_sums[n2] / d[n2]
+    n2_rest = [j for j in n2 if j not in set(alpha)]
+    rn1 = off[:, n1].sum(axis=1)
+    qn2 = off[:, n2] @ w[n2]
+    out = {}
+    for jt in bar:
+        base = d[jt] - rn1[jt] - off[jt, n2_rest] @ w[n2_rest]
+        coupling = 0.0
+        for h in alpha:
+            if off[jt, h] == 0.0:
+                continue
+            r_part = rn1[h] + (off[h, jt] if jt not in n1set else 0.0)
+            q_part = qn2[h] - (off[h, jt] * w[jt] if jt in n2set else 0.0)
+            coupling += off[jt, h] / d[h] * (r_part + q_part)
+        out[jt] = float(base - coupling)
+    return out
+
+
+def certified_bound_alpha_equals_n2(A):
+    A = as_matrix(A)
+    part = dominance_partition(A)
+    _, off, d = _abs_off(A)
+    n1 = list(part.n1)
+    n2 = list(part.n2)
+    out = {}
+    for jt in n1:
+        coupling = (off[jt, n2] / d[n2]) @ part.p_values[n2]
+        out[jt] = float(d[jt] - off[jt, n1].sum() - coupling)
+    return out
+
+
+def certified_bound_superset(A, alpha):
+    A = as_matrix(A)
+    bar = tuple(j for j in range(A.shape[0]) if j not in set(alpha))
+    part = dominance_partition(A)
+    _, off, d = _abs_off(A)
+    out = {}
+    bar_list = list(bar)
+    for jt in bar:
+        coupling = (off[jt, list(alpha)] / d[list(alpha)]) @ part.p_values[list(alpha)]
+        out[jt] = float(d[jt] - off[jt, bar_list].sum() - coupling)
+    return out

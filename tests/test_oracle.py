@@ -13,6 +13,7 @@ from diagdom import (
     lu_factor,
     lu_solve,
 )
+from diagdom.oracle import LU_BLOCK
 from matrices import (
     DET_6X6_FIRST,
     DET_6X6_FIRST_DET,
@@ -22,6 +23,7 @@ from matrices import (
     NORM_8X8,
     TOL4,
 )
+from reference import lu_factor_unblocked
 
 
 def random_sdd(n, seed, scale=1.0):
@@ -66,6 +68,53 @@ class TestLu:
         assert np.allclose(A @ x, b, atol=1e-11)
         X = lu_solve(fact, np.eye(5))
         assert np.allclose(A @ X, np.eye(5), atol=1e-10)
+
+
+LU_ORDERS = (1, 31, 32, 33, 64, 97, 130)
+
+
+def random_pivoting(n, seed):
+    """Non-dominant Gaussian matrix; partial pivoting swaps rows at almost every step."""
+    return np.random.default_rng(seed).normal(size=(n, n))
+
+
+class TestBlockedLu:
+    """The blocked factorization against the column-by-column reference loop."""
+
+    @pytest.mark.parametrize("n", LU_ORDERS)
+    @pytest.mark.parametrize("kind", ["sdd", "pivoting"])
+    def test_matches_unblocked(self, n, kind):
+        A = random_sdd(n, 500 + n) if kind == "sdd" else random_pivoting(n, 600 + n)
+        fact = lu_factor(A)
+        packed, perm, sign = lu_factor_unblocked(A)
+        assert fact.perm == perm
+        assert fact.sign == sign
+        if kind == "pivoting" and n > 1:
+            assert perm != tuple(range(n))
+        residual = np.abs(fact.lower @ fact.upper - A[list(fact.perm)]).max()
+        assert residual <= 1e-12 * n * inf_norm(A)
+        if n <= LU_BLOCK:
+            assert np.array_equal(fact.packed, packed)
+
+    def test_singular_column_past_first_block(self):
+        rng = np.random.default_rng(70)
+        A = rng.normal(size=(70, 70))
+        A[:, 40] = A[:, :40] @ rng.normal(size=40)  # column 40 depends on columns 0..39
+        with pytest.raises(SingularMatrixError) as ref:
+            lu_factor_unblocked(A)
+        with pytest.raises(SingularMatrixError) as err:
+            lu_factor(A)
+        assert ref.value.column == 40
+        assert err.value.column == ref.value.column
+
+    def test_solve_round_trip_order_100(self):
+        rng = np.random.default_rng(100)
+        A = random_pivoting(100, 100)
+        fact = lu_factor(A)
+        x = rng.normal(size=100)
+        assert np.allclose(lu_solve(fact, A @ x), x, rtol=0, atol=1e-9)
+        X = lu_solve(fact, np.eye(100))
+        assert np.abs(A @ X - np.eye(100)).max() < 1e-10
 
 
 class TestInverse:
