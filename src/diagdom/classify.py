@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexPartition, _abs_off, as_index_set, as_matrix, dominance_partition
-from .errors import SizeLimitError, WitnessError
+from .core import IndexPartition, as_index_set, as_matrix, dominance_partition
+from .errors import HypothesisError, SizeLimitError, WitnessError
 
 __all__ = [
     "B1Split",
@@ -70,9 +70,8 @@ def is_sdd(A) -> bool:
 
 def dominance_degrees(A, partition=None) -> np.ndarray:
     """Per-row margins |a_ii| - P_i; all positive exactly when the matrix is SDD1."""
-    A = as_matrix(A)
     part = partition if partition is not None else dominance_partition(A)
-    return np.abs(A.diagonal()) - part.p_values
+    return part.diag - part.p_values
 
 
 def is_sdd1(A, partition=None) -> bool:
@@ -80,27 +79,28 @@ def is_sdd1(A, partition=None) -> bool:
     return bool((dominance_degrees(A, partition) > 0).all())
 
 
-def _s_sdd1_margins(A, S) -> np.ndarray:
+def _require_sdd1(A, part):
+    """Raise unless the matrix with partition ``part`` is SDD1."""
+    if not is_sdd1(A, part):
+        raise HypothesisError("matrix is not SDD1")
+
+
+def _s_sdd1_margins(part, S) -> np.ndarray:
     """Margins |a_ii| - R^{Sbar}_i - Q^S_i for all rows; S must be validated."""
-    A = as_matrix(A)
-    n = A.shape[0]
-    _, off, d = _abs_off(A)
+    off, d = part.off, part.diag
     S = list(S)
     Sset = set(S)
-    sbar = [j for j in range(n) if j not in Sset]
-    R = off.sum(axis=1)
-    w = R[S] / d[S]
-    margins = d.astype(float).copy()
+    sbar = [j for j in range(part.n) if j not in Sset]
+    w = part.row_sums[S] / d[S]
+    margins = d.copy()
     if sbar:
         margins -= off[:, sbar].sum(axis=1)
     margins -= off[:, S] @ w
     return margins
 
 
-def _validate_witness(A, S) -> tuple[int, ...]:
-    A = as_matrix(A)
-    part = dominance_partition(A)
-    S = as_index_set(S, A.shape[0], allow_empty=True, name="witness set")
+def _validate_witness(part, S) -> tuple[int, ...]:
+    S = as_index_set(S, part.n, allow_empty=True, name="witness set")
     if not S:
         raise WitnessError("witness set must be nonempty")
     if not set(S) <= set(part.n2):
@@ -114,8 +114,8 @@ def is_s_sdd1(A, S) -> bool:
     ``S`` must be a nonempty subset of the dominant set n2; otherwise a
     ``WitnessError`` is raised.
     """
-    S = _validate_witness(A, S)
-    return bool((_s_sdd1_margins(A, S) > 0).all())
+    part = dominance_partition(A)
+    return bool((_s_sdd1_margins(part, _validate_witness(part, S)) > 0).all())
 
 
 def find_s_sdd1_witness(A, partition=None) -> tuple[int, ...] | None:
@@ -124,7 +124,6 @@ def find_s_sdd1_witness(A, partition=None) -> tuple[int, ...] | None:
     Exhaustive over subsets, largest cardinality first, lexicographically
     first winner reported.  Guarded to |n2| <= 15.
     """
-    A = as_matrix(A)
     part = partition if partition is not None else dominance_partition(A)
     n2 = part.n2
     if len(n2) > WITNESS_SEARCH_MAX:
@@ -133,18 +132,17 @@ def find_s_sdd1_witness(A, partition=None) -> tuple[int, ...] | None:
         )
     for size in range(len(n2), 0, -1):
         for S in itertools.combinations(n2, size):
-            if (_s_sdd1_margins(A, list(S)) > 0).all():
+            if (_s_sdd1_margins(part, S) > 0).all():
                 return S
     return None
 
 
-def classify(A, search_witness=True) -> ClassReport:
+def classify(A) -> ClassReport:
     """Assemble the full class report for one matrix."""
-    A = as_matrix(A)
     part = dominance_partition(A)
     degrees = dominance_degrees(A, part)
     witness = None
-    if search_witness and part.n2 and len(part.n2) <= WITNESS_SEARCH_MAX:
+    if part.n2 and len(part.n2) <= WITNESS_SEARCH_MAX:
         witness = find_s_sdd1_witness(A, part)
     return ClassReport(
         is_sdd=len(part.n1) == 0,
@@ -167,9 +165,14 @@ def b1_split(M) -> B1Split:
     return B1Split(a=a, c=c, r=r)
 
 
+def _b1_partition(split) -> IndexPartition | None:
+    """Partition of the shift part ``split.a`` when the split matrix is B1, else None."""
+    if not (split.a.diagonal() > 0).all():
+        return None
+    part = dominance_partition(split.a)
+    return part if is_sdd1(split.a, part) else None
+
+
 def is_b1(M) -> bool:
     """True iff the shift part of the split is SDD1 with all-positive diagonal."""
-    split = b1_split(M)
-    if not (split.a.diagonal() > 0).all():
-        return False
-    return is_sdd1(split.a)
+    return _b1_partition(b1_split(M)) is not None

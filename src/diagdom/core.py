@@ -68,17 +68,22 @@ def as_index_set(indices, n, *, allow_empty=False, name="index set") -> tuple[in
 class IndexPartition:
     """Exact dominant/non-dominant row split with cached row functionals.
 
-    ``row_sums[i]`` is R_i, the full off-diagonal absolute row sum, and
-    ``p_values[i]`` is P_i = R^{n1}_i + Q^{n2}_i: full weight for columns in
-    the non-dominant set, damped weight R_j/|a_jj| for columns in the
-    dominant set.  Membership is decided by the exact comparison
-    |a_ii| <= R_i, with no tolerance.
+    This is the one analysis of a matrix that every bound reads from.
+    ``off`` holds the moduli |a_ij| with a zeroed diagonal and ``diag`` the
+    moduli |a_ii|; all four arrays are read-only.  ``row_sums[i]`` is R_i,
+    the full off-diagonal absolute row sum, and ``p_values[i]`` is
+    P_i = R^{n1}_i + Q^{n2}_i: full weight for columns in the non-dominant
+    set, damped weight R_j/|a_jj| for columns in the dominant set.
+    Membership is decided by the exact comparison |a_ii| <= R_i, with no
+    tolerance.
     """
 
     n1: tuple[int, ...]
     n2: tuple[int, ...]
     row_sums: np.ndarray
     p_values: np.ndarray
+    off: np.ndarray
+    diag: np.ndarray
 
     @property
     def n(self) -> int:
@@ -114,7 +119,8 @@ def damped_row_sum(A, i, subset, partition=None) -> float:
     """Damped restricted row sum Q^S_i: sum of |a_ij| * R_j / |a_jj| over j in S, j != i.
 
     Every j in the subset (other than i) must have a nonzero diagonal.
-    ``partition`` may carry precomputed row sums to avoid recomputation.
+    ``partition``, the matrix's own ``dominance_partition``, saves building it
+    again.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -122,19 +128,14 @@ def damped_row_sum(A, i, subset, partition=None) -> float:
         raise ValidationError(f"row index {i} outside 0..{n - 1}")
     i = int(i)
     cols = as_index_set(subset, n, allow_empty=True, name="subset")
-    if partition is not None and partition.n == n:
-        R = partition.row_sums
-    else:
-        _, off, _ = _abs_off(A)
-        R = off.sum(axis=1)
+    part = partition if partition is not None and partition.n == n else dominance_partition(A)
     total = 0.0
     for j in cols:
         if j == i:
             continue
-        ajj = abs(A[j, j])
-        if ajj == 0.0:
+        if part.diag[j] == 0.0:
             raise SingularDiagonalError(f"zero diagonal at index {j} inside damped row sum")
-        total += abs(A[i, j]) * R[j] / ajj
+        total += part.off[i, j] * part.row_sums[j] / part.diag[j]
     return float(total)
 
 
@@ -153,9 +154,9 @@ def dominance_partition(A) -> IndexPartition:
     P = off[:, list(n1)].sum(axis=1) if n1 else np.zeros(A.shape[0])
     if n2:
         P = P + off[:, list(n2)] @ w[list(n2)]
-    R.setflags(write=False)
-    P.setflags(write=False)
-    return IndexPartition(n1=n1, n2=n2, row_sums=R, p_values=P)
+    for arr in (R, P, off, d):
+        arr.setflags(write=False)
+    return IndexPartition(n1=n1, n2=n2, row_sums=R, p_values=P, off=off, diag=d)
 
 
 def comparison_matrix(A) -> np.ndarray:

@@ -9,13 +9,14 @@ ratio, which keeps every lower factor strictly positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import FORMULA_DET_HUANG, FORMULA_DET_NEW
-from .classify import is_sdd1
-from .core import _abs_off, as_matrix, dominance_partition
+from .classify import _require_sdd1
+from .core import IndexPartition, as_matrix, dominance_partition
 from .errors import HypothesisError
 from .oracle import determinant
 
@@ -85,11 +86,11 @@ def dominance_ordering(A) -> DominanceOrdering:
     return DominanceOrdering(permutation=part.n1 + part.n2, s=len(part.n1))
 
 
-def _require_ordered_classes(A):
-    A = as_matrix(A)
+def _ordered_partition(A) -> IndexPartition:
+    """Partition of ``A`` after checking both classes occur, non-dominant rows first."""
     part = dominance_partition(A)
     s = len(part.n1)
-    if s == 0 or s == A.shape[0]:
+    if s == 0 or s == part.n:
         raise HypothesisError(
             "n1 or n2 is empty",
             "brackets are defined with both row classes present",
@@ -99,12 +100,24 @@ def _require_ordered_classes(A):
             "matrix is not in dominance ordering",
             "apply dominance_ordering first: non-dominant rows must lead",
         )
-    return A, part, s
+    return part
 
 
-def _require_sdd1(A, part):
-    if not is_sdd1(A, part):
-        raise HypothesisError("matrix is not SDD1")
+def _sequential_bracket(part, weights, divisor, formula_id, theta=None) -> DetBracket:
+    """Factors |a_ii| -/+ sum_{j>i} |a_ij| weights_j / divisor_i and their products."""
+    off = part.off
+    spill = np.array([
+        (off[i, i + 1:] * weights[i + 1:]).sum() / divisor[i] for i in range(part.n)
+    ])
+    lower_f, upper_f = part.diag - spill, part.diag + spill
+    return DetBracket(
+        lower=float(np.prod(lower_f)) if (lower_f >= 0).all() else 0.0,
+        upper=float(np.prod(upper_f)),
+        factors=np.column_stack([lower_f, upper_f]),
+        formula_id=formula_id,
+        weights=weights,
+        theta=theta,
+    )
 
 
 def huang_bracket(A) -> DetBracket:
@@ -113,14 +126,13 @@ def huang_bracket(A) -> DetBracket:
     theta is the minimum over non-dominant rows of (|a_ii| - P_i) / R^{n2}_i,
     skipping rows with no dominant-column mass; if every row is skipped the
     bracket is unavailable and a ``HypothesisError`` is raised rather than
-    extrapolating with an infinite weight.
+    extrapolating with an infinite weight.  Row i's sum is divided by its
+    weight x_i.
     """
-    A, part, s = _require_ordered_classes(A)
-    n = A.shape[0]
-    absA, off, d = _abs_off(A)
-    R, P = part.row_sums, part.p_values
+    part = _ordered_partition(A)
+    d, R, P = part.diag, part.row_sums, part.p_values
     n2 = list(part.n2)
-    rs = off[:, n2].sum(axis=1)
+    rs = part.off[:, n2].sum(axis=1)
     candidates = [(d[j] - P[j]) / rs[j] for j in part.n1 if rs[j] > 0.0]
     if not candidates:
         raise HypothesisError(
@@ -130,20 +142,9 @@ def huang_bracket(A) -> DetBracket:
         )
     _require_sdd1(A, part)
     theta = min(candidates)
-    x = np.ones(n)
+    x = np.ones(part.n)
     x[n2] = theta + R[n2] / d[n2]
-    lower_f = np.array([d[i] - (absA[i, i + 1:] * x[i + 1:]).sum() / x[i] for i in range(n)])
-    upper_f = np.array([d[i] + (absA[i, i + 1:] * x[i + 1:]).sum() / x[i] for i in range(n)])
-    raw_lower = float(np.prod(lower_f))
-    lower = raw_lower if (lower_f >= 0).all() else 0.0
-    return DetBracket(
-        lower=lower,
-        upper=float(np.prod(upper_f)),
-        factors=np.column_stack([lower_f, upper_f]),
-        formula_id=FORMULA_DET_HUANG,
-        weights=x,
-        theta=float(theta),
-    )
+    return _sequential_bracket(part, x, x, FORMULA_DET_HUANG, float(theta))
 
 
 def dominance_bracket(A) -> DetBracket:
@@ -153,42 +154,44 @@ def dominance_bracket(A) -> DetBracket:
     R_i/|a_ii| on the trailing dominant rows.  Every lower factor satisfies
     f_i >= |a_ii| - P_i > 0, so the lower endpoint is strictly positive.
     """
-    A, part, s = _require_ordered_classes(A)
+    part = _ordered_partition(A)
     _require_sdd1(A, part)
-    n = A.shape[0]
-    absA, _, d = _abs_off(A)
-    y = np.empty(n)
+    d = part.diag
+    y = np.empty(part.n)
     n1, n2 = list(part.n1), list(part.n2)
     y[n1] = part.p_values[n1] / d[n1]
     y[n2] = part.row_sums[n2] / d[n2]
-    lower_f = np.array([d[i] - (absA[i, i + 1:] * y[i + 1:]).sum() for i in range(n)])
-    upper_f = np.array([d[i] + (absA[i, i + 1:] * y[i + 1:]).sum() for i in range(n)])
-    return DetBracket(
-        lower=float(np.prod(lower_f)),
-        upper=float(np.prod(upper_f)),
-        factors=np.column_stack([lower_f, upper_f]),
-        formula_id=FORMULA_DET_NEW,
-        weights=y,
-    )
+    return _sequential_bracket(part, y, np.ones(part.n), FORMULA_DET_NEW)
 
 
 def bracket_nesting_check(A) -> bool:
     """Verify huang.lower <= ratio.lower <= |det| <= ratio.upper <= huang.upper.
 
     The determinant comes from the oracle; comparisons allow a relative slack
-    of ``NESTING_RTOL``.
+    of ``NESTING_RTOL``.  A non-finite endpoint or oracle value (the products
+    overflow float64 at large orders) raises a ``HypothesisError`` naming it
+    instead of passing on ``inf <= inf``.
     """
     A = as_matrix(A)
     broad = huang_bracket(A)
     tight = dominance_bracket(A)
     exact = abs(determinant(A))
+    chain = {
+        "huang.lower": broad.lower,
+        "dominance_ratio.lower": tight.lower,
+        "oracle |det|": exact,
+        "dominance_ratio.upper": tight.upper,
+        "huang.upper": broad.upper,
+    }
+    overflowed = ", ".join(f"{k} = {v}" for k, v in chain.items() if not math.isfinite(v))
+    if overflowed:
+        raise HypothesisError(
+            "bracket or determinant not finite",
+            f"not finite, so the nesting cannot be judged: {overflowed}",
+        )
 
     def le(a, b):
         return a <= b + NESTING_RTOL * max(1.0, abs(a), abs(b))
 
-    return (
-        le(broad.lower, tight.lower)
-        and le(tight.lower, exact)
-        and le(exact, tight.upper)
-        and le(tight.upper, broad.upper)
-    )
+    values = list(chain.values())
+    return all(le(a, b) for a, b in zip(values, values[1:]))

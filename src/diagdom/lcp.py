@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import FORMULA_LCP_B1, BoundCertificate
-from .classify import b1_split, is_b1, is_sdd1, is_s_sdd1
-from .core import _abs_off, as_matrix, dominance_partition
+from .classify import _b1_partition, _s_sdd1_margins, b1_split, is_sdd1
+from .core import as_matrix, dominance_partition
 from .errors import HypothesisError, SingularMatrixError, SizeLimitError, ValidationError
 from .mmio import matrix_digest
-from .normbounds import _pairwise_terms
+from .normbounds import _pairwise_terms, _schur_tail
 from .oracle import inf_norm, inverse
 
 __all__ = [
@@ -91,21 +91,16 @@ def lcp_b1_bound(M) -> BoundCertificate:
     factor n-1 drops; with a single dominant row the pairwise term becomes
     max{1, 1/a_ii}.  Rows are those of ``a`` throughout.
     """
-    M = as_matrix(M)
-    n = M.shape[0]
     split = b1_split(M)
-    if not ((split.a.diagonal() > 0).all() and is_sdd1(split.a)):
+    part = _b1_partition(split)
+    if part is None:
         raise HypothesisError(
             "matrix is not B1",
             "the shift part of the split must be SDD1 with positive diagonal",
         )
-    a = split.a
-    part = dominance_partition(a)
-    _, off, d = _abs_off(a)
-    n1 = np.asarray(part.n1, dtype=np.intp)
+    d = part.diag
     n2 = np.asarray(part.n2, dtype=np.intp)
-    P = part.p_values
-    rs = off[:, n2].sum(axis=1)
+    rs = part.off[:, n2].sum(axis=1)
 
     if len(n2) == 1:
         phi = max(1.0, 1.0 / d[n2[0]])
@@ -113,20 +108,11 @@ def lcp_b1_bound(M) -> BoundCertificate:
         di, dj, ri, den = _pairwise_terms(d, rs, n2)
         den = np.minimum(np.minimum(np.minimum(1.0, di), dj), den)
         phi = np.max((np.maximum(1.0, dj) + ri) / den, initial=0.0)
-
-    psi = None
-    d2, P2 = d[n2], P[n2]
-    if len(n1):
-        psi = 0.0
-        for i in n1:
-            inner = d[i] - off[i, n1].sum() - (off[i, n2] / d2) @ P2
-            assert inner > 0.0
-            psi = max(psi, (1.0 + phi * rs[i]) / min(1.0, inner))
+    # P_i is R^{n1}_i + Q^{n2}_i; the scaling caps every psi denominator at 1.
+    prefactor, best, psi = _schur_tail(part, n2, part.p_values, rs, phi, 1.0)
 
     zero_shift = bool((split.r == 0.0).all())
-    coefficient = 1 if zero_shift else n - 1
-    prefactor = 1.0 + float((P2 / d2).max())
-    best = phi if psi is None else max(phi, psi)
+    coefficient = 1 if zero_shift else part.n - 1
     value = coefficient * prefactor * best
     params = {
         "coefficient": coefficient,
@@ -154,8 +140,6 @@ def run_experiment(M, sample_count, seed) -> LcpExperiment:
         raise ValidationError("sample_count must be at least 1")
     sample_count = int(sample_count)
     seed = int(seed) & (2**64 - 1)
-    if not is_b1(M):
-        raise HypothesisError("matrix is not B1")
     bound = lcp_b1_bound(M).value
     n = M.shape[0]
     d_samples = np.empty((sample_count, n))
@@ -223,6 +207,6 @@ def scaled_matrix_sdd1_check(A, dvec) -> bool:
         and (B.diagonal() > 0).all()
         and set(bpart.n1) <= set(part.n1)
         and set(part.n2) <= set(bpart.n2)
-        and is_s_sdd1(B, part.n2)
+        and (_s_sdd1_margins(bpart, part.n2) > 0).all()  # witness n2(A), inside n2(B) here
     )
     return bool(checks)

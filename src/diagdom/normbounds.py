@@ -28,8 +28,8 @@ from .certificates import (
     FORMULA_SDD_PAIRWISE,
     BoundCertificate,
 )
-from .classify import _s_sdd1_margins, _validate_witness, is_sdd, is_sdd1
-from .core import _abs_off, as_matrix, dominance_partition
+from .classify import _require_sdd1, _s_sdd1_margins, _validate_witness
+from .core import dominance_partition
 from .errors import HypothesisError, ParameterError
 from .oracle import inf_norm, inverse
 
@@ -71,14 +71,15 @@ def _pairwise_max(d, rs, rows):
 
 def sdd_pairwise_bound(A) -> BoundCertificate:
     """Classical pairwise bound for SDD matrices of order at least 2."""
-    A = as_matrix(A)
-    if A.shape[0] < 2:
+    return _sdd_pairwise(dominance_partition(A))
+
+
+def _sdd_pairwise(part) -> BoundCertificate:
+    if part.n < 2:
         raise HypothesisError("order < 2", "the pairwise bound needs at least two rows")
-    if not is_sdd(A):
+    if part.n1:
         raise HypothesisError("matrix is not SDD", "the pairwise bound requires strict dominance")
-    _, off, d = _abs_off(A)
-    R = off.sum(axis=1)
-    value = _pairwise_max(d, R, range(A.shape[0]))
+    value = _pairwise_max(part.diag, part.row_sums, range(part.n))
     return BoundCertificate(FORMULA_SDD_PAIRWISE, float(value))
 
 
@@ -88,13 +89,15 @@ def _epsilon_sup(d, P, rs):
     return np.min((d[pos] - P[pos]) / rs[pos], initial=math.inf)
 
 
-def _epsilon_pieces(off, d, R, P, n1, n2, rs):
+def _epsilon_pieces(part, rs):
     """Precompute the epsilon-independent pieces; the bound is rational in eps.
 
     For non-dominant rows the denominator term is ``h0 - eps * rs``; for
     dominant rows it is ``eps * g + q0``.  The zeroed diagonal of ``off``
     makes the j != i exclusions automatic.
     """
+    off, d, R, P = part.off, part.diag, part.row_sums, part.p_values
+    n1, n2 = list(part.n1), list(part.n2)
     ratio = P[n2] / d[n2]
     h0 = d[n1] - off[np.ix_(n1, n1)].sum(axis=1) - off[np.ix_(n1, n2)] @ ratio
     g = d[n2] - rs[n2]
@@ -138,20 +141,16 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
     route.  The chosen epsilon and the interval supremum are recorded in the
     certificate parameters.
     """
-    A = as_matrix(A)
     part = dominance_partition(A)
-    if not is_sdd1(A, part):
-        raise HypothesisError("matrix is not SDD1")
+    _require_sdd1(A, part)
     if not part.n1 or not part.n2:
         raise HypothesisError(
             "n1 or n2 is empty",
             "the epsilon bound mixes terms over both partition sides",
         )
-    _, off, d = _abs_off(A)
-    n1, n2 = list(part.n1), list(part.n2)
-    R, P = part.row_sums, part.p_values
-    rs = off[:, n2].sum(axis=1)
-    pieces = _epsilon_pieces(off, d, R, P, n1, n2, rs)
+    d, P, n2 = part.diag, part.p_values, list(part.n2)
+    rs = part.off[:, n2].sum(axis=1)
+    pieces = _epsilon_pieces(part, rs)
 
     sup = _epsilon_sup(d, P, rs)
     finite_sup = sup
@@ -185,35 +184,42 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
     return BoundCertificate(FORMULA_SDD1_EPSILON, float(refined), params)
 
 
-def _restricted_schur_value(A, S, prefactor_margins):
+def _restricted_schur_value(part, S, margins):
     """Shared arithmetic of the elimination-based bounds.
 
     ``S`` is the dominant block to keep (a list of indices), and
-    ``prefactor_margins[i]`` must equal R^{Sbar}_i + Q^S_i for i in S.
+    ``margins[i]`` must equal R^{Sbar}_i + Q^S_i for i in S.
     Returns (value, phi, psi); psi is None when S covers every row.
     """
-    _, off, d = _abs_off(A)
+    d = part.diag
     S = np.asarray(S, dtype=np.intp)
-    sbar = np.delete(np.arange(A.shape[0]), S)
-    rs = off[:, S].sum(axis=1)
+    rs = part.off[:, S].sum(axis=1)
+    phi = 1.0 / d[S[0]] if len(S) == 1 else _pairwise_max(d, rs, S)
+    prefactor, best, psi = _schur_tail(part, S, margins, rs, phi, math.inf)
+    return prefactor * best, phi, psi
 
-    if len(S) == 1:
-        phi = 1.0 / d[S[0]]
-    else:
-        phi = _pairwise_max(d, rs, S)
 
+def _schur_tail(part, S, margins, rs, phi, cap):
+    """The eliminated-row term psi and the prefactor shared by every Schur bound.
+
+    psi is the max over rows i outside ``S`` of
+    (1 + phi R^S_i) / min(cap, |a_ii| - R^{Sbar}_i - sum_{j in S} |a_ij| m_j / |a_jj|),
+    with ``cap`` 1.0 for the LCP bound and infinity (no cap) for the norm
+    bounds.  Returns (prefactor, max(phi, psi), psi); psi is None when S
+    covers every row.
+    """
+    off, d = part.off, part.diag
+    sbar = np.delete(np.arange(part.n), S)
     psi = None
-    dS, mS = d[S], prefactor_margins[S]
+    dS, mS = d[S], margins[S]
     if len(sbar):
         psi = 0.0
         for i in sbar:
             den = d[i] - off[i, sbar].sum() - (off[i, S] / dS) @ mS
             assert den > 0.0, "restricted margins are positive under the S-dominance hypothesis"
-            psi = max(psi, (1.0 + phi * rs[i]) / den)
-
+            psi = max(psi, (1.0 + phi * rs[i]) / min(cap, den))
     prefactor = 1.0 + float((mS / dS).max())
-    best = phi if psi is None else max(phi, psi)
-    return prefactor * best, phi, psi
+    return prefactor, phi if psi is None else max(phi, psi), psi
 
 
 def sdd1_schur_bound(A) -> BoundCertificate:
@@ -225,16 +231,14 @@ def sdd1_schur_bound(A) -> BoundCertificate:
     value.  A single-row dominant set replaces the pairwise term by the
     reciprocal of its diagonal modulus.
     """
-    A = as_matrix(A)
     part = dominance_partition(A)
-    if not is_sdd1(A, part):
-        raise HypothesisError("matrix is not SDD1")
+    _require_sdd1(A, part)
     if not part.n1:
-        sub = sdd_pairwise_bound(A)
+        sub = _sdd_pairwise(part)
         params = {"substituted_formula": FORMULA_SDD_PAIRWISE, "reason": "n1 empty"}
         return BoundCertificate(FORMULA_SDD1_SCHUR, sub.value, params)
     # P_i coincides with R^{n1}_i + Q^{n2}_i, the margins the shared core needs.
-    value, phi, psi = _restricted_schur_value(A, list(part.n2), part.p_values)
+    value, phi, psi = _restricted_schur_value(part, list(part.n2), part.p_values)
     params = {"phi": float(phi), "psi": float(psi), "s": [int(i) for i in part.n2]}
     return BoundCertificate(FORMULA_SDD1_SCHUR, float(value), params)
 
@@ -246,23 +250,21 @@ def s_sdd1_schur_bound(A, S) -> BoundCertificate:
     rows.  With ``S`` equal to the full dominant set this is arithmetic-for-
     arithmetic the same computation as ``sdd1_schur_bound``.
     """
-    A = as_matrix(A)
-    S = _validate_witness(A, S)
+    part = dominance_partition(A)
+    S = _validate_witness(part, S)
     if len(S) < 2:
         raise HypothesisError(
             "|S| < 2",
             "the witness-restricted bound needs at least a pair inside S",
         )
-    margins = _s_sdd1_margins(A, list(S))
+    margins = _s_sdd1_margins(part, S)
     if not (margins > 0).all():
         raise HypothesisError(
             "matrix is not S-SDD1 for this witness",
             "every row must satisfy |a_ii| - R^{Sbar}_i - Q^S_i > 0",
         )
-    _, _, d = _abs_off(A)
     # margins == d - (R^{Sbar} + Q^S); recover the prefactor ingredient.
-    shifted = d - margins
-    value, phi, psi = _restricted_schur_value(A, list(S), shifted)
+    value, phi, psi = _restricted_schur_value(part, list(S), part.diag - margins)
     params = {"phi": float(phi), "s": [int(i) for i in S]}
     if psi is None:
         params["psi"] = None

@@ -177,6 +177,18 @@ def is_p_matrix(A) -> bool:
     return True
 
 
+def _comparison_inverse(A) -> np.ndarray | None:
+    """Inverse of the comparison matrix if it is (numerically) nonnegative, else None.
+
+    ``None`` also covers a singular comparison matrix.
+    """
+    try:
+        inv = inverse(comparison_matrix(A))
+    except SingularMatrixError:
+        return None
+    return inv if (inv >= -INVERSE_NONNEG_TOL).all() else None
+
+
 def is_h_matrix(A) -> bool:
     """True iff the comparison matrix has a (numerically) nonnegative inverse.
 
@@ -184,9 +196,4 @@ def is_h_matrix(A) -> bool:
     nonsingular M-matrix, so it avoids any eigensolver.  Singular comparison
     matrices report False.
     """
-    comp = comparison_matrix(A)
-    try:
-        inv = inverse(comp)
-    except SingularMatrixError:
-        return False
-    return bool((inv >= -INVERSE_NONNEG_TOL).all())
+    return _comparison_inverse(A) is not None

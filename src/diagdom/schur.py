@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import is_sdd1
-from .core import _abs_off, as_index_set, as_matrix, comparison_matrix, dominance_partition
+from .classify import _require_sdd1, is_sdd1
+from .core import as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
-from .oracle import inf_norm, inverse, is_h_matrix, lu_factor, lu_solve
+from .oracle import _comparison_inverse, inf_norm, lu_factor, lu_solve
 
 __all__ = [
     "SchurResult",
@@ -106,16 +106,16 @@ def schur_complement(A, alpha) -> SchurResult:
     tilde_n1 = tuple(bar[t] for t in cpart.n1)
     tilde_n2 = tuple(bar[t] for t in cpart.n2)
 
+    part = dominance_partition(A)
     delta = None
-    if is_h_matrix(block):
-        inv_comp = inverse(comparison_matrix(block))
+    inv_comp = _comparison_inverse(block)
+    if inv_comp is not None:  # the pivot block is an H-matrix
         # Rounding may leave tiny negatives in an M-matrix inverse; clamping
         # them up only widens the radii, keeping the entry sandwich valid.
         inv_comp = np.maximum(inv_comp, 0.0)
-        absA = np.abs(A)
-        delta = absA[np.ix_(bar, alpha)] @ inv_comp @ absA[np.ix_(alpha, bar)]
+        delta = part.off[np.ix_(bar, alpha)] @ inv_comp @ part.off[np.ix_(alpha, bar)]
 
-    certified, kind = _certified_dispatch(A, alpha)
+    certified, kind = _certified_dispatch(A, part, alpha, bar)
     return SchurResult(
         complement=comp,
         alpha=alpha,
@@ -128,49 +128,26 @@ def schur_complement(A, alpha) -> SchurResult:
     )
 
 
-def _certified_dispatch(A, alpha):
-    part = dominance_partition(A)
+def _certified_dispatch(A, part, alpha, bar):
     if not is_sdd1(A, part):
         return None, None
     aset, n2set = set(alpha), set(part.n2)
     if aset < n2set:
-        return certified_bound_proper_subset(A, alpha), "sdd1_degree"
+        return _proper_subset_margins(part, alpha, bar), "sdd1_degree"
     if aset == n2set and part.n1:
-        return certified_bound_alpha_equals_n2(A), "sdd_degree"
+        return _eliminated_margins(part, part.n2, part.n1), "sdd_degree"
     if n2set < aset:
-        return certified_bound_superset(A, alpha), "sdd_degree"
+        return _eliminated_margins(part, alpha, bar), "sdd_degree"
     return None, None
 
 
-def _require_sdd1(A, part):
-    if not is_sdd1(A, part):
-        raise HypothesisError(
-            "matrix is not SDD1",
-            "certified dominance bounds require |a_ii| > P_i in every row",
-        )
-
-
-def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
-    """Certified lower bounds on |a'_tt| - P_t(A/alpha) for alpha inside n2.
-
-    Requires the matrix to be SDD1 and alpha to be a nonempty proper subset
-    of the dominant set.  The returned value for each surviving row ``jt``
-    uses only original entries and is sandwiched between the original margin
-    |a_jt,jt| - P_jt (positive) and the exact complement margin.
-    """
-    A, alpha, bar = _validate_alpha(A, alpha)
-    part = dominance_partition(A)
-    _require_sdd1(A, part)
-    if not set(alpha) < set(part.n2):
-        raise HypothesisError(
-            "alpha is not a proper subset of n2",
-            "this regime needs alpha strictly inside the dominant row set",
-        )
-    _, off, d = _abs_off(A)
+def _proper_subset_margins(part, alpha, bar):
+    """Certified |a'_tt| - P_t(A/alpha) lower bounds for alpha strictly inside n2."""
+    off, d = part.off, part.diag
     n1 = list(part.n1)
     n2 = list(part.n2)
     n1set, n2set = set(n1), set(n2)
-    w = np.zeros(A.shape[0])
+    w = np.zeros(part.n)
     w[n2] = part.row_sums[n2] / d[n2]
     alpha_set = set(alpha)
     n2_rest = np.array([j for j in n2 if j not in alpha_set], dtype=np.intp)
@@ -192,9 +169,43 @@ def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
     return out
 
 
+def _eliminated_margins(part, alpha, bar):
+    """Certified |a'_tt| - R_t(A/alpha) lower bounds for alpha containing n2.
+
+    Row t gets |a_tt| - R^{bar}_t - sum over h in alpha of |a_th| P_h / |a_hh|.
+    """
+    off, d = part.off, part.diag
+    alpha_idx = np.asarray(alpha, dtype=np.intp)
+    bar_idx = np.asarray(bar, dtype=np.intp)
+    d_alpha, p_alpha = d[alpha_idx], part.p_values[alpha_idx]
+    out = {}
+    for jt in bar:
+        coupling = (off[jt, alpha_idx] / d_alpha) @ p_alpha
+        out[jt] = float(d[jt] - off[jt, bar_idx].sum() - coupling)
+    return out
+
+
+def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
+    """Certified lower bounds on |a'_tt| - P_t(A/alpha) for alpha inside n2.
+
+    Requires the matrix to be SDD1 and alpha to be a nonempty proper subset
+    of the dominant set.  The returned value for each surviving row ``jt``
+    uses only original entries and is sandwiched between the original margin
+    |a_jt,jt| - P_jt (positive) and the exact complement margin.
+    """
+    A, alpha, bar = _validate_alpha(A, alpha)
+    part = dominance_partition(A)
+    _require_sdd1(A, part)
+    if not set(alpha) < set(part.n2):
+        raise HypothesisError(
+            "alpha is not a proper subset of n2",
+            "this regime needs alpha strictly inside the dominant row set",
+        )
+    return _proper_subset_margins(part, alpha, bar)
+
+
 def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
     """Certified lower bounds on |a'_tt| - R_t(A/n2): the complement is SDD."""
-    A = as_matrix(A)
     part = dominance_partition(A)
     _require_sdd1(A, part)
     if not part.n1:
@@ -205,15 +216,7 @@ def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
         )
     if not part.n2:
         raise HypothesisError("n2 is empty", "there is no dominant set to eliminate")
-    _, off, d = _abs_off(A)
-    n1 = np.asarray(part.n1, dtype=np.intp)
-    n2 = np.asarray(part.n2, dtype=np.intp)
-    d2, p2 = d[n2], part.p_values[n2]
-    out = {}
-    for jt in part.n1:
-        coupling = (off[jt, n2] / d2) @ p2
-        out[jt] = float(d[jt] - off[jt, n1].sum() - coupling)
-    return out
+    return _eliminated_margins(part, part.n2, part.n1)
 
 
 def certified_bound_superset(A, alpha) -> dict[int, float]:
@@ -226,15 +229,7 @@ def certified_bound_superset(A, alpha) -> dict[int, float]:
             "alpha does not strictly contain n2",
             "this regime needs n2 strictly inside alpha, alpha strictly inside N",
         )
-    _, off, d = _abs_off(A)
-    alpha_idx = np.asarray(alpha, dtype=np.intp)
-    bar_idx = np.asarray(bar, dtype=np.intp)
-    d_alpha, p_alpha = d[alpha_idx], part.p_values[alpha_idx]
-    out = {}
-    for jt in bar:
-        coupling = (off[jt, alpha_idx] / d_alpha) @ p_alpha
-        out[jt] = float(d[jt] - off[jt, bar_idx].sum() - coupling)
-    return out
+    return _eliminated_margins(part, alpha, bar)
 
 
 def tilde_set_identity_check(A, alpha) -> bool:

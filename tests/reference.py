@@ -101,10 +101,9 @@ def sdd1_epsilon_bound(A):
     A = as_matrix(A)
     part = dominance_partition(A)
     _, off, d = _abs_off(A)
-    n1, n2 = list(part.n1), list(part.n2)
-    R, P = part.row_sums, part.p_values
+    n2, P = list(part.n2), part.p_values
     rs = off[:, n2].sum(axis=1)
-    pieces = _epsilon_pieces(off, d, R, P, n1, n2, rs)
+    pieces = _epsilon_pieces(part, rs)
     sup = epsilon_sup(d, P, rs)
     finite_sup = sup
     if not math.isfinite(finite_sup):
@@ -220,3 +219,39 @@ def certified_bound_superset(A, alpha):
         coupling = (off[jt, list(alpha)] / d[list(alpha)]) @ part.p_values[list(alpha)]
         out[jt] = float(d[jt] - off[jt, bar_list].sum() - coupling)
     return out
+
+
+def huang_bracket(A):
+    """Huang's bracket as two per-row loops over |A|: (lower, upper, factors, x, theta).
+
+    ``A`` must already be in dominance ordering, SDD1, with theta defined.
+    """
+    A = as_matrix(A)
+    n = A.shape[0]
+    part = dominance_partition(A)
+    absA, off, d = _abs_off(A)
+    R, P = part.row_sums, part.p_values
+    n2 = list(part.n2)
+    rs = off[:, n2].sum(axis=1)
+    theta = min((d[j] - P[j]) / rs[j] for j in part.n1 if rs[j] > 0.0)
+    x = np.ones(n)
+    x[n2] = theta + R[n2] / d[n2]
+    lower_f = np.array([d[i] - (absA[i, i + 1:] * x[i + 1:]).sum() / x[i] for i in range(n)])
+    upper_f = np.array([d[i] + (absA[i, i + 1:] * x[i + 1:]).sum() / x[i] for i in range(n)])
+    lower = float(np.prod(lower_f)) if (lower_f >= 0).all() else 0.0
+    return lower, float(np.prod(upper_f)), np.column_stack([lower_f, upper_f]), x, float(theta)
+
+
+def dominance_bracket(A):
+    """The dominance-ratio bracket as two per-row loops over |A|: (lower, upper, factors, y)."""
+    A = as_matrix(A)
+    n = A.shape[0]
+    part = dominance_partition(A)
+    absA, _, d = _abs_off(A)
+    y = np.empty(n)
+    n1, n2 = list(part.n1), list(part.n2)
+    y[n1] = part.p_values[n1] / d[n1]
+    y[n2] = part.row_sums[n2] / d[n2]
+    lower_f = np.array([d[i] - (absA[i, i + 1:] * y[i + 1:]).sum() for i in range(n)])
+    upper_f = np.array([d[i] + (absA[i, i + 1:] * y[i + 1:]).sum() for i in range(n)])
+    return float(np.prod(lower_f)), float(np.prod(upper_f)), np.column_stack([lower_f, upper_f]), y

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from diagdom import (
     determinant,
     dominance_bracket,
     dominance_ordering,
+    generate_sdd1,
     huang_bracket,
 )
 from matrices import (
@@ -130,6 +133,18 @@ class TestNesting:
         for A in sdd1_ensemble[:60]:
             ordered = dominance_ordering(A).apply(A)
             assert bracket_nesting_check(ordered)
+
+    def test_overflow_raises(self):
+        # At order 256 both brackets and the oracle |det| overflow to inf,
+        # where inf <= inf would pass every comparison of the chain.
+        A = generate_sdd1(256, 5, 0.5)
+        ordered = dominance_ordering(A).apply(A)
+        assert dominance_bracket(ordered).upper == math.inf
+        with pytest.raises(HypothesisError) as err:
+            bracket_nesting_check(ordered)
+        assert err.value.hypothesis == "bracket or determinant not finite"
+        assert "dominance_ratio.upper = inf" in str(err.value)
+        assert "oracle |det| = inf" in str(err.value)
 
     def test_permutation_safety(self, sdd1_ensemble):
         for A in sdd1_ensemble[:20]:

@@ -15,9 +15,12 @@ from diagdom import (
     certified_bound_alpha_equals_n2,
     certified_bound_proper_subset,
     certified_bound_superset,
+    dominance_bracket,
+    dominance_ordering,
     dominance_partition,
     generate_b1,
     generate_sdd1,
+    huang_bracket,
     lcp_b1_bound,
     sdd1_epsilon_bound,
 )
@@ -61,8 +64,8 @@ def test_restricted_schur_value(n, seed):
     _, _, d = _abs_off(A)
     S = list(part.n2)
     # The margins sdd1_schur_bound and s_sdd1_schur_bound(A, n2) pass in.
-    for margins in (part.p_values, d - _s_sdd1_margins(A, S)):
-        got = _restricted_schur_value(A, S, margins)
+    for margins in (part.p_values, d - _s_sdd1_margins(part, S)):
+        got = _restricted_schur_value(part, S, margins)
         assert got == reference.restricted_schur_value(A, S, margins)
 
 
@@ -83,7 +86,7 @@ def test_sdd1_epsilon_grid_and_certificate(n, seed):
     _, off, d = _abs_off(A)
     n1, n2 = list(part.n1), list(part.n2)
     rs = off[:, n2].sum(axis=1)
-    pieces = _epsilon_pieces(off, d, part.row_sums, part.p_values, n1, n2, rs)
+    pieces = _epsilon_pieces(part, rs)
     sup = reference.epsilon_sup(d, part.p_values, rs)
     top = sup if np.isfinite(sup) else 1.0
     grid = np.linspace(top * 1e-6, top * (1 - 1e-6), EPSILON_GRID_POINTS)
@@ -110,3 +113,22 @@ def test_certified_schur_margins(n, seed):
         extra = rng.choice(n1, size=rng.integers(1, len(n1)), replace=False).tolist()
         alpha = sorted(n2 + extra)
         assert certified_bound_superset(A, alpha) == reference.certified_bound_superset(A, alpha)
+
+
+@settings(max_examples=40, deadline=None)
+@given(orders, seeds)
+def test_brackets(n, seed):
+    A = draw(generate_sdd1, n, seed)
+    A = dominance_ordering(A).apply(A)
+    tight = dominance_bracket(A)
+    lower, upper, factors, weights = reference.dominance_bracket(A)
+    assert (tight.lower, tight.upper, tight.theta) == (lower, upper, None)
+    assert tight.factors.tolist() == factors.tolist()
+    assert tight.weights.tolist() == weights.tolist()
+    part = dominance_partition(A)
+    assume(any(part.off[i, list(part.n2)].sum() > 0.0 for i in part.n1))  # theta defined
+    broad = huang_bracket(A)
+    lower, upper, factors, weights, theta = reference.huang_bracket(A)
+    assert (broad.lower, broad.upper, broad.theta) == (lower, upper, theta)
+    assert broad.factors.tolist() == factors.tolist()
+    assert broad.weights.tolist() == weights.tolist()
