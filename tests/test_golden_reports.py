@@ -92,14 +92,10 @@ def run_case(argv):
     return {"code": code, "report": report, "stderr": err.getvalue()}
 
 
-def golden_path(case):
-    group, name = case.split("/")
-    return GOLDEN_DIR / f"{group}.json"
-
-
 def load_golden(case):
-    with open(golden_path(case), encoding="ascii") as fh:
-        return json.load(fh)[case.split("/")[1]]
+    group, name = case.split("/")
+    with open(GOLDEN_DIR / f"{group}.json", encoding="ascii") as fh:
+        return json.load(fh)[name]
 
 
 CASES = all_cases()
