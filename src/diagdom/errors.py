@@ -12,12 +12,14 @@ class ValidationError(ToolkitError, ValueError):
 class SingularMatrixError(ToolkitError):
     """A factorization met a pivot too small to continue.
 
-    ``column`` is the 0-based elimination column whose pivot failed, when known.
+    ``column`` is the 0-based elimination column whose pivot failed, and
+    ``index`` the 0-based member of a stack of matrices that failed, when known.
     """
 
-    def __init__(self, message, column=None):
+    def __init__(self, message, column=None, index=None):
         super().__init__(message)
         self.column = column
+        self.index = index
 
 
 class SingularBlockError(SingularMatrixError):

@@ -20,7 +20,7 @@ from .core import as_matrix, dominance_partition
 from .errors import HypothesisError, SingularMatrixError, SizeLimitError, ValidationError
 from .mmio import matrix_digest
 from .normbounds import _pairwise_terms, _schur_tail
-from .oracle import inf_norm, inverse
+from .oracle import _chunk_length, _inverse_inf_norms
 
 __all__ = [
     "LcpExperiment",
@@ -76,9 +76,35 @@ class LcpExperiment:
             fh.write("\n".join(self.to_lines()) + "\n")
 
 
-def _scaled(M, dvec):
-    """Form I - D + D M for a diagonal vector d."""
-    return np.diag(1.0 - dvec) + dvec[:, None] * M
+def _scaled(M, d):
+    """Form I - D + D M for a diagonal vector d, or one such matrix per row of d.
+
+    The diagonal 1 - d is written into zeros and d_i M_ij added on top, the
+    same two operations as ``np.diag(1 - d) + d[:, None] * M``.
+    """
+    n = M.shape[0]
+    out = np.zeros(d.shape + (n,))
+    diag = np.arange(n)
+    out[..., diag, diag] = 1.0 - d
+    out += d[..., :, None] * M
+    return out
+
+
+def _scaled_norms(M, d, message):
+    """||(I - D + D M)^{-1}||_inf for every row of d, one stacked chunk at a time.
+
+    A singular scaled matrix raises ``SingularMatrixError`` with ``message``
+    formatted with the index of its row.
+    """
+    out = np.empty(len(d))
+    step = _chunk_length(M.shape[0])
+    for start in range(0, len(d), step):
+        try:
+            out[start:start + step] = _inverse_inf_norms(_scaled(M, d[start:start + step]))
+        except SingularMatrixError as exc:
+            k = start + exc.index
+            raise SingularMatrixError(message.format(k), index=k) from exc
+    return out
 
 
 def lcp_b1_bound(M) -> BoundCertificate:
@@ -131,9 +157,12 @@ def run_experiment(M, sample_count, seed) -> LcpExperiment:
 
     Each sample k draws its diagonal from an independent deterministic stream
     keyed by (seed, k), so the record is identical no matter how samples are
-    scheduled.  A singular scaled matrix cannot occur for genuine B1 input
-    (those scalings of P-matrices stay nonsingular), so such an error
-    propagates with the sample index attached.
+    scheduled.  The scaled matrices are then inverted as stacks of
+    ``oracle._chunk_length(n)`` samples (1024 at order 8), one LAPACK call
+    per stack; every norm equals ``inf_norm(inverse(I - D + DM))`` of its
+    sample bit for bit.  A singular scaled matrix cannot occur for genuine
+    B1 input (those scalings of P-matrices stay nonsingular), so such an
+    error propagates with the sample index attached.
     """
     M = as_matrix(M)
     if int(sample_count) < 1:
@@ -143,17 +172,11 @@ def run_experiment(M, sample_count, seed) -> LcpExperiment:
     bound = lcp_b1_bound(M).value
     n = M.shape[0]
     d_samples = np.empty((sample_count, n))
-    exact = np.empty(sample_count)
     for k in range(sample_count):
-        rng = np.random.default_rng([seed, k])
-        dvec = rng.random(n)
-        d_samples[k] = dvec
-        try:
-            exact[k] = inf_norm(inverse(_scaled(M, dvec)))
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                f"sample {k}: scaled matrix is singular, input violates the B1 contract"
-            ) from exc
+        d_samples[k] = np.random.default_rng([seed, k]).random(n)
+    exact = _scaled_norms(
+        M, d_samples, "sample {}: scaled matrix is singular, input violates the B1 contract"
+    )
     violations = int((exact > bound + VIOLATION_TOL).sum())
     return LcpExperiment(
         seed=seed,
@@ -169,17 +192,18 @@ def run_experiment(M, sample_count, seed) -> LcpExperiment:
 def corner_norms(M) -> np.ndarray:
     """Exact norms at every extreme scaling D in {0,1}^n, in bit order.
 
-    Guarded to order ``CORNER_MAX_ORDER`` (the sweep is exponential).
+    Corner ``bits`` sets d_i to bit i of ``bits``.  The 2^n scaled matrices
+    are inverted as stacks of ``oracle._chunk_length(n)`` corners (455 at
+    order 12), and every norm equals ``inf_norm(inverse(I - D + DM))`` of
+    its corner bit for bit.  Guarded to order ``CORNER_MAX_ORDER`` (the
+    sweep is exponential).
     """
     M = as_matrix(M)
     n = M.shape[0]
     if n > CORNER_MAX_ORDER:
         raise SizeLimitError(f"corner sweep is limited to order {CORNER_MAX_ORDER}, got {n}")
-    out = np.empty(2**n)
-    for bits in range(2**n):
-        dvec = np.array([(bits >> i) & 1 for i in range(n)], dtype=float)
-        out[bits] = inf_norm(inverse(_scaled(M, dvec)))
-    return out
+    bits = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    return _scaled_norms(M, bits.astype(float), "corner {}: scaled matrix is singular")
 
 
 def scaled_matrix_sdd1_check(A, dvec) -> bool:

@@ -1,20 +1,23 @@
 """Scalar reference implementations that the vectorized library code must match.
 
-These are the column-by-column LU factorization and the per-element Python
-loops the library used before its hot paths became whole-array NumPy work.
+These are the column-by-column LU factorization, the per-element Python
+loops the library used before its hot paths became whole-array NumPy work,
+and the one-matrix-at-a-time oracle scans that became stacked NumPy calls.
 The library's LU must agree with ``lu_factor_unblocked`` exactly up to its
 block width; every other function here must agree with its library
 counterpart bit for bit (``==``, not ``allclose``).
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from diagdom import SingularMatrixError
+from diagdom import SingularMatrixError, determinant, inf_norm, inverse
 from diagdom.certificates import FORMULA_LCP_B1, FORMULA_SDD1_EPSILON, BoundCertificate
 from diagdom.classify import b1_split
 from diagdom.core import _abs_off, as_matrix, dominance_partition
+from diagdom.lcp import VIOLATION_TOL
 from diagdom.normbounds import (
     EPSILON_GRID_MARGIN,
     EPSILON_GRID_POINTS,
@@ -255,3 +258,44 @@ def dominance_bracket(A):
     lower_f = np.array([d[i] - (absA[i, i + 1:] * y[i + 1:]).sum() for i in range(n)])
     upper_f = np.array([d[i] + (absA[i, i + 1:] * y[i + 1:]).sum() for i in range(n)])
     return float(np.prod(lower_f)), float(np.prod(upper_f)), np.column_stack([lower_f, upper_f]), y
+
+
+def is_p_matrix(A):
+    """Size-ordered scan of every principal minor, one ``determinant`` each."""
+    A = as_matrix(A)
+    n = A.shape[0]
+    if (A.diagonal() <= 0).any():
+        return False
+    for size in range(2, n + 1):
+        for rows in itertools.combinations(range(n), size):
+            if determinant(A[np.ix_(rows, rows)]) <= 0.0:
+                return False
+    return True
+
+
+def scaled(M, dvec):
+    return np.diag(1.0 - dvec) + dvec[:, None] * M
+
+
+def sampled_norms(M, sample_count, seed, bound):
+    """Per-sample draws, ``inf_norm(inverse(...))`` norms and violation count."""
+    M = as_matrix(M)
+    n = M.shape[0]
+    d_samples = np.empty((sample_count, n))
+    exact = np.empty(sample_count)
+    for k in range(sample_count):
+        dvec = np.random.default_rng([seed, k]).random(n)
+        d_samples[k] = dvec
+        exact[k] = inf_norm(inverse(scaled(M, dvec)))
+    return d_samples, exact, int((exact > bound + VIOLATION_TOL).sum())
+
+
+def corner_norms(M):
+    """Per-corner ``inf_norm(inverse(...))`` over D in {0,1}^n, in bit order."""
+    M = as_matrix(M)
+    n = M.shape[0]
+    out = np.empty(2**n)
+    for bits in range(2**n):
+        dvec = np.array([(bits >> i) & 1 for i in range(n)], dtype=float)
+        out[bits] = inf_norm(inverse(scaled(M, dvec)))
+    return out

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diagdom import read_matrix_market
-from diagdom.cli import main
+from diagdom.cli import VERIFY_P_MATRIX_MAX_ORDER, main
 from matrices import LCP_8X8_BOUND, TOL4
 
 
@@ -146,6 +146,24 @@ class TestVerify:
         assert result["lcp"]["violations"] == 0
         for cert in result["certificates"]:
             assert cert["slack"] >= -1e-9
+
+    def test_p_matrix_size_guard_reported(self, capsys, tmp_path):
+        path = tmp_path / "b1_13.mtx"
+        code, _ = run_json(
+            capsys,
+            "generate", "--kind", "b1", "--order", "13", "--seed", "5",
+            "--output", str(path),
+        )
+        assert code == 0
+        code, report = run_json(
+            capsys, "verify", "--input", str(path), "--samples", "20", "--seed", "1"
+        )
+        assert code == 0
+        assert report["result"]["p_matrix"] == {
+            "skipped": "size guard",
+            "limit": VERIFY_P_MATRIX_MAX_ORDER,
+        }
+        assert VERIFY_P_MATRIX_MAX_ORDER == 12
 
 
 class TestGenerate:

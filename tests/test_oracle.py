@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from diagdom import (
     lu_factor,
     lu_solve,
 )
+from diagdom import oracle
 from diagdom.oracle import LU_BLOCK
 from matrices import (
     DET_6X6_FIRST,
@@ -180,6 +183,43 @@ class TestPMatrix:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             is_p_matrix(np.eye(21))
+
+    @staticmethod
+    def _scanned_chunks(monkeypatch, A):
+        """Run is_p_matrix and return (size, count) for every chunk of minors it computed."""
+        chunks = []
+        stack_determinants = oracle._stack_determinants
+
+        def spy(stack):
+            chunks.append((stack.shape[1], stack.shape[0]))
+            return stack_determinants(stack)
+
+        monkeypatch.setattr(oracle, "_stack_determinants", spy)
+        return is_p_matrix(A), chunks
+
+    def test_chunk_boundary(self, monkeypatch):
+        # Identity plus a 7x7 block b*J + (1-b)*I on the last seven indices:
+        # the block's order-k minors are (1-b)^(k-1) (1+(k-1)b).
+        n, size = 15, 7
+        per_chunk = oracle._chunk_length(size)
+        assert per_chunk < math.comb(n, size)  # the order-7 minors take several chunks
+        block = slice(n - size, n)
+        A = np.eye(n)
+        A[block, block] = 1.1 * np.eye(size) - 0.1  # SDD with positive diagonal
+        is_p, chunks = self._scanned_chunks(monkeypatch, A)
+        assert is_p
+        for k in range(2, n + 1):
+            assert sum(c for s, c in chunks if s == k) == math.comb(n, k)
+
+        # b = -0.18: only the order-7 minor on the block itself is negative,
+        # and that index set is the last combination, in the last chunk.
+        A[block, block] = 1.18 * np.eye(size) - 0.18
+        is_p, chunks = self._scanned_chunks(monkeypatch, A)
+        assert not is_p
+        sevens = [c for s, c in chunks if s == size]
+        assert chunks[-1][0] == size  # stopped in the order-7 minors ...
+        assert sum(sevens) == math.comb(n, size)  # ... only after their last chunk
+        assert sevens[:-1] == [per_chunk] * (len(sevens) - 1)
 
 
 class TestHMatrix:
