@@ -356,7 +356,8 @@ def _build_parser():
     p.add_argument("--seed", type=int, help="experiment seed")
 
     p = add("verify")
-    p.add_argument("--all", action="store_true", help="run every applicable certificate")
+    p.add_argument("--all", action="store_true",
+                   help="accepted and ignored: verify always runs every applicable check")
     p.add_argument("--epsilon", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--seed", type=int)

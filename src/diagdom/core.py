@@ -90,14 +90,6 @@ class IndexPartition:
         return len(self.row_sums)
 
 
-def _abs_off(A):
-    """Return (|A|, |A| with zeroed diagonal, |diagonal|)."""
-    absA = np.abs(A)
-    off = absA.copy()
-    np.fill_diagonal(off, 0.0)
-    return absA, off, absA.diagonal().copy()
-
-
 def row_sum(A, i, subset=None) -> float:
     """Restricted absolute row sum R^S_i: sum of |a_ij| over j in S, j != i.
 
@@ -141,19 +133,22 @@ def damped_row_sum(A, i, subset, partition=None) -> float:
 
 def dominance_partition(A) -> IndexPartition:
     """Split rows into non-dominant ``n1`` (|a_ii| <= R_i) and dominant ``n2``."""
-    A = as_matrix(A)
-    _, off, d = _abs_off(A)
+    return _partition(as_matrix(A))
+
+
+def _partition(A) -> IndexPartition:
+    """``dominance_partition`` of an array that ``as_matrix`` has already validated."""
+    off = np.abs(A)
+    d = off.diagonal().copy()
+    np.fill_diagonal(off, 0.0)
     R = off.sum(axis=1)
     n2_mask = d > R
-    n1 = tuple(int(i) for i in np.where(~n2_mask)[0])
-    n2 = tuple(int(i) for i in np.where(n2_mask)[0])
+    n1 = tuple(np.flatnonzero(~n2_mask).tolist())
+    n2 = tuple(np.flatnonzero(n2_mask).tolist())
+    i1, i2 = list(n1), list(n2)
     w = np.zeros(A.shape[0])
-    if n2:
-        idx = list(n2)
-        w[idx] = R[idx] / d[idx]
-    P = off[:, list(n1)].sum(axis=1) if n1 else np.zeros(A.shape[0])
-    if n2:
-        P = P + off[:, list(n2)] @ w[list(n2)]
+    w[i2] = R[i2] / d[i2]
+    P = off[:, i1].sum(axis=1) + off[:, i2] @ w[i2]  # an empty set adds exact zeros
     for arr in (R, P, off, d):
         arr.setflags(write=False)
     return IndexPartition(n1=n1, n2=n2, row_sums=R, p_values=P, off=off, diag=d)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._streams import uniform_streams
 from .certificates import FORMULA_LCP_B1, BoundCertificate
 from .classify import _b1_partition, _s_sdd1_margins, b1_split, is_sdd1
 from .core import as_matrix, dominance_partition
@@ -30,7 +31,9 @@ __all__ = [
     "scaled_matrix_sdd1_check",
 ]
 
-RNG_SCHEME = "pcg64-seedseq-v1"  # per-sample stream: default_rng([seed, index])
+# Sample k draws np.random.default_rng([seed, k]).random(n); _streams builds
+# all of a run's streams at once, bit for bit, so the scheme is unchanged.
+RNG_SCHEME = "pcg64-seedseq-v1"
 VIOLATION_TOL = 1e-9
 CORNER_MAX_ORDER = 12
 
@@ -157,12 +160,18 @@ def run_experiment(M, sample_count, seed) -> LcpExperiment:
 
     Each sample k draws its diagonal from an independent deterministic stream
     keyed by (seed, k), so the record is identical no matter how samples are
-    scheduled.  The scaled matrices are then inverted as stacks of
-    ``oracle._chunk_length(n)`` samples (1024 at order 8), one LAPACK call
-    per stack; every norm equals ``inf_norm(inverse(I - D + DM))`` of its
-    sample bit for bit.  A singular scaled matrix cannot occur for genuine
-    B1 input (those scalings of P-matrices stay nonsingular), so such an
-    error propagates with the sample index attached.
+    scheduled: ``np.random.default_rng([seed, k]).random(n)``, the
+    ``pcg64-seedseq-v1`` scheme.  All K streams are built at once by
+    repeating numpy's SeedSequence hashing and PCG64 steps on arrays over k
+    (``_streams.uniform_streams``), equal to the one-generator draws bit for
+    bit; numpy keeps these streams stable (NEP 19), and a release that
+    changed them would fail the stream test.  The scaled matrices are then
+    inverted as stacks of ``oracle._chunk_length(n)`` samples (1024 at
+    order 8), one LAPACK call per stack; every norm equals
+    ``inf_norm(inverse(I - D + DM))`` of its sample bit for bit.  A singular
+    scaled matrix cannot occur for genuine B1 input (those scalings of
+    P-matrices stay nonsingular), so such an error propagates with the
+    sample index attached.
     """
     M = as_matrix(M)
     if int(sample_count) < 1:
@@ -170,10 +179,7 @@ def run_experiment(M, sample_count, seed) -> LcpExperiment:
     sample_count = int(sample_count)
     seed = int(seed) & (2**64 - 1)
     bound = lcp_b1_bound(M).value
-    n = M.shape[0]
-    d_samples = np.empty((sample_count, n))
-    for k in range(sample_count):
-        d_samples[k] = np.random.default_rng([seed, k]).random(n)
+    d_samples = uniform_streams(seed, np.arange(sample_count), M.shape[0])
     exact = _scaled_norms(
         M, d_samples, "sample {}: scaled matrix is singular, input violates the B1 contract"
     )

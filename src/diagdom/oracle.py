@@ -106,7 +106,7 @@ def _lu_factor(A) -> LuFactorization:
                 sign = -sign
             if k + 1 < n:
                 lu[k + 1:, k] /= lu[k, k]
-                lu[k + 1:, k + 1:k1] -= np.outer(lu[k + 1:, k], lu[k, k + 1:k1])
+                lu[k + 1:, k + 1:k1] -= lu[k + 1:, k, None] * lu[k, k + 1:k1]
         if k1 < n:
             for k in range(k0 + 1, k1):  # U12 = L11^{-1} A12, row by row
                 lu[k, k1:] -= lu[k, k0:k] @ lu[k0:k, k1:]
@@ -149,7 +149,11 @@ def inverse(A) -> np.ndarray:
     Backed by LAPACK through numpy for speed; the hand-rolled factorization
     above stays the authority for pivot-level diagnostics.
     """
-    A = as_matrix(A)
+    return _inverse(as_matrix(A))
+
+
+def _inverse(A) -> np.ndarray:
+    """``inverse`` of an array that ``as_matrix`` has already validated."""
     try:
         inv = np.linalg.inv(A)
     except np.linalg.LinAlgError as exc:
@@ -261,13 +265,13 @@ def is_p_matrix(A) -> bool:
     return True
 
 
-def _comparison_inverse(A) -> np.ndarray | None:
-    """Inverse of the comparison matrix if it is (numerically) nonnegative, else None.
+def _nonneg_inverse(C) -> np.ndarray | None:
+    """Inverse of a comparison matrix ``C`` if it is (numerically) nonnegative, else None.
 
     ``None`` also covers a singular comparison matrix.
     """
     try:
-        inv = inverse(comparison_matrix(A))
+        inv = _inverse(C)
     except SingularMatrixError:
         return None
     return inv if (inv >= -INVERSE_NONNEG_TOL).all() else None
@@ -280,4 +284,4 @@ def is_h_matrix(A) -> bool:
     nonsingular M-matrix, so it avoids any eigensolver.  Singular comparison
     matrices report False.
     """
-    return _comparison_inverse(A) is not None
+    return _nonneg_inverse(comparison_matrix(A)) is not None

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import _require_sdd1, is_sdd1
-from .core import as_index_set, as_matrix, dominance_partition
+from .core import _partition, as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
-from .oracle import _comparison_inverse, inf_norm, lu_factor, lu_solve
+from .oracle import _lu_factor, _nonneg_inverse, inf_norm, lu_solve
 
 __all__ = [
     "SchurResult",
@@ -78,54 +78,63 @@ def _validate_alpha(A, alpha):
     alpha = as_index_set(alpha, n, allow_empty=True, name="alpha")
     if not alpha or len(alpha) >= n:
         raise ValidationError("alpha must be a nonempty proper subset of the row indices")
+    return A, alpha, _rest(n, alpha)
+
+
+def _rest(n, alpha):
+    """The indices of 0..n-1 outside ``alpha``, in increasing order."""
     alpha_set = set(alpha)
-    bar = tuple(j for j in range(n) if j not in alpha_set)
-    return A, alpha, bar
+    return tuple(j for j in range(n) if j not in alpha_set)
 
 
 def schur_complement(A, alpha) -> SchurResult:
     """Eliminate the rows/columns in ``alpha`` and report the residual block.
 
-    Raises ``SingularBlockError`` when the pivot block cannot be factored and
-    ``ValidationError`` for empty or full ``alpha``.  The regime-specific
-    certified bounds are attached when their hypotheses hold, otherwise left
-    as ``None``.
+    Raises ``SingularBlockError`` when the pivot block cannot be factored,
+    ``ValidationError`` for empty or full ``alpha`` and for a complement with
+    non-finite entries.  The regime-specific certified bounds are attached
+    when their hypotheses hold, otherwise left as ``None``.
     """
     A, alpha, bar = _validate_alpha(A, alpha)
-    block = A[np.ix_(alpha, alpha)]
-    try:
-        fact = lu_factor(block)
-    except SingularMatrixError as exc:
-        raise SingularBlockError(
-            f"pivot block {tuple(a + 1 for a in alpha)} is singular", column=exc.column
-        ) from exc
-    coupling = lu_solve(fact, A[np.ix_(alpha, bar)])
-    comp = A[np.ix_(bar, bar)] - A[np.ix_(bar, alpha)] @ coupling
-
-    cpart = dominance_partition(comp)
-    tilde_n1 = tuple(bar[t] for t in cpart.n1)
-    tilde_n2 = tuple(bar[t] for t in cpart.n2)
-
-    part = dominance_partition(A)
+    part = _partition(A)
+    comp = _complement(A, alpha, bar)
+    cpart = _partition(comp)
+    ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
+    comparison = -part.off[ia[:, None], ia]  # <A(alpha)> from the moduli of the partition
+    np.fill_diagonal(comparison, part.diag[ia])
     delta = None
-    inv_comp = _comparison_inverse(block)
+    inv_comp = _nonneg_inverse(comparison)
     if inv_comp is not None:  # the pivot block is an H-matrix
         # Rounding may leave tiny negatives in an M-matrix inverse; clamping
         # them up only widens the radii, keeping the entry sandwich valid.
-        inv_comp = np.maximum(inv_comp, 0.0)
-        delta = part.off[np.ix_(bar, alpha)] @ inv_comp @ part.off[np.ix_(alpha, bar)]
+        delta = part.off[ib[:, None], ia] @ np.maximum(inv_comp, 0.0) @ part.off[ia[:, None], ib]
 
     certified, kind = _certified_dispatch(A, part, alpha, bar)
     return SchurResult(
         complement=comp,
         alpha=alpha,
         alpha_bar=bar,
-        tilde_n1=tilde_n1,
-        tilde_n2=tilde_n2,
+        tilde_n1=tuple(bar[t] for t in cpart.n1),
+        tilde_n2=tuple(bar[t] for t in cpart.n2),
         delta=delta,
         certified_lower_bounds=certified,
         certified_kind=kind,
     )
+
+
+def _complement(A, alpha, bar):
+    """A/alpha of a validated matrix; ValidationError if not finite; nothing warns."""
+    ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
+    labels = tuple(a + 1 for a in alpha)
+    with np.errstate(all="ignore"):
+        try:
+            fact = _lu_factor(A[ia[:, None], ia])
+        except SingularMatrixError as exc:
+            raise SingularBlockError(f"pivot block {labels} is singular", column=exc.column) from exc
+        comp = A[ib[:, None], ib] - A[ib[:, None], ia] @ lu_solve(fact, A[ia[:, None], ib])
+    if not np.isfinite(comp).all():
+        raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
+    return comp
 
 
 def _certified_dispatch(A, part, alpha, bar):
@@ -134,39 +143,37 @@ def _certified_dispatch(A, part, alpha, bar):
     aset, n2set = set(alpha), set(part.n2)
     if aset < n2set:
         return _proper_subset_margins(part, alpha, bar), "sdd1_degree"
-    if aset == n2set and part.n1:
-        return _eliminated_margins(part, part.n2, part.n1), "sdd_degree"
-    if n2set < aset:
+    if n2set <= aset:  # alpha = n2 leaves bar = n1, nonempty as alpha is proper
         return _eliminated_margins(part, alpha, bar), "sdd_degree"
     return None, None
 
 
 def _proper_subset_margins(part, alpha, bar):
-    """Certified |a'_tt| - P_t(A/alpha) lower bounds for alpha strictly inside n2."""
+    """Certified |a'_tt| - P_t(A/alpha) lower bounds for alpha strictly inside n2.
+
+    Whole-array over the rows t; the coupling is accumulated over h in alpha
+    in order, and C-ordered gathers make each row round as its own ``@``.
+    """
     off, d = part.off, part.diag
-    n1 = list(part.n1)
-    n2 = list(part.n2)
-    n1set, n2set = set(n1), set(n2)
+    n1, n2 = list(part.n1), list(part.n2)
     w = np.zeros(part.n)
     w[n2] = part.row_sums[n2] / d[n2]
     alpha_set = set(alpha)
     n2_rest = np.array([j for j in n2 if j not in alpha_set], dtype=np.intp)
-    w_rest = w[n2_rest]
+    ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
     rn1 = off[:, n1].sum(axis=1)       # R^{n1}_h for every row
     qn2 = off[:, n2] @ w[n2]           # Q^{n2}_h for every row
+    in_n1 = np.zeros(part.n, dtype=bool)
+    in_n1[n1] = True
 
-    out = {}
-    for jt in bar:
-        base = d[jt] - rn1[jt] - off[jt, n2_rest] @ w_rest
-        coupling = 0.0
-        for h in alpha:
-            if off[jt, h] == 0.0:
-                continue
-            r_part = rn1[h] + (off[h, jt] if jt not in n1set else 0.0)
-            q_part = qn2[h] - (off[h, jt] * w[jt] if jt in n2set else 0.0)
-            coupling += off[jt, h] / d[h] * (r_part + q_part)
-        out[jt] = float(base - coupling)
-    return out
+    base = d[ib] - rn1[ib] - np.vecdot(off[ib[:, None], n2_rest], w[n2_rest])
+    o_th = off[ib[:, None], ia]        # |a_th|, rows t in bar, columns h in alpha
+    o_ht = off[ia[:, None], ib].T      # |a_ht| in the same layout
+    r_part = rn1[ia] + np.where(in_n1[ib, None], 0.0, o_ht)
+    q_part = qn2[ia] - o_ht * w[ib, None]
+    terms = np.where(o_th == 0.0, 0.0, o_th / d[ia] * (r_part + q_part))
+    coupling = np.add.accumulate(terms, axis=1)[:, -1]  # sequential over h, never pairwise
+    return dict(zip(bar, (base - coupling).tolist()))
 
 
 def _eliminated_margins(part, alpha, bar):
@@ -175,14 +182,10 @@ def _eliminated_margins(part, alpha, bar):
     Row t gets |a_tt| - R^{bar}_t - sum over h in alpha of |a_th| P_h / |a_hh|.
     """
     off, d = part.off, part.diag
-    alpha_idx = np.asarray(alpha, dtype=np.intp)
-    bar_idx = np.asarray(bar, dtype=np.intp)
-    d_alpha, p_alpha = d[alpha_idx], part.p_values[alpha_idx]
-    out = {}
-    for jt in bar:
-        coupling = (off[jt, alpha_idx] / d_alpha) @ p_alpha
-        out[jt] = float(d[jt] - off[jt, bar_idx].sum() - coupling)
-    return out
+    ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
+    coupling = np.vecdot(off[ib[:, None], ia] / d[ia], part.p_values[ia])
+    margins = d[ib] - off[ib[:, None], ib].sum(axis=1) - coupling
+    return dict(zip(bar, margins.tolist()))
 
 
 def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
@@ -194,7 +197,7 @@ def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
     |a_jt,jt| - P_jt (positive) and the exact complement margin.
     """
     A, alpha, bar = _validate_alpha(A, alpha)
-    part = dominance_partition(A)
+    part = _partition(A)
     _require_sdd1(A, part)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
@@ -222,7 +225,7 @@ def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
 def certified_bound_superset(A, alpha) -> dict[int, float]:
     """Certified lower bounds on |a'_tt| - R_t(A/alpha) for alpha beyond n2."""
     A, alpha, bar = _validate_alpha(A, alpha)
-    part = dominance_partition(A)
+    part = _partition(A)
     _require_sdd1(A, part)
     if not set(part.n2) < set(alpha):
         raise HypothesisError(
@@ -240,16 +243,16 @@ def tilde_set_identity_check(A, alpha) -> bool:
     differences coincide.  The relations need only the pivot block to sit
     inside the dominant set, not full SDD1 membership.
     """
-    A, alpha, _ = _validate_alpha(A, alpha)
-    part = dominance_partition(A)
+    A, alpha, bar = _validate_alpha(A, alpha)
+    part = _partition(A)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
             "alpha is not a proper subset of n2",
             "the set identities hold for alpha strictly inside the dominant set",
         )
-    res = schur_complement(A, alpha)
+    cpart = _partition(_complement(A, alpha, bar))
     n1, n2 = set(part.n1), set(part.n2)
-    t1, t2 = set(res.tilde_n1), set(res.tilde_n2)
+    t1, t2 = {bar[t] for t in cpart.n1}, {bar[t] for t in cpart.n2}
     survived = n2 - set(alpha)
     return survived <= t2 and t1 <= n1 and (n1 - t1) == (t2 - survived)
 
@@ -265,17 +268,15 @@ def quotient_formula_check(A, beta, gamma) -> bool:
     n = A.shape[0]
     beta = as_index_set(beta, n, name="beta")
     gamma = as_index_set(gamma, n, name="gamma")
-    if not set(gamma) < set(beta) or len(beta) >= n:
+    beta_set = set(beta)
+    if not set(gamma) < beta_set or len(beta) >= n:
         raise ValidationError("need gamma strictly inside beta strictly inside the index set")
 
-    direct = schur_complement(A, beta).complement
-
-    outer = schur_complement(A, gamma)
-    # Positions of beta \ gamma inside the outer complement's index list.
-    remaining = outer.alpha_bar
-    gamma_set = set(gamma)
-    inner_alpha = [remaining.index(j) for j in beta if j not in gamma_set]
-    nested = schur_complement(outer.complement, inner_alpha).complement
+    direct = _complement(A, beta, _rest(n, beta))
+    # A(beta)/gamma sits at the positions of beta \ gamma inside A/gamma.
+    remaining = _rest(n, gamma)
+    inner = tuple(t for t, j in enumerate(remaining) if j in beta_set)
+    nested = _complement(_complement(A, gamma, remaining), inner, _rest(len(remaining), inner))
 
     tol = ENTRYWISE_RTOL * inf_norm(A)
     return bool(np.abs(direct - nested).max() <= tol)

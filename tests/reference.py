@@ -2,8 +2,9 @@
 
 These are the column-by-column LU factorization, the per-element Python
 loops the library used before its hot paths became whole-array NumPy work,
-and the one-matrix-at-a-time oracle scans that became stacked NumPy calls.
-The library's LU must agree with ``lu_factor_unblocked`` exactly up to its
+the one-matrix-at-a-time oracle scans that became stacked NumPy calls, and
+``schur_complement`` as each call built it before it validated once.  (The
+per-sample ``default_rng`` loop is in ``sampled_norms``.)  The library's LU must agree with ``lu_factor_unblocked`` exactly up to its
 block width; every other function here must agree with its library
 counterpart bit for bit (``==``, not ``allclose``).
 """
@@ -13,10 +14,20 @@ import math
 
 import numpy as np
 
-from diagdom import SingularMatrixError, determinant, inf_norm, inverse
+from diagdom import (
+    SingularBlockError,
+    SingularMatrixError,
+    ValidationError,
+    comparison_matrix,
+    determinant,
+    inf_norm,
+    inverse,
+    is_sdd1,
+    lu_solve,
+)
 from diagdom.certificates import FORMULA_LCP_B1, FORMULA_SDD1_EPSILON, BoundCertificate
 from diagdom.classify import b1_split
-from diagdom.core import _abs_off, as_matrix, dominance_partition
+from diagdom.core import as_matrix, dominance_partition
 from diagdom.lcp import VIOLATION_TOL
 from diagdom.normbounds import (
     EPSILON_GRID_MARGIN,
@@ -25,7 +36,16 @@ from diagdom.normbounds import (
     _epsilon_pieces,
     _golden_min,
 )
-from diagdom.oracle import SINGULAR_PIVOT_RTOL
+from diagdom.oracle import INVERSE_NONNEG_TOL, SINGULAR_PIVOT_RTOL, LuFactorization
+from diagdom.schur import ENTRYWISE_RTOL
+
+
+def abs_off(A):
+    """Return (|A|, |A| with zeroed diagonal, |diagonal|)."""
+    absA = np.abs(A)
+    off = absA.copy()
+    np.fill_diagonal(off, 0.0)
+    return absA, off, absA.diagonal().copy()
 
 
 def lu_factor_unblocked(A):
@@ -63,7 +83,7 @@ def pairwise_max(d, rs, rows):
 
 
 def restricted_schur_value(A, S, prefactor_margins):
-    _, off, d = _abs_off(A)
+    _, off, d = abs_off(A)
     n = A.shape[0]
     Sset = set(S)
     sbar = [i for i in range(n) if i not in Sset]
@@ -103,7 +123,7 @@ def sdd1_epsilon_bound(A):
     """The automatic-epsilon SDD1 bound, grid evaluated one point at a time."""
     A = as_matrix(A)
     part = dominance_partition(A)
-    _, off, d = _abs_off(A)
+    _, off, d = abs_off(A)
     n2, P = list(part.n2), part.p_values
     rs = off[:, n2].sum(axis=1)
     pieces = _epsilon_pieces(part, rs)
@@ -132,7 +152,7 @@ def lcp_b1_bound(M):
     split = b1_split(M)
     a = split.a
     part = dominance_partition(a)
-    _, off, d = _abs_off(a)
+    _, off, d = abs_off(a)
     n1, n2 = list(part.n1), list(part.n2)
     P = part.p_values
     rs = off[:, n2].sum(axis=1)
@@ -175,7 +195,7 @@ def certified_bound_proper_subset(A, alpha):
     A = as_matrix(A)
     bar = tuple(j for j in range(A.shape[0]) if j not in set(alpha))
     part = dominance_partition(A)
-    _, off, d = _abs_off(A)
+    _, off, d = abs_off(A)
     n1 = list(part.n1)
     n2 = list(part.n2)
     n1set, n2set = set(n1), set(n2)
@@ -201,7 +221,7 @@ def certified_bound_proper_subset(A, alpha):
 def certified_bound_alpha_equals_n2(A):
     A = as_matrix(A)
     part = dominance_partition(A)
-    _, off, d = _abs_off(A)
+    _, off, d = abs_off(A)
     n1 = list(part.n1)
     n2 = list(part.n2)
     out = {}
@@ -215,13 +235,67 @@ def certified_bound_superset(A, alpha):
     A = as_matrix(A)
     bar = tuple(j for j in range(A.shape[0]) if j not in set(alpha))
     part = dominance_partition(A)
-    _, off, d = _abs_off(A)
+    _, off, d = abs_off(A)
     out = {}
     bar_list = list(bar)
     for jt in bar:
         coupling = (off[jt, list(alpha)] / d[list(alpha)]) @ part.p_values[list(alpha)]
         out[jt] = float(d[jt] - off[jt, bar_list].sum() - coupling)
     return out
+
+
+def schur_complement(A, alpha):
+    """One complement the way every call once built it: validated inputs,
+    ``np.ix_`` blocks, both partitions and the comparison inverse each from
+    scratch, and the per-row margin loops above.
+
+    Returns (complement, alpha_bar, tilde_n1, tilde_n2, delta, certified, kind).
+    """
+    A = as_matrix(A)
+    n = A.shape[0]
+    alpha = tuple(sorted(int(a) for a in alpha))
+    bar = tuple(j for j in range(n) if j not in set(alpha))
+    try:
+        packed, perm, sign = lu_factor_unblocked(A[np.ix_(alpha, alpha)])
+    except SingularMatrixError as exc:
+        raise SingularBlockError("pivot block is singular", column=exc.column) from exc
+    fact = LuFactorization(packed=packed, perm=perm, sign=sign)
+    coupling = lu_solve(fact, A[np.ix_(alpha, bar)])
+    comp = A[np.ix_(bar, bar)] - A[np.ix_(bar, alpha)] @ coupling
+    if not np.isfinite(comp).all():
+        raise ValidationError("complement has non-finite entries")
+    cpart = dominance_partition(comp)
+    part = dominance_partition(A)
+    delta = None
+    try:
+        inv_comp = inverse(comparison_matrix(A[np.ix_(alpha, alpha)]))
+    except SingularMatrixError:
+        inv_comp = None
+    if inv_comp is not None and (inv_comp >= -INVERSE_NONNEG_TOL).all():
+        _, off, _ = abs_off(A)
+        delta = off[np.ix_(bar, alpha)] @ np.maximum(inv_comp, 0.0) @ off[np.ix_(alpha, bar)]
+    certified, kind = None, None
+    if is_sdd1(A):
+        aset, n2set = set(alpha), set(part.n2)
+        if aset < n2set:
+            certified, kind = certified_bound_proper_subset(A, alpha), "sdd1_degree"
+        elif aset == n2set and part.n1:
+            certified, kind = certified_bound_alpha_equals_n2(A), "sdd_degree"
+        elif n2set < aset:
+            certified, kind = certified_bound_superset(A, alpha), "sdd_degree"
+    tilde_n1 = tuple(bar[t] for t in cpart.n1)
+    tilde_n2 = tuple(bar[t] for t in cpart.n2)
+    return comp, bar, tilde_n1, tilde_n2, delta, certified, kind
+
+
+def quotient_formula_check(A, beta, gamma):
+    """A/beta against (A/gamma)/(A(beta)/gamma), each complement by ``schur_complement`` above."""
+    A = as_matrix(A)
+    direct = schur_complement(A, beta)[0]
+    outer, remaining = schur_complement(A, gamma)[:2]
+    inner = [remaining.index(j) for j in sorted(beta) if j not in set(gamma)]
+    nested = schur_complement(outer, inner)[0]
+    return bool(np.abs(direct - nested).max() <= ENTRYWISE_RTOL * inf_norm(A))
 
 
 def huang_bracket(A):
@@ -232,7 +306,7 @@ def huang_bracket(A):
     A = as_matrix(A)
     n = A.shape[0]
     part = dominance_partition(A)
-    absA, off, d = _abs_off(A)
+    absA, off, d = abs_off(A)
     R, P = part.row_sums, part.p_values
     n2 = list(part.n2)
     rs = off[:, n2].sum(axis=1)
@@ -250,7 +324,7 @@ def dominance_bracket(A):
     A = as_matrix(A)
     n = A.shape[0]
     part = dominance_partition(A)
-    absA, _, d = _abs_off(A)
+    absA, _, d = abs_off(A)
     y = np.empty(n)
     n1, n2 = list(part.n1), list(part.n2)
     y[n1] = part.p_values[n1] / d[n1]

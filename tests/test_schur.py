@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,16 @@ class TestComplement:
         A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
         with pytest.raises(SingularBlockError):
             schur_complement(A, [0, 1])
+
+    def test_nonfinite_complement(self):
+        # Eliminating the tiny pivot overflows the solve: 1e300 / 3e-300.
+        A = [[3e-300, 1e300, 0.0], [1e300, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"complement A/alpha for alpha \(1,\)"):
+                schur_complement(A, [0])
+            with pytest.raises(ValidationError, match="non-finite"):
+                quotient_formula_check(A, [0, 1], [0])
 
     def test_alpha_validation(self):
         with pytest.raises(ValidationError):
