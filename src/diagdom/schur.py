@@ -166,7 +166,7 @@ def _proper_subset_margins(part, alpha, bar):
     in_n1 = np.zeros(part.n, dtype=bool)
     in_n1[n1] = True
 
-    base = d[ib] - rn1[ib] - np.vecdot(off[ib[:, None], n2_rest], w[n2_rest])
+    base = d[ib] - rn1[ib] - (off[ib[:, None], n2_rest][:, None, :] @ w[n2_rest])[:, 0]
     o_th = off[ib[:, None], ia]        # |a_th|, rows t in bar, columns h in alpha
     o_ht = off[ia[:, None], ib].T      # |a_ht| in the same layout
     r_part = rn1[ia] + np.where(in_n1[ib, None], 0.0, o_ht)
@@ -183,7 +183,7 @@ def _eliminated_margins(part, alpha, bar):
     """
     off, d = part.off, part.diag
     ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
-    coupling = np.vecdot(off[ib[:, None], ia] / d[ia], part.p_values[ia])
+    coupling = ((off[ib[:, None], ia] / d[ia])[:, None, :] @ part.p_values[ia])[:, 0]
     margins = d[ib] - off[ib[:, None], ib].sum(axis=1) - coupling
     return dict(zip(bar, margins.tolist()))
 

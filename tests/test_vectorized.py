@@ -215,24 +215,26 @@ def test_quotient_formula_check(kind, n, seed):
 
 
 # The margin helpers gather C-ordered blocks and take each row's dot product
-# with np.vecdot and each row's sum with sum(axis=1).  On the numpy these
-# tests pin, both equal the one-row ``@`` and ``sum()`` bit for bit; a numpy
-# or BLAS change that breaks this fails here before it moves a certificate.
+# with a stacked matmul, (X[:, None, :] @ w)[:, 0], and each row's sum with
+# sum(axis=1).  On the numpy these tests pin, both equal the one-row ``@``
+# and ``sum()`` bit for bit; a numpy or BLAS change that breaks this fails
+# here before it moves a certificate.
 # (A block gathered as M[rows][:, cols] is not C-ordered, and its rows do
 # round differently.)
 def gathered_blocks():
     rng = np.random.default_rng(20261018)
     for cols in range(1, 601):
-        rows = int(rng.integers(1, 13))
+        # Every tenth block has as many rows as large-dense gathers (n/2 of 256 or 512).
+        rows = int(rng.integers(100, 301)) if cols % 10 == 0 else int(rng.integers(1, 13))
         M = np.abs(rng.standard_normal((rows + 3, cols + 4))) * 10.0 ** rng.integers(-8, 9)
         r = rng.permutation(rows + 3)[:rows]
         c = rng.permutation(cols + 4)[:cols]
         yield M, r, c, rng.random(cols)
 
 
-def test_vecdot_equals_row_dot():
+def test_stacked_matmul_equals_row_dot():
     for M, r, c, w in gathered_blocks():
-        got = np.vecdot(M[r[:, None], c], w)
+        got = (M[r[:, None], c][:, None, :] @ w)[:, 0]
         assert got.tolist() == [M[i, c] @ w for i in r], (len(r), len(c))
 
 

@@ -95,12 +95,11 @@ def main(argv=None):
     parser.add_argument("--change", help="git ref of the change side (default: this checkout)")
     parser.add_argument("--pair", action="append", required=True, metavar="WORKLOAD=SEEDS",
                         help="workload and its seeds, e.g. ensemble-audit=3301-3310")
-    parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's)")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or contract["run_seconds"]
+    seconds = contract["run_seconds"]
     plan = [(w, parse_seeds(s)) for w, s in (p.split("=", 1) for p in args.pair)]
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": Path(tmp, "parent")}
