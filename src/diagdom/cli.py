@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from . import detbounds, lcp, normbounds
-from .classify import classify
+from .classify import WITNESS_SEARCH_MAX, classify
 from .errors import HypothesisError, MatrixMarketError, ToolkitError, ValidationError
 from .generate import generate_b1, generate_sdd1
 from .mmio import format_matrix_market, matrix_digest, read_matrix_market, write_matrix_market
@@ -102,6 +102,9 @@ def _cmd_classify(args):
     A, report = _load(args)
     t0 = time.perf_counter()
     rep = classify(A)
+    witness = None if rep.s_sdd1_witness is None else _one_based(rep.s_sdd1_witness)
+    if len(rep.partition.n2) > WITNESS_SEARCH_MAX:  # the search did not run
+        witness = {"skipped": "size guard", "limit": WITNESS_SEARCH_MAX}
     report["result"] = {
         "order": int(A.shape[0]),
         "is_sdd": rep.is_sdd,
@@ -111,7 +114,7 @@ def _cmd_classify(args):
         "row_sums": _jsonable(rep.partition.row_sums),
         "p_values": _jsonable(rep.partition.p_values),
         "dominance_degrees": _jsonable(rep.dominance_degrees),
-        "s_sdd1_witness": None if rep.s_sdd1_witness is None else _one_based(rep.s_sdd1_witness),
+        "s_sdd1_witness": witness,
         "is_h_matrix": is_h_matrix(A),
     }
     report["timing"] = {"classify": time.perf_counter() - t0}

@@ -136,22 +136,27 @@ def dominance_partition(A) -> IndexPartition:
     return _partition(as_matrix(A))
 
 
-def _partition(A) -> IndexPartition:
-    """``dominance_partition`` of an array that ``as_matrix`` has already validated."""
+def _dominance(A):
+    """(off, diag, R, n2 mask) of a validated array: the moduli with a zeroed
+    diagonal, the diagonal moduli, the off-diagonal row sums and |a_ii| > R_i."""
     off = np.abs(A)
     d = off.diagonal().copy()
     np.fill_diagonal(off, 0.0)
     R = off.sum(axis=1)
-    n2_mask = d > R
-    n1 = tuple(np.flatnonzero(~n2_mask).tolist())
-    n2 = tuple(np.flatnonzero(n2_mask).tolist())
-    i1, i2 = list(n1), list(n2)
+    return off, d, R, d > R
+
+
+def _partition(A) -> IndexPartition:
+    """``dominance_partition`` of an array that ``as_matrix`` has already validated."""
+    off, d, R, n2_mask = _dominance(A)
+    (i1,), (i2,) = (~n2_mask).nonzero(), n2_mask.nonzero()
     w = np.zeros(A.shape[0])
     w[i2] = R[i2] / d[i2]
     P = off[:, i1].sum(axis=1) + off[:, i2] @ w[i2]  # an empty set adds exact zeros
     for arr in (R, P, off, d):
         arr.setflags(write=False)
-    return IndexPartition(n1=n1, n2=n2, row_sums=R, p_values=P, off=off, diag=d)
+    return IndexPartition(n1=tuple(i1.tolist()), n2=tuple(i2.tolist()), row_sums=R,
+                          p_values=P, off=off, diag=d)
 
 
 def comparison_matrix(A) -> np.ndarray:

@@ -44,7 +44,6 @@ class DominanceOrdering:
 
     permutation: tuple[int, ...]
     s: int
-    preserves_within: bool = True
 
     def apply(self, A) -> np.ndarray:
         A = as_matrix(A)

@@ -213,11 +213,11 @@ def _schur_tail(part, S, margins, rs, phi, cap):
     psi = None
     dS, mS = d[S], margins[S]
     if len(sbar):
-        psi = 0.0
-        for i in sbar:
-            den = d[i] - off[i, sbar].sum() - (off[i, S] / dS) @ mS
-            assert den > 0.0, "restricted margins are positive under the S-dominance hypothesis"
-            psi = max(psi, (1.0 + phi * rs[i]) / min(cap, den))
+        # C-ordered gathers: each row's sum and stacked dot round as its own sum() and @.
+        coupling = ((off[sbar[:, None], S] / dS)[:, None, :] @ mS)[:, 0]
+        den = d[sbar] - off[sbar[:, None], sbar].sum(axis=1) - coupling
+        assert (den > 0.0).all(), "restricted margins are positive under the S-dominance hypothesis"
+        psi = np.max((1.0 + phi * rs[sbar]) / np.minimum(cap, den))
     prefactor = 1.0 + float((mS / dS).max())
     return prefactor, phi if psi is None else max(phi, psi), psi
 

@@ -32,6 +32,7 @@ SINGULAR_PIVOT_RTOL = 1e-13  # pivot threshold relative to the matrix infinity n
 INVERSE_NONNEG_TOL = 1e-10   # entrywise slack for inverse-nonnegativity tests
 P_MATRIX_MAX_ORDER = 20      # hard guard for the 2^n principal-minor scan
 LU_BLOCK = 32                # panel width of the blocked LU factorization
+LU_SCALAR_MAX = 16           # largest order the LU eliminates on Python floats (measured crossover)
 STACK_CHUNK_ENTRIES = 2**16  # entries per stacked chunk of small matrices (512 KiB of float64)
 
 
@@ -70,15 +71,20 @@ def inf_norm(A) -> float:
 
 
 def lu_factor(A) -> LuFactorization:
-    """Blocked right-looking LU factorization with partial pivoting.
+    """LU factorization with partial pivoting.
 
-    Columns are eliminated in panels of ``LU_BLOCK`` columns.  Inside a panel
-    each column picks its pivot as the first entry of largest modulus and
-    updates only the panel's own columns; a unit-lower solve then forms the
-    panel's block row of U and one matrix product updates the trailing
-    block.  Up to order ``LU_BLOCK`` this is the plain column-by-column
-    elimination, operation for operation; above it the pivot rule is the
-    same and only the rounding of the trailing updates differs.
+    Each column's pivot is its first entry of largest modulus (the first NaN
+    once the elimination has overflowed, as ``np.argmax`` does).  Up to
+    order ``LU_SCALAR_MAX`` the columns are eliminated on Python floats,
+    where one IEEE operation costs less than one NumPy call.  Above it they
+    are eliminated in panels of ``LU_BLOCK``, each in a transposed
+    C-contiguous copy so that pivot search, scaling and rank-1 update run on
+    contiguous rows; a unit-lower solve then forms the panel's block row of
+    U and one matrix product updates the trailing block.  Both kernels give
+    every element the same IEEE operations in the same order as the blocked
+    loop on the factor array itself, so the factors are bit-identical to it
+    at every order.  Up to order ``LU_BLOCK`` that is the plain column-by-
+    column elimination; above it the trailing updates may round differently.
 
     A pivot of modulus at most ``SINGULAR_PIVOT_RTOL`` times the matrix
     infinity norm stops the elimination with a ``SingularMatrixError`` that
@@ -90,28 +96,65 @@ def lu_factor(A) -> LuFactorization:
 def _lu_factor(A) -> LuFactorization:
     """``lu_factor`` of an array that ``as_matrix`` has already validated."""
     n = A.shape[0]
-    lu = np.array(A)
-    perm = np.arange(n)
-    sign = 1
     thresh = SINGULAR_PIVOT_RTOL * float(np.abs(A).sum(axis=1).max())
+    if n <= LU_SCALAR_MAX:
+        return _lu_scalar(A, thresh)
+    lu = np.array(A)
+    perm = list(range(n))
+    sign = 1
     for k0 in range(0, n, LU_BLOCK):
         k1 = min(k0 + LU_BLOCK, n)
-        for k in range(k0, k1):
-            p = k + int(np.argmax(np.abs(lu[k:, k])))
-            if abs(lu[p, k]) <= thresh:
+        panel = lu[k0:, k0:k1].T.copy()  # row c holds column k0 + c from row k0 down
+        for c in range(k1 - k0):
+            k, col = k0 + c, panel[c]
+            p = c + int(np.abs(col[c:]).argmax())
+            if abs(col[p]) <= thresh:
                 raise SingularMatrixError(f"singular pivot in column {k}", column=k)
-            if p != k:
-                lu[[k, p]] = lu[[p, k]]
-                perm[[k, p]] = perm[[p, k]]
+            if p != c:
+                # Slices, not a fancy-index swap, which costs three times as much.
+                panel[:, c], panel[:, p] = panel[:, p].copy(), panel[:, c].copy()
+                lu[k], lu[k0 + p] = lu[k0 + p].copy(), lu[k].copy()  # panel columns rewritten below
+                perm[k], perm[k0 + p] = perm[k0 + p], perm[k]
                 sign = -sign
             if k + 1 < n:
-                lu[k + 1:, k] /= lu[k, k]
-                lu[k + 1:, k + 1:k1] -= lu[k + 1:, k, None] * lu[k, k + 1:k1]
+                col[c + 1:] /= col[c]
+                panel[c + 1:, c + 1:] -= panel[c + 1:, c, None] * col[c + 1:]
+        lu[k0:, k0:k1] = panel.T
         if k1 < n:
             for k in range(k0 + 1, k1):  # U12 = L11^{-1} A12, row by row
                 lu[k, k1:] -= lu[k, k0:k] @ lu[k0:k, k1:]
             lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
-    return LuFactorization(packed=lu, perm=tuple(int(i) for i in perm), sign=sign)
+    return LuFactorization(packed=lu, perm=tuple(perm), sign=sign)
+
+
+def _lu_scalar(A, thresh) -> LuFactorization:
+    """The column-by-column elimination on Python floats, operation for operation."""
+    n = A.shape[0]
+    rows = A.tolist()
+    perm = list(range(n))
+    sign = 1
+    for k in range(n):
+        p, top = k, abs(rows[k][k])
+        if top == top:  # as np.argmax: the first NaN, else the first largest modulus
+            for i in range(k + 1, n):
+                v = abs(rows[i][k])
+                if v > top:
+                    p, top = i, v
+                elif v != v:
+                    p = i
+                    break
+        if abs(rows[p][k]) <= thresh:
+            raise SingularMatrixError(f"singular pivot in column {k}", column=k)
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            perm[k], perm[p] = perm[p], perm[k]
+            sign = -sign
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            m = row[k] = row[k] / pivot[k]
+            for j in range(k + 1, n):
+                row[j] -= m * pivot[j]
+    return LuFactorization(packed=np.array(rows), perm=tuple(perm), sign=sign)
 
 
 def lu_solve(fact: LuFactorization, b) -> np.ndarray:
@@ -174,8 +217,9 @@ def _chunk_length(order) -> int:
     return max(1, STACK_CHUNK_ENTRIES // (order * order))
 
 
-def _stack_determinants(stack) -> np.ndarray:
-    """``determinant`` of every matrix in a C-ordered (m, s, s) stack, 2 <= s <= LU_BLOCK.
+def _stack_determinants(stack) -> tuple[np.ndarray, np.ndarray]:
+    """``determinant`` of every matrix in a C-ordered (m, s, s) stack, 2 <= s <= LU_BLOCK,
+    and the sign of each determinant, decided from the pivots.
 
     Eliminates the whole stack column by column with the unblocked rule of
     ``lu_factor``: the first pivot of largest modulus, the same division and
@@ -184,14 +228,16 @@ def _stack_determinants(stack) -> np.ndarray:
     Every value therefore equals ``determinant`` of that matrix bit for bit;
     a matrix that meets a singular pivot gets 0.0 and leaves the stack.
     Only the columns from the pivot on are swapped and updated, because the
-    determinant never reads the multipliers of earlier columns.
+    determinant never reads the multipliers of earlier columns.  A sign is
+    the permutation sign times the pivots' signs, 0.0 if singular: right
+    even where the product of the pivots underflows or overflows.
     """
     m, s, _ = stack.shape
     lu = np.array(stack)
     thresh = SINGULAR_PIVOT_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
     sign = np.ones(m)
     live = np.arange(m)  # position in ``stack`` of each matrix still in ``lu``
-    det = np.zeros(m)
+    det, signs = np.zeros(m), np.zeros(m)
     for k in range(s):
         p = k + np.abs(lu[:, k:, k]).argmax(axis=1)
         at = np.arange(len(live))
@@ -207,8 +253,10 @@ def _stack_determinants(stack) -> np.ndarray:
         if k + 1 < s:
             mult = lu[:, k + 1:, k] / lu[:, k, k, None]
             lu[:, k + 1:, k + 1:] -= mult[:, :, None] * lu[:, k, None, k + 1:]
-    det[live] = sign * np.prod(np.diagonal(lu, axis1=1, axis2=2), axis=1)
-    return det
+    pivots = np.diagonal(lu, axis1=1, axis2=2)
+    det[live] = sign * np.prod(pivots, axis=1)
+    signs[live] = sign * np.prod(np.sign(pivots), axis=1)
+    return det, signs
 
 
 def _inverse_inf_norms(stack) -> np.ndarray:
@@ -242,9 +290,11 @@ def is_p_matrix(A) -> bool:
 
     Scans all 2^n - 1 principal submatrices in order of increasing size.  The
     submatrices of one size are stacked in chunks of ``_chunk_length(size)``
-    and their minors computed together by the elimination of ``determinant``,
-    so each minor equals ``determinant`` of that submatrix bit for bit.  The
-    scan stops after the first chunk that holds a non-positive minor.
+    and eliminated together by the rule of ``determinant``.  Each minor's
+    sign is the permutation sign times the signs of its pivots, so a minor
+    whose pivot product underflows (input scaled by 1e-200, say) still counts
+    as positive; a pivot under the singular threshold counts as a zero minor.
+    The scan stops after the first chunk that holds a non-positive minor.
     Guarded to order ``P_MATRIX_MAX_ORDER`` because of the exponential cost.
     """
     A = as_matrix(A)
@@ -260,7 +310,7 @@ def is_p_matrix(A) -> bool:
         step = _chunk_length(size)
         while batch := list(itertools.islice(combos, step)):
             rows = np.array(batch, dtype=np.intp)
-            if (_stack_determinants(A[rows[:, :, None], rows[:, None, :]]) <= 0.0).any():
+            if (_stack_determinants(A[rows[:, :, None], rows[:, None, :]])[1] <= 0.0).any():
                 return False
     return True
 

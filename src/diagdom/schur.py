@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import _require_sdd1, is_sdd1
-from .core import _partition, as_index_set, as_matrix, dominance_partition
+from .core import _dominance, _partition, as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
 from .oracle import _lu_factor, _nonneg_inverse, inf_norm, lu_solve
 
@@ -98,7 +98,7 @@ def schur_complement(A, alpha) -> SchurResult:
     A, alpha, bar = _validate_alpha(A, alpha)
     part = _partition(A)
     comp = _complement(A, alpha, bar)
-    cpart = _partition(comp)
+    tilde_n1, tilde_n2 = _tilde_sets(comp, bar)
     ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
     comparison = -part.off[ia[:, None], ia]  # <A(alpha)> from the moduli of the partition
     np.fill_diagonal(comparison, part.diag[ia])
@@ -114,8 +114,8 @@ def schur_complement(A, alpha) -> SchurResult:
         complement=comp,
         alpha=alpha,
         alpha_bar=bar,
-        tilde_n1=tuple(bar[t] for t in cpart.n1),
-        tilde_n2=tuple(bar[t] for t in cpart.n2),
+        tilde_n1=tilde_n1,
+        tilde_n2=tilde_n2,
         delta=delta,
         certified_lower_bounds=certified,
         certified_kind=kind,
@@ -135,6 +135,13 @@ def _complement(A, alpha, bar):
     if not np.isfinite(comp).all():
         raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
     return comp
+
+
+def _tilde_sets(comp, bar):
+    """The complement's non-dominant and dominant sets in original row labels."""
+    dominant = _dominance(comp)[3].tolist()
+    return (tuple(j for j, m in zip(bar, dominant) if not m),
+            tuple(j for j, m in zip(bar, dominant) if m))
 
 
 def _certified_dispatch(A, part, alpha, bar):
@@ -250,9 +257,8 @@ def tilde_set_identity_check(A, alpha) -> bool:
             "alpha is not a proper subset of n2",
             "the set identities hold for alpha strictly inside the dominant set",
         )
-    cpart = _partition(_complement(A, alpha, bar))
+    t1, t2 = map(set, _tilde_sets(_complement(A, alpha, bar), bar))
     n1, n2 = set(part.n1), set(part.n2)
-    t1, t2 = {bar[t] for t in cpart.n1}, {bar[t] for t in cpart.n2}
     survived = n2 - set(alpha)
     return survived <= t2 and t1 <= n1 and (n1 - t1) == (t2 - survived)
 

@@ -1,12 +1,14 @@
 """Scalar reference implementations that the vectorized library code must match.
 
-These are the column-by-column LU factorization, the per-element Python
-loops the library used before its hot paths became whole-array NumPy work,
-the one-matrix-at-a-time oracle scans that became stacked NumPy calls, and
-``schur_complement`` as each call built it before it validated once.  (The
-per-sample ``default_rng`` loop is in ``sampled_norms``.)  The library's LU must agree with ``lu_factor_unblocked`` exactly up to its
-block width; every other function here must agree with its library
-counterpart bit for bit (``==``, not ``allclose``).
+These are the column-by-column LU factorization and the blocked one with
+one NumPy call per step, the per-element Python loops the library used
+before its hot paths became whole-array NumPy work, the one-matrix-at-a-time
+oracle scans that became stacked NumPy calls, and ``schur_complement`` as
+each call built it before it validated once.  (The per-sample
+``default_rng`` loop is in ``sampled_norms``.)  The library's LU must agree
+with ``lu_factor_unblocked`` exactly up to its block width and with
+``lu_factor_blocked`` at every order; every other function here must agree
+with its library counterpart bit for bit (``==``, not ``allclose``).
 """
 
 import itertools
@@ -19,10 +21,10 @@ from diagdom import (
     SingularMatrixError,
     ValidationError,
     comparison_matrix,
-    determinant,
     inf_norm,
     inverse,
     is_sdd1,
+    lu_factor,
     lu_solve,
 )
 from diagdom.certificates import FORMULA_LCP_B1, FORMULA_SDD1_EPSILON, BoundCertificate
@@ -36,7 +38,7 @@ from diagdom.normbounds import (
     _epsilon_pieces,
     _golden_min,
 )
-from diagdom.oracle import INVERSE_NONNEG_TOL, SINGULAR_PIVOT_RTOL, LuFactorization
+from diagdom.oracle import INVERSE_NONNEG_TOL, LU_BLOCK, SINGULAR_PIVOT_RTOL, LuFactorization
 from diagdom.schur import ENTRYWISE_RTOL
 
 
@@ -68,6 +70,35 @@ def lu_factor_unblocked(A):
             lu[k + 1:, k] /= lu[k, k]
             lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
     return lu, tuple(int(i) for i in perm), sign
+
+
+def lu_factor_blocked(A):
+    """The blocked LU with each panel eliminated in place in the factor array,
+    one NumPy call per step: a ``LuFactorization``."""
+    A = as_matrix(A)
+    n = A.shape[0]
+    lu = np.array(A)
+    perm = np.arange(n)
+    sign = 1
+    thresh = SINGULAR_PIVOT_RTOL * float(np.abs(A).sum(axis=1).max())
+    for k0 in range(0, n, LU_BLOCK):
+        k1 = min(k0 + LU_BLOCK, n)
+        for k in range(k0, k1):
+            p = k + int(np.argmax(np.abs(lu[k:, k])))
+            if abs(lu[p, k]) <= thresh:
+                raise SingularMatrixError(f"singular pivot in column {k}", column=k)
+            if p != k:
+                lu[[k, p]] = lu[[p, k]]
+                perm[[k, p]] = perm[[p, k]]
+                sign = -sign
+            if k + 1 < n:
+                lu[k + 1:, k] /= lu[k, k]
+                lu[k + 1:, k + 1:k1] -= lu[k + 1:, k, None] * lu[k, k + 1:k1]
+        if k1 < n:
+            for k in range(k0 + 1, k1):  # U12 = L11^{-1} A12, row by row
+                lu[k, k1:] -= lu[k, k0:k] @ lu[k0:k, k1:]
+            lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
+    return LuFactorization(packed=lu, perm=tuple(int(i) for i in perm), sign=sign)
 
 
 def pairwise_max(d, rs, rows):
@@ -334,15 +365,24 @@ def dominance_bracket(A):
     return float(np.prod(lower_f)), float(np.prod(upper_f)), np.column_stack([lower_f, upper_f]), y
 
 
+def minor_sign(A):
+    """Sign of det(A) from ``lu_factor``'s pivots: sign times the pivots' signs, 0.0 if singular."""
+    try:
+        fact = lu_factor(A)
+    except SingularMatrixError:
+        return 0.0
+    return float(fact.sign * np.prod(np.sign(fact.packed.diagonal())))
+
+
 def is_p_matrix(A):
-    """Size-ordered scan of every principal minor, one ``determinant`` each."""
+    """Size-ordered scan of every principal minor's sign, one factorization each."""
     A = as_matrix(A)
     n = A.shape[0]
     if (A.diagonal() <= 0).any():
         return False
     for size in range(2, n + 1):
         for rows in itertools.combinations(range(n), size):
-            if determinant(A[np.ix_(rows, rows)]) <= 0.0:
+            if minor_sign(A[np.ix_(rows, rows)]) <= 0.0:
                 return False
     return True
 

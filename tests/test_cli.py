@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diagdom import read_matrix_market
+from diagdom.classify import WITNESS_SEARCH_MAX
 from diagdom.cli import VERIFY_P_MATRIX_MAX_ORDER, main
 from matrices import LCP_8X8_BOUND, TOL4
 
@@ -39,6 +40,22 @@ class TestClassify:
         _, a = run_json(capsys, "classify", "--input", fixture_path("norm_8x8.mtx"))
         _, b = run_json(capsys, "classify", "--input", fixture_path("norm_8x8.mtx"))
         assert strip_timing(a) == strip_timing(b)
+
+    def test_witness_size_guard_reported(self, capsys, tmp_path):
+        path = tmp_path / "sdd1_40.mtx"
+        code, _ = run_json(
+            capsys,
+            "generate", "--kind", "sdd1", "--order", "40", "--seed", "3",
+            "--n1-fraction", "0.3", "--output", str(path),
+        )
+        assert code == 0
+        code, report = run_json(capsys, "classify", "--input", str(path))
+        assert code == 0
+        assert len(report["result"]["n2"]) == 28 > WITNESS_SEARCH_MAX
+        assert report["result"]["s_sdd1_witness"] == {
+            "skipped": "size guard",
+            "limit": WITNESS_SEARCH_MAX,
+        }
 
 
 class TestSchur:

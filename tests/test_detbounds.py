@@ -37,7 +37,6 @@ class TestOrdering:
         ordering = dominance_ordering(SCHUR_5X5)
         assert ordering.permutation == (3, 4, 0, 1, 2)
         assert ordering.s == 2
-        assert ordering.preserves_within
 
     def test_apply_preserves_determinant(self):
         ordering = dominance_ordering(SCHUR_5X5)

@@ -8,6 +8,7 @@ from diagdom import (
     SizeLimitError,
     comparison_matrix,
     determinant,
+    generate_b1,
     inf_norm,
     inverse,
     is_h_matrix,
@@ -16,7 +17,7 @@ from diagdom import (
     lu_solve,
 )
 from diagdom import oracle
-from diagdom.oracle import LU_BLOCK
+from diagdom.oracle import LU_BLOCK, LU_SCALAR_MAX, SINGULAR_PIVOT_RTOL
 from matrices import (
     DET_6X6_FIRST,
     DET_6X6_FIRST_DET,
@@ -26,7 +27,7 @@ from matrices import (
     NORM_8X8,
     TOL4,
 )
-from reference import lu_factor_unblocked
+from reference import lu_factor_blocked, lu_factor_unblocked
 
 
 def random_sdd(n, seed, scale=1.0):
@@ -81,8 +82,106 @@ def random_pivoting(n, seed):
     return np.random.default_rng(seed).normal(size=(n, n))
 
 
+def tied_moduli(n, seed):
+    """Entries in {-2, ..., 2}: equal-modulus pivot candidates and exact zeros."""
+    return np.random.default_rng(seed).integers(-2, 3, size=(n, n)).astype(float)
+
+
+def overflowing(n, seed):
+    """Wilkinson's growth matrix at the top of the float range.
+
+    Unit diagonal, -1 below it and up to three trailing columns of constant
+    random sign, all times c = 1.7e308 / (n + 3): the row sums stay finite
+    and every pivot passes the threshold, but each column step doubles the
+    trailing entries until they overflow to +-inf.  The last row is zero
+    before the trailing columns, so its multipliers are 0 and 0 * inf makes
+    its trailing entries NaN, below infinite ones: the pivot search must
+    take the first NaN, as ``np.argmax`` does.
+    """
+    A = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    m = min(3, n - 1)
+    A[:, n - m:] = np.random.default_rng(seed).choice([-1.0, 1.0], size=m)
+    A[-1, :n - m] = 0.0
+    return A * (1.7e308 / (n + 3))
+
+
+def same(a, b):
+    """Equal as IEEE values, NaN equal to NaN, zeros compared with their sign."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b, equal_nan=True) and (np.signbit(a) == np.signbit(b)).all()
+
+
+def blocked_determinant(A):
+    """``determinant`` computed on the reference blocked LU."""
+    if A.shape[0] == 1:
+        return float(A[0, 0])
+    try:
+        fact = lu_factor_blocked(A)
+    except SingularMatrixError:
+        return 0.0
+    return float(fact.sign * np.prod(fact.packed.diagonal()))
+
+
+def assert_same_lu(A):
+    """lu_factor and determinant equal the reference blocked LU bit for bit."""
+    with np.errstate(all="ignore"):
+        try:
+            want = lu_factor_blocked(A)
+        except SingularMatrixError as ref:
+            with pytest.raises(SingularMatrixError) as err:
+                lu_factor(A)
+            assert err.value.column == ref.column
+        else:
+            got = lu_factor(A)
+            assert same(got.packed, want.packed)
+            assert (got.perm, got.sign) == (want.perm, want.sign)
+        assert same(determinant(A), blocked_determinant(A))
+
+
+# Both sides of the kernel crossover and four panels.
+EXACT_ORDERS = range(1, 131)
+
+
 class TestBlockedLu:
-    """The blocked factorization against the column-by-column reference loop."""
+    """The factorization against the reference loops of ``reference.py``."""
+
+    @pytest.mark.parametrize("make", [random_sdd, random_pivoting, tied_moduli, overflowing])
+    def test_bit_identical_to_blocked_reference(self, make):
+        assert LU_SCALAR_MAX + 1 < LU_BLOCK < EXACT_ORDERS[-1]
+        for n in EXACT_ORDERS:
+            assert_same_lu(make(n, 700 + n))
+
+    @pytest.mark.parametrize("n", [2, 5, LU_SCALAR_MAX, LU_SCALAR_MAX + 1, LU_BLOCK + 7, 130])
+    def test_pivot_at_threshold(self, n):
+        # Rows of an upper triangle, shuffled: every multiplier is zero, so
+        # column k's pivot is u_kk itself.  Row k holds nothing else and the
+        # largest row sum lies elsewhere, so u_kk does not move the threshold.
+        rng = np.random.default_rng(n)
+        for k in sorted({0, n // 2, n - 1}):
+            U = np.triu(rng.normal(size=(n, n))) + 2.0 * np.eye(n)
+            U[k, k:] = 0.0
+            thresh = SINGULAR_PIVOT_RTOL * float(np.abs(U).sum(axis=1).max())
+            order = rng.permutation(n)
+            for pivot in (thresh, -thresh, np.nextafter(thresh, 1.0)):
+                U[k, k] = pivot
+                assert_same_lu(U[order])
+                if abs(pivot) <= thresh:
+                    with pytest.raises(SingularMatrixError) as err:
+                        lu_factor(U[order])
+                    assert err.value.column == k
+                else:
+                    assert lu_factor(U[order]).upper[k, k] == pivot
+
+    @pytest.mark.parametrize("n", [3, LU_SCALAR_MAX, LU_SCALAR_MAX + 1, 70])
+    def test_singular_column_named(self, n):
+        rng = np.random.default_rng(80 + n)
+        for k in sorted({1, n // 2, n - 1}):
+            A = rng.normal(size=(n, n))
+            A[:, k] = A[:, :k] @ rng.normal(size=k)  # column k depends on columns 0..k-1
+            with pytest.raises(SingularMatrixError) as err:
+                lu_factor(A)
+            assert err.value.column == k
+            assert_same_lu(A)
 
     @pytest.mark.parametrize("n", LU_ORDERS)
     @pytest.mark.parametrize("kind", ["sdd", "pivoting"])
@@ -183,6 +282,22 @@ class TestPMatrix:
     def test_size_guard(self):
         with pytest.raises(SizeLimitError):
             is_p_matrix(np.eye(21))
+
+    def test_underflowing_minors(self):
+        # Each minor's pivot product underflows to 0.0; its sign does not.
+        assert is_p_matrix(1e-200 * np.eye(2))
+        assert is_p_matrix(generate_b1(6, 3) * 1e-160)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the products
+    @pytest.mark.parametrize("e", [-600, -300, 300, 600])
+    def test_power_of_two_scaling(self, e):
+        # 1.18 I - 0.18 J of order 7: only its determinant is negative.
+        for A, is_p in [(np.eye(3), True), (LCP_8X8, True), (generate_b1(6, 3), True),
+                        (np.abs(random_sdd(9, 5)), True),
+                        ([[1.0, 2.0], [2.0, 1.0]], False), (1.18 * np.eye(7) - 0.18, False),
+                        (np.abs(random_pivoting(6, 3)), False)]:
+            assert is_p_matrix(A) == is_p
+            assert is_p_matrix(2.0**e * np.asarray(A)) == is_p
 
     @staticmethod
     def _scanned_chunks(monkeypatch, A):

@@ -84,18 +84,20 @@ def test_every_minor_equals_determinant(kind, n, seed):
     A = instance(kind, n, seed)
     for size in range(2, n + 1):
         rows = np.array(list(itertools.combinations(range(n), size)))
-        minors = _stack_determinants(A[rows[:, :, None], rows[:, None, :]])
+        minors, signs = _stack_determinants(A[rows[:, :, None], rows[:, None, :]])
         expected = [determinant(A[np.ix_(r, r)]) for r in rows]
         assert same(minors, expected)
+        assert same(signs, [reference.minor_sign(A[np.ix_(r, r)]) for r in rows])
 
 
 def test_pivot_at_singular_threshold():
     # diag(1, t) has threshold 1e-13 * 1: a pivot of exactly that modulus is singular.
     small = [1e-13, -1e-13, np.nextafter(1e-13, 1.0), 1e-14, 0.0]
     stack = np.array([np.diag([1.0, t]) for t in small] + [np.diag([t, 1.0]) for t in small])
-    minors = _stack_determinants(stack)
+    minors, signs = _stack_determinants(stack)
     assert same(minors, [determinant(S) for S in stack])
     assert (minors != 0.0).tolist() == [False, False, True, False, False] * 2
+    assert signs.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0] * 2
 
 
 @settings(max_examples=40, deadline=None)

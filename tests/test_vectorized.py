@@ -25,6 +25,8 @@ from diagdom import (
     generate_b1,
     generate_sdd1,
     huang_bracket,
+    is_b1,
+    is_sdd1,
     lcp_b1_bound,
     quotient_formula_check,
     schur_complement,
@@ -41,19 +43,32 @@ from diagdom.normbounds import (
 
 orders = st.integers(min_value=2, max_value=64)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
+# The generators' entries sit on a coarse dyadic grid, where sums are exact
+# in any order; rows scaled by random factors make them round, so a change
+# of summation order or layout shows.
+grids = st.sampled_from(("dyadic", "scaled"))
 
 
-def draw(generator, n, seed):
+def off_grid(A, seed):
+    """``A`` with its rows scaled by random factors in [0.5, 2)."""
+    return A * np.random.default_rng(seed).uniform(0.5, 2.0, len(A))[:, None]
+
+
+def draw(generator, n, seed, grid="dyadic"):
     try:
-        return generator(n, seed, n1_fraction=0.5)
+        A = generator(n, seed, n1_fraction=0.5)
     except GenerationError:
         assume(False)
+    if grid == "scaled":  # positive row scaling keeps SDD1 and B1, up to rounding
+        A = off_grid(A, seed)
+        assume(is_sdd1(A) if generator is generate_sdd1 else is_b1(A))
+    return A
 
 
 @settings(max_examples=40, deadline=None)
-@given(orders, seeds)
-def test_pairwise_max(n, seed):
-    A = draw(generate_sdd1, n, seed)
+@given(orders, seeds, grids)
+def test_pairwise_max(n, seed, grid):
+    A = draw(generate_sdd1, n, seed, grid)
     _, off, d = abs_off(A)
     n2 = list(dominance_partition(A).n2)
     rs = off[:, n2].sum(axis=1)
@@ -62,9 +77,9 @@ def test_pairwise_max(n, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(orders, seeds)
-def test_restricted_schur_value(n, seed):
-    A = draw(generate_sdd1, n, seed)
+@given(orders, seeds, grids)
+def test_restricted_schur_value(n, seed, grid):
+    A = draw(generate_sdd1, n, seed, grid)
     part = dominance_partition(A)
     _, _, d = abs_off(A)
     S = list(part.n2)
@@ -75,18 +90,18 @@ def test_restricted_schur_value(n, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(orders, seeds)
-def test_lcp_b1_bound(n, seed):
-    M = draw(generate_b1, n, seed)
+@given(orders, seeds, grids)
+def test_lcp_b1_bound(n, seed, grid):
+    M = draw(generate_b1, n, seed, grid)
     got, want = lcp_b1_bound(M), reference.lcp_b1_bound(M)
     assert got.value == want.value
     assert got.parameters == want.parameters
 
 
 @settings(max_examples=40, deadline=None)
-@given(orders, seeds)
-def test_sdd1_epsilon_grid_and_certificate(n, seed):
-    A = draw(generate_sdd1, n, seed)
+@given(orders, seeds, grids)
+def test_sdd1_epsilon_grid_and_certificate(n, seed, grid):
+    A = draw(generate_sdd1, n, seed, grid)
     part = dominance_partition(A)
     _, off, d = abs_off(A)
     n1, n2 = list(part.n1), list(part.n2)
@@ -121,9 +136,9 @@ def test_certified_schur_margins(n, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(orders, seeds)
-def test_brackets(n, seed):
-    A = draw(generate_sdd1, n, seed)
+@given(orders, seeds, grids)
+def test_brackets(n, seed, grid):
+    A = draw(generate_sdd1, n, seed, grid)
     A = dominance_ordering(A).apply(A)
     tight = dominance_bracket(A)
     lower, upper, factors, weights = reference.dominance_bracket(A)
@@ -145,8 +160,8 @@ def schur_instance(kind, n, seed):
     rng = np.random.default_rng(seed)
     if kind == "sdd1":
         return draw(generate_sdd1, n, seed)
-    if kind == "scaled":  # positive row scaling keeps the matrix SDD1
-        return draw(generate_sdd1, n, seed) * rng.uniform(0.5, 2.0, n)[:, None]
+    if kind == "scaled":
+        return off_grid(draw(generate_sdd1, n, seed), seed)
     if kind == "b1":
         return b1_split(draw(generate_b1, n, seed)).a
     A = rng.standard_normal((n, n))
