@@ -76,7 +76,9 @@ def test_pairwise_max(n, seed, grid):
     assert _pairwise_max(d, off.sum(axis=1), n2) == reference.pairwise_max(d, off.sum(axis=1), n2)
 
 
-@settings(max_examples=40, deadline=None)
+# One row's rounding moves psi only when that row is the maximum, so about
+# one scaled example in ten shows a change of summation order: hence 200.
+@settings(max_examples=200, deadline=None)
 @given(orders, seeds, grids)
 def test_restricted_schur_value(n, seed, grid):
     A = draw(generate_sdd1, n, seed, grid)
