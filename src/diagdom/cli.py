@@ -5,6 +5,10 @@ generate.  All indices in flags and reports are 1-based; the Python API
 underneath is 0-based.  Exit codes: 0 success, 1 when a guarded hypothesis is
 violated (the violation is reported structurally, never as a traceback), 2
 for I/O, parse, or usage errors.
+
+Every subcommand but ``generate`` runs one pipeline in ``main``: read and hash
+the input, call the subcommand's handler ``(A, args) -> dict`` (no I/O, no
+timing), time that call, and emit one report.
 """
 
 from __future__ import annotations
@@ -84,28 +88,21 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(report, args):
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+def _emit(report, output):
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if output:
+        with open(output, "w", encoding="ascii") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
-def _load(args):
-    A = read_matrix_market(args.input)
-    return A, {"command": args.command, "input": args.input, "input_digest": matrix_digest(A)}
-
-
-def _cmd_classify(args):
-    A, report = _load(args)
-    t0 = time.perf_counter()
+def _cmd_classify(A, args):
     rep = classify(A)
     witness = None if rep.s_sdd1_witness is None else _one_based(rep.s_sdd1_witness)
     if len(rep.partition.n2) > WITNESS_SEARCH_MAX:  # the search did not run
         witness = {"skipped": "size guard", "limit": WITNESS_SEARCH_MAX}
-    report["result"] = {
+    return {"result": {
         "order": int(A.shape[0]),
         "is_sdd": rep.is_sdd,
         "is_sdd1": rep.is_sdd1,
@@ -116,22 +113,17 @@ def _cmd_classify(args):
         "dominance_degrees": _jsonable(rep.dominance_degrees),
         "s_sdd1_witness": witness,
         "is_h_matrix": is_h_matrix(A),
-    }
-    report["timing"] = {"classify": time.perf_counter() - t0}
-    return report
+    }}
 
 
-def _cmd_schur(args):
-    A, report = _load(args)
+def _cmd_schur(A, args):
     if not args.alpha:
         raise ValidationError("--alpha is required for the schur subcommand")
-    alpha = _parse_index_list(args.alpha)
-    t0 = time.perf_counter()
-    res = schur_complement(A, alpha)
+    res = schur_complement(A, _parse_index_list(args.alpha))
     det_full = determinant(A)
     det_block = determinant(A[np.ix_(res.alpha, res.alpha)])
     det_comp = determinant(res.complement)
-    report["result"] = {
+    return {"result": {
         "alpha": _one_based(res.alpha),
         "alpha_bar": _one_based(res.alpha_bar),
         "complement": _jsonable(res.complement),
@@ -151,23 +143,19 @@ def _cmd_schur(args):
                 <= SCALAR_RTOL * max(1.0, abs(det_full))
             ),
         },
-    }
-    report["timing"] = {"schur": time.perf_counter() - t0}
-    return report
+    }}
 
 
-def _cmd_norm_bound(args):
-    A, report = _load(args)
-    t0 = time.perf_counter()
-    cert = _FORMULAS[args.formula or "sdd1-schur"](A, args)
-    report["certificates"] = [_cert_payload(cert)]
-    report["timing"] = {"norm-bound": time.perf_counter() - t0}
-    return report
+def _cmd_norm_bound(A, args):
+    return {"certificates": [_cert_payload(_FORMULAS[args.formula](A, args))]}
 
 
-def _cmd_det_bound(args):
-    A, report = _load(args)
-    t0 = time.perf_counter()
+def _det_section(A):
+    """The det-bound result: dominance ordering, oracle |det| and both brackets.
+
+    The global-weight (Huang) bracket reports its violated hypothesis instead
+    of failing; any other ``HypothesisError`` propagates.
+    """
     ordering = detbounds.dominance_ordering(A)
     ordered = ordering.apply(A)
     result = {
@@ -191,187 +179,109 @@ def _cmd_det_bound(args):
         "upper": tight.upper,
         "factors": _jsonable(tight.factors),
     }
-    report["result"] = result
-    report["timing"] = {"det-bound": time.perf_counter() - t0}
-    return report
+    return result
 
 
-def _cmd_lcp_bound(args):
-    A, report = _load(args)
-    t0 = time.perf_counter()
-    cert = lcp.lcp_b1_bound(A)
-    report["certificates"] = [_cert_payload(cert)]
+def _experiment_section(A, samples, seed):
+    """The lcp-bound experiment: ``samples`` seeded diagonal scalings of A."""
+    exp = lcp.run_experiment(A, samples, seed)
+    return {
+        "seed": exp.seed,
+        "samples": exp.sample_count,
+        "generator": exp.generator,
+        "violations": exp.violations,
+        "max_sampled_norm": float(exp.exact_norms.max()),
+        "bound": exp.analytic_bound,
+    }
+
+
+def _cmd_det_bound(A, args):
+    return {"result": _det_section(A)}
+
+
+def _cmd_lcp_bound(A, args):
+    report = {"certificates": [_cert_payload(lcp.lcp_b1_bound(A))]}
     if args.samples:
-        exp = lcp.run_experiment(A, args.samples, args.seed if args.seed is not None else 0)
-        report["experiment"] = {
-            "seed": exp.seed,
-            "samples": exp.sample_count,
-            "generator": exp.generator,
-            "violations": exp.violations,
-            "max_sampled_norm": float(exp.exact_norms.max()),
-            "bound": exp.analytic_bound,
-        }
-    report["timing"] = {"lcp-bound": time.perf_counter() - t0}
+        report["experiment"] = _experiment_section(A, args.samples, args.seed)
     return report
 
 
-def _cmd_verify(args):
-    A, report = _load(args)
-    t0 = time.perf_counter()
-    tol = args.tolerance if args.tolerance is not None else 1e-9
+def _verify_det(A, tol):
+    """verify's det block, projected from ``_det_section``."""
+    section = _det_section(A)
+    exact_det = section["oracle_abs_det"]
+
+    def bracket(entry):
+        if "hypothesis" in entry:
+            return {"unavailable": entry["hypothesis"]}
+        lower, upper = entry["lower"], entry["upper"]
+        contains = lower <= exact_det * (1 + tol) and exact_det <= upper * (1 + tol)
+        return {"lower": lower, "upper": upper, "contains_det": contains}
+
+    brackets = {name: bracket(section[name]) for name in ("huang", "dominance_ratio")}
+    return {"oracle_abs_det": exact_det, "brackets": brackets}
+
+
+def _cmd_verify(A, args):
+    tol = args.tolerance
     certs = []
     notes = []
     exact_norm = inf_norm(inverse(A))
-
-    def push(maker, *maker_args):
+    for maker, *maker_args in ((normbounds.sdd_pairwise_bound, A),
+                               (normbounds.sdd1_schur_bound, A),
+                               (normbounds.sdd1_epsilon_bound, A, args.epsilon)):
         try:
-            cert = maker(*maker_args).with_exact(exact_norm)
+            certs.append(maker(*maker_args).with_exact(exact_norm))
         except HypothesisError as exc:
             notes.append({"skipped": maker.__name__, "hypothesis": exc.hypothesis})
-            return
-        certs.append(cert)
-
-    push(normbounds.sdd_pairwise_bound, A)
-    push(normbounds.sdd1_schur_bound, A)
-    push(normbounds.sdd1_epsilon_bound, A, args.epsilon)
-
     result = {
         "exact_inf_norm_of_inverse": exact_norm,
         "certificates": [_cert_payload(c) for c in certs],
         "skipped": notes,
     }
-
     try:
-        ordering = detbounds.dominance_ordering(A)
-        ordered = ordering.apply(A)
-        exact_det = abs(determinant(A))
-
-        def contains_det(br):
-            return br.lower <= exact_det * (1 + tol) and exact_det <= br.upper * (1 + tol)
-
-        brackets = {}
-        try:
-            broad = detbounds.huang_bracket(ordered)
-            brackets["huang"] = {
-                "lower": broad.lower,
-                "upper": broad.upper,
-                "contains_det": contains_det(broad),
-            }
-        except HypothesisError as exc:
-            brackets["huang"] = {"unavailable": exc.hypothesis}
-        tight = detbounds.dominance_bracket(ordered)
-        brackets["dominance_ratio"] = {
-            "lower": tight.lower,
-            "upper": tight.upper,
-            "contains_det": contains_det(tight),
-        }
-        result["det"] = {"oracle_abs_det": exact_det, "brackets": brackets}
+        result["det"] = _verify_det(A, tol)
     except HypothesisError as exc:
         result["det"] = {"skipped": exc.hypothesis}
-
     try:
-        samples = args.samples if args.samples else 200
-        exp = lcp.run_experiment(A, samples, args.seed if args.seed is not None else 0)
-        result["lcp"] = {
-            "bound": exp.analytic_bound,
-            "samples": exp.sample_count,
-            "violations": exp.violations,
-            "max_sampled_norm": float(exp.exact_norms.max()),
-        }
+        exp = _experiment_section(A, args.samples or 200, args.seed)
+        result["lcp"] = {k: exp[k] for k in ("bound", "samples", "violations", "max_sampled_norm")}
     except HypothesisError as exc:
         result["lcp"] = {"skipped": exc.hypothesis}
 
     sound = all(c.slack is not None and c.slack >= -tol for c in certs)
-    if "violations" in result.get("lcp", {}):
-        sound = sound and result["lcp"]["violations"] == 0
-    result["all_sound"] = bool(sound)
+    result["all_sound"] = bool(sound and result["lcp"].get("violations", 0) == 0)
     if A.shape[0] <= VERIFY_P_MATRIX_MAX_ORDER:
         result["p_matrix"] = is_p_matrix(A)
     else:
         result["p_matrix"] = {"skipped": "size guard", "limit": VERIFY_P_MATRIX_MAX_ORDER}
     result["h_matrix"] = is_h_matrix(A)
-    report["result"] = result
-    report["timing"] = {"verify": time.perf_counter() - t0}
-    if not sound:
+    report = {"result": result}
+    if not result["all_sound"]:
         report["error"] = {"kind": "soundness", "message": "a certificate fell below the oracle"}
     return report
 
 
-def _cmd_generate(args):
+def _generate(args):
+    """Write a generated matrix to --output (and a JSON receipt to stdout) or to stdout."""
     t0 = time.perf_counter()
-    kind = args.kind or "sdd1"
     order = args.order or 8
-    seed = args.seed if args.seed is not None else 0
-    if kind == "sdd1":
-        A = generate_sdd1(order, seed, args.n1_fraction or 0.4)
-    elif kind == "b1":
-        A = generate_b1(order, seed, args.n1_fraction or 0.4)
-    else:
-        raise ValidationError(f"unknown kind {kind!r}")
-    comment = f"generated kind={kind} order={order} seed={seed}"
-    if args.output:
-        write_matrix_market(args.output, A, comment=comment)
-        report = {
-            "command": "generate",
-            "written": args.output,
-            "digest": matrix_digest(A),
-            "kind": kind,
-            "order": order,
-            "seed": seed,
-            "timing": {"generate": time.perf_counter() - t0},
-        }
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        # No output path: the matrix itself goes to stdout in Matrix Market form.
+    make = generate_b1 if args.kind == "b1" else generate_sdd1
+    A = make(order, args.seed, args.n1_fraction or 0.4)
+    comment = f"generated kind={args.kind} order={order} seed={args.seed}"
+    if not args.output:
         sys.stdout.write(format_matrix_market(A, comment=comment))
-    return None
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="diagdom",
-        description="Dominance-structured dense matrix analysis with certified bounds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, needs_input=True):
-        p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("--input", required=True, help="Matrix Market file")
-        p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--tolerance", type=float, help="soundness slack tolerance")
-        return p
-
-    add("classify")
-
-    p = add("schur")
-    p.add_argument("--alpha", help="comma list of 1-based pivot rows")
-
-    p = add("norm-bound")
-    p.add_argument("--formula", choices=sorted(_FORMULAS), help="bound formula")
-    p.add_argument("--epsilon", type=float, help="epsilon for the sdd1-epsilon formula")
-    p.add_argument("--s-set", dest="s_set", help="comma list of 1-based witness rows")
-
-    add("det-bound")
-
-    p = add("lcp-bound")
-    p.add_argument("--samples", type=int, help="run a sampling experiment of this size")
-    p.add_argument("--seed", type=int, help="experiment seed")
-
-    p = add("verify")
-    p.add_argument("--all", action="store_true",
-                   help="accepted and ignored: verify always runs every applicable check")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-
-    p = add("generate", needs_input=False)
-    p.add_argument("--kind", choices=["sdd1", "b1"])
-    p.add_argument("--order", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n1-fraction", dest="n1_fraction", type=float)
-
-    return parser
+        return
+    write_matrix_market(args.output, A, comment=comment)
+    _emit({
+        "command": "generate",
+        "written": args.output,
+        "digest": matrix_digest(A),
+        "kind": args.kind,
+        "order": order,
+        "seed": args.seed,
+        "timing": {"generate": time.perf_counter() - t0},
+    }, None)
 
 
 _HANDLERS = {
@@ -381,42 +291,72 @@ _HANDLERS = {
     "det-bound": _cmd_det_bound,
     "lcp-bound": _cmd_lcp_bound,
     "verify": _cmd_verify,
-    "generate": _cmd_generate,
 }
 
 
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="diagdom",
+        description="Dominance-structured dense matrix analysis with certified bounds.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    subs = {}
+    for name in _HANDLERS:
+        p = subs[name] = sub.add_parser(name)
+        p.add_argument("--input", required=True, help="Matrix Market file")
+        p.add_argument("--output", help="write the JSON report here instead of stdout")
+
+    subs["schur"].add_argument("--alpha", help="comma list of 1-based pivot rows")
+
+    p = subs["norm-bound"]
+    p.add_argument("--formula", choices=sorted(_FORMULAS), default="sdd1-schur",
+                   help="bound formula")
+    p.add_argument("--epsilon", type=float, help="epsilon for the sdd1-epsilon formula")
+    p.add_argument("--s-set", dest="s_set", help="comma list of 1-based witness rows")
+
+    p = subs["lcp-bound"]
+    p.add_argument("--samples", type=int, help="run a sampling experiment of this size")
+    p.add_argument("--seed", type=int, default=0, help="experiment seed")
+
+    p = subs["verify"]
+    p.add_argument("--all", action="store_true",
+                   help="accepted and ignored: verify always runs every applicable check")
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tolerance", type=float, default=1e-9, help="soundness slack tolerance")
+
+    p = sub.add_parser("generate")
+    p.add_argument("--output", help="write the matrix here (Matrix Market) instead of stdout")
+    p.add_argument("--kind", choices=["sdd1", "b1"], default="sdd1")
+    p.add_argument("--order", type=int)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n1-fraction", dest="n1_fraction", type=float)
+
+    return parser
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        report = _HANDLERS[args.command](args)
+        if args.command == "generate":
+            _generate(args)
+            return 0
+        A = read_matrix_market(args.input)
+        report = {"command": args.command, "input": args.input, "input_digest": matrix_digest(A)}
+        t0 = time.perf_counter()
+        report.update(_HANDLERS[args.command](A, args))
+        report["timing"] = {args.command: time.perf_counter() - t0}
     except (MatrixMarketError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except HypothesisError as exc:
-        payload = {
-            "command": args.command,
-            "error": {
-                "kind": "hypothesis",
-                "hypothesis": exc.hypothesis,
-                "message": str(exc),
-            },
-        }
-        _emit(payload, args)
-        return 1
     except ToolkitError as exc:
-        payload = {
-            "command": args.command,
-            "error": {"kind": type(exc).__name__, "message": str(exc)},
-        }
-        _emit(payload, args)
-        return 1
-    if report is not None:
-        if "error" in report:
-            _emit(report, args)
-            return 1
-        _emit(report, args)
-    return 0
+        error = {"kind": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, HypothesisError):
+            error = {"kind": "hypothesis", "hypothesis": exc.hypothesis, "message": str(exc)}
+        report = {"command": args.command, "error": error}
+    _emit(report, args.output)
+    return 1 if "error" in report else 0
 
 
 if __name__ == "__main__":

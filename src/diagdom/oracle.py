@@ -161,9 +161,8 @@ def lu_solve(fact: LuFactorization, b) -> np.ndarray:
     """Solve A x = b given a factorization of A. ``b`` may be a vector or matrix."""
     b = np.asarray(b, dtype=np.float64)
     vector = b.ndim == 1
-    B = b[:, None] if vector else b.copy()
     n = fact.packed.shape[0]
-    X = np.array(B[list(fact.perm)], dtype=np.float64)
+    X = (b[:, None] if vector else b)[list(fact.perm)]  # the one copy of b
     lu = fact.packed
     for k in range(1, n):  # forward substitution, unit lower triangle
         X[k] -= lu[k, :k] @ X[:k]
@@ -217,27 +216,27 @@ def _chunk_length(order) -> int:
     return max(1, STACK_CHUNK_ENTRIES // (order * order))
 
 
-def _stack_determinants(stack) -> tuple[np.ndarray, np.ndarray]:
-    """``determinant`` of every matrix in a C-ordered (m, s, s) stack, 2 <= s <= LU_BLOCK,
+def _stack_pivots(stack) -> tuple[np.ndarray, np.ndarray]:
+    """U's diagonal for every matrix in a C-ordered (m, s, s) stack, 2 <= s <= LU_BLOCK,
     and the sign of each determinant, decided from the pivots.
 
     Eliminates the whole stack column by column with the unblocked rule of
     ``lu_factor``: the first pivot of largest modulus, the same division and
-    outer-product update, each matrix's own ``SINGULAR_PIVOT_RTOL`` times
-    infinity-norm threshold, and sign times the product of U's diagonal.
-    Every value therefore equals ``determinant`` of that matrix bit for bit;
-    a matrix that meets a singular pivot gets 0.0 and leaves the stack.
-    Only the columns from the pivot on are swapped and updated, because the
-    determinant never reads the multipliers of earlier columns.  A sign is
-    the permutation sign times the pivots' signs, 0.0 if singular: right
-    even where the product of the pivots underflows or overflows.
+    outer-product update, and each matrix's own ``SINGULAR_PIVOT_RTOL`` times
+    infinity-norm threshold.  Each row of pivots therefore equals
+    ``lu_factor(S).packed.diagonal()`` bit for bit; a matrix that meets a
+    singular pivot gets a row of zeros and leaves the stack.  Only the
+    columns from the pivot on are swapped and updated, because U's diagonal
+    never reads the multipliers of earlier columns.  A sign is the
+    permutation sign times the pivots' signs, 0.0 if singular: no product of
+    pivots is formed, so it cannot underflow or overflow.
     """
     m, s, _ = stack.shape
     lu = np.array(stack)
     thresh = SINGULAR_PIVOT_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
     sign = np.ones(m)
     live = np.arange(m)  # position in ``stack`` of each matrix still in ``lu``
-    det, signs = np.zeros(m), np.zeros(m)
+    pivots, signs = np.zeros((m, s)), np.zeros(m)
     for k in range(s):
         p = k + np.abs(lu[:, k:, k]).argmax(axis=1)
         at = np.arange(len(live))
@@ -253,10 +252,9 @@ def _stack_determinants(stack) -> tuple[np.ndarray, np.ndarray]:
         if k + 1 < s:
             mult = lu[:, k + 1:, k] / lu[:, k, k, None]
             lu[:, k + 1:, k + 1:] -= mult[:, :, None] * lu[:, k, None, k + 1:]
-    pivots = np.diagonal(lu, axis1=1, axis2=2)
-    det[live] = sign * np.prod(pivots, axis=1)
-    signs[live] = sign * np.prod(np.sign(pivots), axis=1)
-    return det, signs
+    pivots[live] = np.diagonal(lu, axis1=1, axis2=2)
+    signs[live] = sign * np.prod(np.sign(pivots[live]), axis=1)
+    return pivots, signs
 
 
 def _inverse_inf_norms(stack) -> np.ndarray:
@@ -290,10 +288,11 @@ def is_p_matrix(A) -> bool:
 
     Scans all 2^n - 1 principal submatrices in order of increasing size.  The
     submatrices of one size are stacked in chunks of ``_chunk_length(size)``
-    and eliminated together by the rule of ``determinant``.  Each minor's
-    sign is the permutation sign times the signs of its pivots, so a minor
-    whose pivot product underflows (input scaled by 1e-200, say) still counts
-    as positive; a pivot under the singular threshold counts as a zero minor.
+    and eliminated together by the rule of ``lu_factor``.  Each minor's
+    sign is the permutation sign times the signs of its pivots, and no
+    product of pivots is formed, so input scaled by 1e-200 or 2^600 gets the
+    same answer as unscaled input; a pivot under the singular threshold
+    counts as a zero minor.
     The scan stops after the first chunk that holds a non-positive minor.
     Guarded to order ``P_MATRIX_MAX_ORDER`` because of the exponential cost.
     """
@@ -310,7 +309,7 @@ def is_p_matrix(A) -> bool:
         step = _chunk_length(size)
         while batch := list(itertools.islice(combos, step)):
             rows = np.array(batch, dtype=np.intp)
-            if (_stack_determinants(A[rows[:, :, None], rows[:, None, :]])[1] <= 0.0).any():
+            if (_stack_pivots(A[rows[:, :, None], rows[:, None, :]])[1] <= 0.0).any():
                 return False
     return True
 

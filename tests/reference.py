@@ -35,7 +35,6 @@ from diagdom.normbounds import (
     EPSILON_GRID_MARGIN,
     EPSILON_GRID_POINTS,
     EPSILON_REFINE_WIDTH,
-    _epsilon_pieces,
     _golden_min,
 )
 from diagdom.oracle import INVERSE_NONNEG_TOL, LU_BLOCK, SINGULAR_PIVOT_RTOL, LuFactorization
@@ -135,6 +134,24 @@ def restricted_schur_value(A, S, prefactor_margins):
     return prefactor * best, phi, psi
 
 
+def epsilon_pieces(off, d, part, rs):
+    """The epsilon-independent pieces of the SDD1 epsilon bound, row by row.
+
+    Each row sum is that row's own ``sum()``.  The two products with the
+    ratio vectors are the same ``np.ix_`` gemv as in the library: a gemv
+    does not round as per-row dots do, and its rounding is what this
+    reference pins.
+    """
+    n1, n2 = list(part.n1), list(part.n2)
+    R, P = part.row_sums, part.p_values
+    ratio = P[n2] / d[n2]
+    coupling = off[np.ix_(n1, n2)] @ ratio
+    h0 = np.array([d[i] - off[i, n1].sum() - coupling[k] for k, i in enumerate(n1)])
+    g = np.array([d[i] - rs[i] for i in n2])
+    q0 = off[np.ix_(n2, n2)] @ ((R[n2] - P[n2]) / d[n2])
+    return h0, rs[n1], g, q0, float(ratio.max())
+
+
 def epsilon_value(pieces, eps):
     h0, rs1, g, q0, max_ratio = pieces
     den = min((h0 - eps * rs1).min(), (eps * g + q0).min())
@@ -157,7 +174,7 @@ def sdd1_epsilon_bound(A):
     _, off, d = abs_off(A)
     n2, P = list(part.n2), part.p_values
     rs = off[:, n2].sum(axis=1)
-    pieces = _epsilon_pieces(part, rs)
+    pieces = epsilon_pieces(off, d, part, rs)
     sup = epsilon_sup(d, P, rs)
     finite_sup = sup
     if not math.isfinite(finite_sup):

@@ -1,12 +1,20 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from diagdom import read_matrix_market
+import diagdom
+from diagdom import normbounds, read_matrix_market
+from diagdom.certificates import FORMULA_SDD1_SCHUR, BoundCertificate
 from diagdom.classify import WITNESS_SEARCH_MAX
 from diagdom.cli import VERIFY_P_MATRIX_MAX_ORDER, main
 from matrices import LCP_8X8_BOUND, TOL4
+
+REPO_ROOT = pathlib.Path(__file__).parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +189,72 @@ class TestVerify:
             "limit": VERIFY_P_MATRIX_MAX_ORDER,
         }
         assert VERIFY_P_MATRIX_MAX_ORDER == 12
+
+    def test_soundness_error_keeps_result(self, capsys, fixture_path, monkeypatch):
+        argv = ["verify", "--input", fixture_path("lcp_8x8.mtx"), "--samples", "20"]
+        _, sound = run_json(capsys, *argv)
+        monkeypatch.setattr(
+            normbounds, "sdd1_schur_bound",
+            lambda A: BoundCertificate(FORMULA_SDD1_SCHUR, 0.5, {}),  # below the oracle
+        )
+        code, report = run_json(capsys, *argv)
+        assert code == 1
+        assert report["error"]["kind"] == "soundness"
+        result = report["result"]
+        assert result["all_sound"] is False
+        assert set(result) == set(sound["result"])
+        for key in ("exact_inf_norm_of_inverse", "det", "lcp", "p_matrix", "h_matrix"):
+            assert result[key] == sound["result"][key]
+        slacks = {c["formula_id"]: c["slack"] for c in result["certificates"]}
+        assert slacks[FORMULA_SDD1_SCHUR] < 0.0
+        assert list(report["timing"]) == ["verify"]
+
+    def test_tolerance_is_verify_only(self, capsys, fixture_path):
+        path = fixture_path("lcp_8x8.mtx")
+        code, _ = run_json(capsys, "verify", "--input", path, "--samples", "5", "--tolerance", "1")
+        assert code == 0
+        with pytest.raises(SystemExit) as err:
+            main(["classify", "--input", path, "--tolerance", "1"])
+        capsys.readouterr()
+        assert err.value.code == 2
+
+
+# One argv tail per input subcommand, each exiting 0 on lcp_8x8.
+INPUT_SUBCOMMANDS = {
+    "classify": [],
+    "schur": ["--alpha", "1"],
+    "norm-bound": [],
+    "det-bound": [],
+    "lcp-bound": ["--samples", "10"],
+    "verify": ["--samples", "10"],
+}
+
+
+class TestTiming:
+    @pytest.mark.parametrize("command", sorted(INPUT_SUBCOMMANDS))
+    def test_one_key_named_after_the_subcommand(self, capsys, fixture_path, command):
+        code, report = run_json(
+            capsys, command, "--input", fixture_path("lcp_8x8.mtx"), *INPUT_SUBCOMMANDS[command]
+        )
+        assert code == 0
+        assert list(report["timing"]) == [command]
+        assert report["timing"][command] >= 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--input", "tests/fixtures/lcp_8x8.mtx"],
+        ["verify", "--all", "--seed", "5", "--input", "tests/fixtures/lcp_8x8.mtx"],
+    ], ids=["classify", "verify"])
+    def test_module_entry_point(self, argv):
+        # ``python -m diagdom.cli`` in a child process, run from the repository root.
+        src = str(pathlib.Path(diagdom.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "diagdom.cli", *argv], cwd=REPO_ROOT,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["command"] == argv[0]
+        assert list(report["timing"]) == [argv[0]]
 
 
 class TestGenerate:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,17 @@ class TestLu:
         assert np.allclose(A @ x, b, atol=1e-11)
         X = lu_solve(fact, np.eye(5))
         assert np.allclose(A @ X, np.eye(5), atol=1e-10)
+
+    def test_solve_leaves_b_alone(self):
+        fact = lu_factor(random_pivoting(6, 2))
+        B = np.random.default_rng(1).standard_normal((6, 3))
+        kept = B.copy()
+        X = lu_solve(fact, B)
+        x = lu_solve(fact, B[:, 0])
+        assert np.array_equal(B, kept)
+        # A Fortran-ordered right-hand side gets the same (C-ordered) working copy.
+        assert np.array_equal(lu_solve(fact, np.asfortranarray(B)), X)
+        assert x.shape == (6,) and np.allclose(x, X[:, 0], rtol=0, atol=1e-12)
 
 
 LU_ORDERS = (1, 31, 32, 33, 64, 97, 130)
@@ -288,7 +300,6 @@ class TestPMatrix:
         assert is_p_matrix(1e-200 * np.eye(2))
         assert is_p_matrix(generate_b1(6, 3) * 1e-160)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # the products
     @pytest.mark.parametrize("e", [-600, -300, 300, 600])
     def test_power_of_two_scaling(self, e):
         # 1.18 I - 0.18 J of order 7: only its determinant is negative.
@@ -297,19 +308,21 @@ class TestPMatrix:
                         ([[1.0, 2.0], [2.0, 1.0]], False), (1.18 * np.eye(7) - 0.18, False),
                         (np.abs(random_pivoting(6, 3)), False)]:
             assert is_p_matrix(A) == is_p
-            assert is_p_matrix(2.0**e * np.asarray(A)) == is_p
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no product of pivots to overflow
+                assert is_p_matrix(2.0**e * np.asarray(A)) == is_p
 
     @staticmethod
     def _scanned_chunks(monkeypatch, A):
         """Run is_p_matrix and return (size, count) for every chunk of minors it computed."""
         chunks = []
-        stack_determinants = oracle._stack_determinants
+        stack_pivots = oracle._stack_pivots
 
         def spy(stack):
             chunks.append((stack.shape[1], stack.shape[0]))
-            return stack_determinants(stack)
+            return stack_pivots(stack)
 
-        monkeypatch.setattr(oracle, "_stack_determinants", spy)
+        monkeypatch.setattr(oracle, "_stack_pivots", spy)
         return is_p_matrix(A), chunks
 
     def test_chunk_boundary(self, monkeypatch):

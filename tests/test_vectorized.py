@@ -109,6 +109,8 @@ def test_sdd1_epsilon_grid_and_certificate(n, seed, grid):
     n1, n2 = list(part.n1), list(part.n2)
     rs = off[:, n2].sum(axis=1)
     pieces = _epsilon_pieces(part, rs)
+    want = reference.epsilon_pieces(off, d, part, rs)
+    assert all(np.array_equal(x, y) for x, y in zip(pieces, want, strict=True))
     sup = reference.epsilon_sup(d, part.p_values, rs)
     top = sup if np.isfinite(sup) else 1.0
     grid = np.linspace(top * 1e-6, top * (1 - 1e-6), EPSILON_GRID_POINTS)
