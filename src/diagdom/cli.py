@@ -201,7 +201,7 @@ def _cmd_det_bound(A, args):
 
 def _cmd_lcp_bound(A, args):
     report = {"certificates": [_cert_payload(lcp.lcp_b1_bound(A))]}
-    if args.samples:
+    if args.samples is not None:
         report["experiment"] = _experiment_section(A, args.samples, args.seed)
     return report
 
@@ -244,13 +244,15 @@ def _cmd_verify(A, args):
     except HypothesisError as exc:
         result["det"] = {"skipped": exc.hypothesis}
     try:
-        exp = _experiment_section(A, args.samples or 200, args.seed)
+        exp = _experiment_section(A, args.samples, args.seed)
         result["lcp"] = {k: exp[k] for k in ("bound", "samples", "violations", "max_sampled_norm")}
     except HypothesisError as exc:
         result["lcp"] = {"skipped": exc.hypothesis}
 
     sound = all(c.slack is not None and c.slack >= -tol for c in certs)
-    result["all_sound"] = bool(sound and result["lcp"].get("violations", 0) == 0)
+    brackets = result["det"].get("brackets", {}).values()
+    contained = all(b.get("contains_det", True) for b in brackets)
+    result["all_sound"] = bool(sound and contained and result["lcp"].get("violations", 0) == 0)
     if A.shape[0] <= VERIFY_P_MATRIX_MAX_ORDER:
         result["p_matrix"] = is_p_matrix(A)
     else:
@@ -258,17 +260,17 @@ def _cmd_verify(A, args):
     result["h_matrix"] = is_h_matrix(A)
     report = {"result": result}
     if not result["all_sound"]:
-        report["error"] = {"kind": "soundness", "message": "a certificate fell below the oracle"}
+        report["error"] = {"kind": "soundness",
+                           "message": "a certificate or bracket disagreed with its oracle"}
     return report
 
 
 def _generate(args):
     """Write a generated matrix to --output (and a JSON receipt to stdout) or to stdout."""
     t0 = time.perf_counter()
-    order = args.order or 8
     make = generate_b1 if args.kind == "b1" else generate_sdd1
-    A = make(order, args.seed, args.n1_fraction or 0.4)
-    comment = f"generated kind={args.kind} order={order} seed={args.seed}"
+    A = make(args.order, args.seed, args.n1_fraction)
+    comment = f"generated kind={args.kind} order={args.order} seed={args.seed}"
     if not args.output:
         sys.stdout.write(format_matrix_market(A, comment=comment))
         return
@@ -278,7 +280,7 @@ def _generate(args):
         "written": args.output,
         "digest": matrix_digest(A),
         "kind": args.kind,
-        "order": order,
+        "order": args.order,
         "seed": args.seed,
         "timing": {"generate": time.perf_counter() - t0},
     }, None)
@@ -322,16 +324,16 @@ def _build_parser():
     p.add_argument("--all", action="store_true",
                    help="accepted and ignored: verify always runs every applicable check")
     p.add_argument("--epsilon", type=float)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tolerance", type=float, default=1e-9, help="soundness slack tolerance")
 
     p = sub.add_parser("generate")
     p.add_argument("--output", help="write the matrix here (Matrix Market) instead of stdout")
     p.add_argument("--kind", choices=["sdd1", "b1"], default="sdd1")
-    p.add_argument("--order", type=int)
+    p.add_argument("--order", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n1-fraction", dest="n1_fraction", type=float)
+    p.add_argument("--n1-fraction", dest="n1_fraction", type=float, default=0.4)
 
     return parser
 
@@ -355,7 +357,7 @@ def main(argv=None) -> int:
         if isinstance(exc, HypothesisError):
             error = {"kind": "hypothesis", "hypothesis": exc.hypothesis, "message": str(exc)}
         report = {"command": args.command, "error": error}
-    _emit(report, args.output)
+    _emit(report, None if args.command == "generate" else args.output)  # --output is the matrix
     return 1 if "error" in report else 0
 
 

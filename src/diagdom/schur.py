@@ -18,12 +18,14 @@ All per-row outputs are dictionaries keyed by original row index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classify import _require_sdd1, is_sdd1
-from .core import _dominance, _partition, as_index_set, as_matrix, dominance_partition
+from .core import (IndexPartition, _memo_key, _partition, _share, as_index_set, as_matrix,
+                   dominance_partition)
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
 from .oracle import _lu_factor, _nonneg_inverse, inf_norm, lu_solve
 
@@ -51,10 +53,11 @@ class SchurResult:
     ``tilde_n1``/``tilde_n2`` are the complement's non-dominant/dominant sets
     expressed in original row labels.  ``delta`` is the coupling-radius
     matrix |a_{t,alpha}| <A(alpha)>^{-1} |a_{alpha,u}|, present only when the
-    pivot block is an H-matrix.  ``certified_lower_bounds`` maps original row
-    labels to certified dominance lower bounds when a regime applies;
-    ``certified_kind`` says which margin is bounded ("sdd1_degree" for
-    |a'_tt| - P_t, "sdd_degree" for |a'_tt| - R_t).
+    pivot block is an H-matrix; it is built on first read, and until then
+    the result holds the partition of A.  ``certified_lower_bounds`` maps
+    original row labels to certified dominance lower bounds when a regime
+    applies; ``certified_kind`` says which margin is bounded ("sdd1_degree"
+    for |a'_tt| - P_t, "sdd_degree" for |a'_tt| - R_t).
     """
 
     complement: np.ndarray
@@ -62,14 +65,40 @@ class SchurResult:
     alpha_bar: tuple[int, ...]
     tilde_n1: tuple[int, ...]
     tilde_n2: tuple[int, ...]
-    delta: np.ndarray | None
     certified_lower_bounds: dict[int, float] | None
     certified_kind: str | None
+    _a_partition: IndexPartition | None = field(default=None, repr=False, compare=False)
+    _delta: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.complement.setflags(write=False)
-        if self.delta is not None:
-            self.delta.setflags(write=False)
+
+    @property
+    def delta(self) -> np.ndarray | None:
+        with _DELTA_LOCK:
+            if self._a_partition is not None:
+                delta = _coupling_radii(self._a_partition, self.alpha, self.alpha_bar)
+                object.__setattr__(self, "_delta", delta)
+                object.__setattr__(self, "_a_partition", None)  # delta was all it was kept for
+            return self._delta
+
+
+_DELTA_LOCK = threading.Lock()
+
+
+def _coupling_radii(part, alpha, bar):
+    """A/alpha's read-only ``delta`` from A's partition; None unless A(alpha) is an H-matrix."""
+    ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
+    comparison = -part.off[ia[:, None], ia]  # <A(alpha)> from the moduli of the partition
+    np.fill_diagonal(comparison, part.diag[ia])
+    inv_comp = _nonneg_inverse(comparison)
+    if inv_comp is None:  # the pivot block is not an H-matrix
+        return None
+    # Rounding may leave tiny negatives in an M-matrix inverse; clamping
+    # them up only widens the radii, keeping the entry sandwich valid.
+    delta = part.off[ib[:, None], ia] @ np.maximum(inv_comp, 0.0) @ part.off[ia[:, None], ib]
+    delta.setflags(write=False)
+    return delta
 
 
 def _validate_alpha(A, alpha):
@@ -97,29 +126,25 @@ def schur_complement(A, alpha) -> SchurResult:
     """
     A, alpha, bar = _validate_alpha(A, alpha)
     part = _partition(A)
-    comp = _complement(A, alpha, bar)
-    tilde_n1, tilde_n2 = _tilde_sets(comp, bar)
-    ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
-    comparison = -part.off[ia[:, None], ia]  # <A(alpha)> from the moduli of the partition
-    np.fill_diagonal(comparison, part.diag[ia])
-    delta = None
-    inv_comp = _nonneg_inverse(comparison)
-    if inv_comp is not None:  # the pivot block is an H-matrix
-        # Rounding may leave tiny negatives in an M-matrix inverse; clamping
-        # them up only widens the radii, keeping the entry sandwich valid.
-        delta = part.off[ib[:, None], ia] @ np.maximum(inv_comp, 0.0) @ part.off[ia[:, None], ib]
-
+    comp, cpart = _analysed_complement(A, alpha, bar)
     certified, kind = _certified_dispatch(A, part, alpha, bar)
     return SchurResult(
         complement=comp,
         alpha=alpha,
         alpha_bar=bar,
-        tilde_n1=tilde_n1,
-        tilde_n2=tilde_n2,
-        delta=delta,
+        tilde_n1=tuple(bar[t] for t in cpart.n1),
+        tilde_n2=tuple(bar[t] for t in cpart.n2),
         certified_lower_bounds=certified,
         certified_kind=kind,
+        _a_partition=part,
     )
+
+
+def _analysed_complement(A, alpha, bar):
+    """A/alpha as a shared read-only matrix, and its partition, both left in the memo."""
+    comp = _complement(A, alpha, bar)
+    comp = _share(comp, _memo_key(comp))
+    return comp, _partition(comp)
 
 
 def _complement(A, alpha, bar):
@@ -135,13 +160,6 @@ def _complement(A, alpha, bar):
     if not np.isfinite(comp).all():
         raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
     return comp
-
-
-def _tilde_sets(comp, bar):
-    """The complement's non-dominant and dominant sets in original row labels."""
-    dominant = _dominance(comp)[3].tolist()
-    return (tuple(j for j, m in zip(bar, dominant) if not m),
-            tuple(j for j, m in zip(bar, dominant) if m))
 
 
 def _certified_dispatch(A, part, alpha, bar):
@@ -257,7 +275,8 @@ def tilde_set_identity_check(A, alpha) -> bool:
             "alpha is not a proper subset of n2",
             "the set identities hold for alpha strictly inside the dominant set",
         )
-    t1, t2 = map(set, _tilde_sets(_complement(A, alpha, bar), bar))
+    cpart = _analysed_complement(A, alpha, bar)[1]
+    t1, t2 = {bar[t] for t in cpart.n1}, {bar[t] for t in cpart.n2}
     n1, n2 = set(part.n1), set(part.n2)
     survived = n2 - set(alpha)
     return survived <= t2 and t1 <= n1 and (n1 - t1) == (t2 - survived)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import diagdom
-from diagdom import normbounds, read_matrix_market
+from diagdom import detbounds, normbounds, read_matrix_market
 from diagdom.certificates import FORMULA_SDD1_SCHUR, BoundCertificate
 from diagdom.classify import WITNESS_SEARCH_MAX
 from diagdom.cli import VERIFY_P_MATRIX_MAX_ORDER, main
@@ -209,6 +210,35 @@ class TestVerify:
         assert slacks[FORMULA_SDD1_SCHUR] < 0.0
         assert list(report["timing"]) == ["verify"]
 
+    def test_bracket_missing_det_is_unsound(self, capsys, fixture_path, monkeypatch):
+        real = detbounds.dominance_bracket
+
+        def above_det(A):  # [2u, 3u] for the true upper endpoint u misses |det|
+            br = real(A)
+            return dataclasses.replace(br, lower=2.0 * br.upper, upper=3.0 * br.upper)
+
+        monkeypatch.setattr(detbounds, "dominance_bracket", above_det)
+        code, report = run_json(
+            capsys, "verify", "--input", fixture_path("lcp_8x8.mtx"), "--samples", "20"
+        )
+        assert code == 1
+        assert report["error"]["kind"] == "soundness"
+        result = report["result"]
+        assert result["det"]["brackets"]["dominance_ratio"]["contains_det"] is False
+        assert result["det"]["brackets"]["huang"]["contains_det"] is True
+        assert all(c["slack"] >= 0.0 for c in result["certificates"])
+        assert result["lcp"]["violations"] == 0
+        assert result["all_sound"] is False
+
+    @pytest.mark.parametrize("command", ["verify", "lcp-bound"])
+    def test_zero_samples_reach_the_library(self, capsys, fixture_path, command):
+        code, report = run_json(
+            capsys, command, "--input", fixture_path("lcp_8x8.mtx"), "--samples", "0"
+        )
+        assert code == 1
+        assert report["error"] == {"kind": "ValidationError",
+                                   "message": "sample_count must be at least 1"}
+
     def test_tolerance_is_verify_only(self, capsys, fixture_path):
         path = fixture_path("lcp_8x8.mtx")
         code, _ = run_json(capsys, "verify", "--input", path, "--samples", "5", "--tolerance", "1")
@@ -279,6 +309,22 @@ class TestGenerate:
 
         assert is_b1(A)
         assert matrix_digest(A) == report["digest"]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--order", "0"], "order must be at least 2"),
+        (["--n1-fraction", "0"], "n1_fraction must lie strictly between 0 and 1"),
+    ], ids=["order", "n1-fraction"])
+    def test_zero_reaches_the_library(self, capsys, flags, message):
+        code, report = run_json(capsys, "generate", "--seed", "1", *flags)
+        assert code == 1
+        assert report["error"] == {"kind": "ValidationError", "message": message}
+
+    def test_failed_output_leaves_path_uncreated(self, capsys, tmp_path):
+        path = tmp_path / "g.mtx"
+        code, report = run_json(capsys, "generate", "--order", "1", "--output", str(path))
+        assert code == 1
+        assert report["error"] == {"kind": "ValidationError", "message": "order must be at least 2"}
+        assert not path.exists()
 
 
 class TestErrors:

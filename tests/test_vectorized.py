@@ -5,6 +5,8 @@ operations per element as the loops in ``reference.py`` and only the
 maxima and minima are taken in a different order, which cannot change them.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -32,9 +34,11 @@ from diagdom import (
     schur_complement,
     sdd1_epsilon_bound,
 )
+from diagdom import normbounds
 from diagdom.classify import _s_sdd1_margins
 from diagdom.normbounds import (
     EPSILON_GRID_POINTS,
+    EPSILON_SCALAR_MAX,
     _epsilon_pieces,
     _epsilon_value,
     _pairwise_max,
@@ -119,6 +123,43 @@ def test_sdd1_epsilon_grid_and_certificate(n, seed, grid):
     cert, want = sdd1_epsilon_bound(A), reference.sdd1_epsilon_bound(A)
     assert cert.value == want.value
     assert cert.parameters == want.parameters
+
+
+def refinement_probes(A):
+    """Every (eps, value) the golden-section refinement of ``sdd1_epsilon_bound(A)`` evaluates."""
+    probes = []
+    real = normbounds._golden_min
+
+    def spy(f, a, b, width):
+        def recorded(e):
+            probes.append((e, f(e)))
+            return probes[-1][1]
+        return real(recorded, a, b, width)
+
+    with mock.patch.object(normbounds, "_golden_min", spy):
+        sdd1_epsilon_bound(A)
+    return probes
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=EPSILON_SCALAR_MAX), seeds, grids)
+def test_epsilon_refinement_on_floats(n, seed, grid):
+    # Below the crossover the refinement runs on Python floats; at every
+    # probe point it must equal the array evaluator bit for bit.
+    A = draw(generate_sdd1, n, seed, grid)
+    part = dominance_partition(A)
+    pieces = _epsilon_pieces(part, part.off[:, list(part.n2)].sum(axis=1))
+    probes = refinement_probes(A)
+    assert probes
+    for eps, value in probes:
+        assert type(eps) is float and type(value) is float
+        assert value == _epsilon_value(pieces, eps)
+
+
+def test_epsilon_refinement_crossover():
+    for n, kind in ((EPSILON_SCALAR_MAX, float), (EPSILON_SCALAR_MAX + 1, np.float64)):
+        probes = refinement_probes(generate_sdd1(n, 3, n1_fraction=0.5))
+        assert {type(value) for _, value in probes} == {kind}
 
 
 @settings(max_examples=40, deadline=None)

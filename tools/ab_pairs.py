@@ -2,6 +2,7 @@
 
     python3 tools/ab_pairs.py --parent REF [--change REF] \\
         --pair ensemble-audit=3301-3310 --pair large-dense=3401,3402 --out BENCH.json
+    python3 tools/ab_pairs.py --trajectory BENCH_*.json
 
 The parent (and ``--change``, when given; otherwise this checkout) is
 extracted with ``git archive`` into a temporary directory.  For each seed of
@@ -15,6 +16,10 @@ the parent, the parent's interquartile range, whether a gain is resolved
 IQR) and whether the change stays within the metric's bound.  It also keeps
 each run's digest, check counts and metrics, and the machine block of the
 benchmark's report line.  Standard library only.
+
+``--trajectory`` only reads: for every workload and end-to-end metric it
+prints one line per given file (in the order given) with that file's parent
+and change medians, the change's wins out of its pairs and the median change.
 """
 
 import argparse
@@ -89,14 +94,41 @@ def summarise(spec, parent, change):
     }
 
 
+def trajectory(paths):
+    """Lines of the trajectory view of the given output files."""
+    docs = [(Path(p).name, json.loads(Path(p).read_text())) for p in paths]
+    rows = {}  # (workload, metric) -> [(file, summary)], in first-seen order
+    for name, doc in docs:
+        for workload, entry in doc["workloads"].items():
+            for metric, summary in entry["metrics"].items():
+                rows.setdefault((workload, metric), []).append((name, summary))
+    width = max(len(name) for name, _ in docs)
+    lines = []
+    for (workload, metric), entries in rows.items():
+        unit, better = entries[0][1]["unit"], entries[0][1]["better"]
+        lines.append(f"{workload} {metric} ({unit}, {better} is better)")
+        for name, m in entries:
+            lines.append(f"  {name:<{width}}  {m['parent']['median']:.4g} -> "
+                         f"{m['change']['median']:.4g}  wins {m['wins']}/{m['pairs']}  "
+                         f"{m['median_change']:+.1%}")
+    return lines
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git ref of the parent side")
+    parser.add_argument("--parent", help="git ref of the parent side")
     parser.add_argument("--change", help="git ref of the change side (default: this checkout)")
-    parser.add_argument("--pair", action="append", required=True, metavar="WORKLOAD=SEEDS",
+    parser.add_argument("--pair", action="append", metavar="WORKLOAD=SEEDS",
                         help="workload and its seeds, e.g. ensemble-audit=3301-3310")
-    parser.add_argument("--out", required=True, help="JSON file to write")
+    parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--trajectory", nargs="+", metavar="BENCH.json",
+                        help="print the medians and wins of these output files and exit")
     args = parser.parse_args(argv)
+    if args.trajectory:
+        print("\n".join(trajectory(args.trajectory)))
+        return 0
+    if not (args.parent and args.pair and args.out):
+        parser.error("--parent, --pair and --out are required without --trajectory")
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = contract["run_seconds"]
