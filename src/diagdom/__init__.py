@@ -51,6 +51,7 @@ from .detbounds import (
     huang_bracket,
 )
 from .errors import (
+    DenominatorError,
     GenerationError,
     HypothesisError,
     MatrixMarketError,
@@ -82,6 +83,7 @@ from .normbounds import (
 from .oracle import (
     LuFactorization,
     determinant,
+    h_scaling,
     inf_norm,
     inverse,
     is_h_matrix,

@@ -22,10 +22,16 @@ import numpy as np
 
 from . import detbounds, lcp, normbounds
 from .classify import WITNESS_SEARCH_MAX, classify
-from .errors import HypothesisError, MatrixMarketError, ToolkitError, ValidationError
+from .errors import (
+    DenominatorError,
+    HypothesisError,
+    MatrixMarketError,
+    ToolkitError,
+    ValidationError,
+)
 from .generate import generate_b1, generate_sdd1
 from .mmio import format_matrix_market, matrix_digest, read_matrix_market, write_matrix_market
-from .oracle import determinant, inf_norm, inverse, is_h_matrix, is_p_matrix
+from .oracle import determinant, h_scaling, inf_norm, inverse, is_p_matrix
 from .schur import SCALAR_RTOL, schur_complement
 
 __all__ = ["main"]
@@ -97,8 +103,15 @@ def _emit(report, output):
         sys.stdout.write(text)
 
 
+def _h_section(A):
+    """Whether A is an H-matrix, and the scaling x that proves it (None if not)."""
+    x = h_scaling(A)
+    return x is not None, None if x is None else _jsonable(x)
+
+
 def _cmd_classify(A, args):
     rep = classify(A)
+    is_h, scaling = _h_section(A)
     witness = None if rep.s_sdd1_witness is None else _one_based(rep.s_sdd1_witness)
     if len(rep.partition.n2) > WITNESS_SEARCH_MAX:  # the search did not run
         witness = {"skipped": "size guard", "limit": WITNESS_SEARCH_MAX}
@@ -112,7 +125,8 @@ def _cmd_classify(A, args):
         "p_values": _jsonable(rep.partition.p_values),
         "dominance_degrees": _jsonable(rep.dominance_degrees),
         "s_sdd1_witness": witness,
-        "is_h_matrix": is_h_matrix(A),
+        "is_h_matrix": is_h,
+        "h_scaling": scaling,
     }}
 
 
@@ -257,7 +271,7 @@ def _cmd_verify(A, args):
         result["p_matrix"] = is_p_matrix(A)
     else:
         result["p_matrix"] = {"skipped": "size guard", "limit": VERIFY_P_MATRIX_MAX_ORDER}
-    result["h_matrix"] = is_h_matrix(A)
+    result["h_matrix"], result["h_scaling"] = _h_section(A)
     report = {"result": result}
     if not result["all_sound"]:
         report["error"] = {"kind": "soundness",
@@ -356,6 +370,8 @@ def main(argv=None) -> int:
         error = {"kind": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, HypothesisError):
             error = {"kind": "hypothesis", "hypothesis": exc.hypothesis, "message": str(exc)}
+        if isinstance(exc, DenominatorError):
+            error["rows"] = _one_based(exc.rows)
         report = {"command": args.command, "error": error}
     _emit(report, None if args.command == "generate" else args.output)  # --output is the matrix
     return 1 if "error" in report else 0

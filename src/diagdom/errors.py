@@ -30,6 +30,20 @@ class SingularDiagonalError(ToolkitError):
     """A damped row sum touched a zero diagonal entry."""
 
 
+class DenominatorError(ToolkitError):
+    """A denominator that the bound's hypotheses make positive was computed as
+    zero, negative or NaN.
+
+    Input scaled far from 1 does this: at 2^-600 a product of two diagonal
+    moduli underflows to zero, at 2^600 it overflows.  ``rows`` holds the
+    sorted 0-based rows whose terms failed.
+    """
+
+    def __init__(self, what, rows):
+        self.rows = tuple(sorted({int(i) for i in rows}))
+        super().__init__(f"{what} is not positive in rows {list(self.rows)}")
+
+
 class HypothesisError(ToolkitError):
     """An operation was invoked outside the hypotheses that make it valid.
 

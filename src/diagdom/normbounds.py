@@ -30,7 +30,7 @@ from .certificates import (
 )
 from .classify import _require_sdd1, _s_sdd1_margins, _validate_witness
 from .core import dominance_partition
-from .errors import HypothesisError, ParameterError
+from .errors import DenominatorError, HypothesisError, ParameterError
 from .oracle import inf_norm, inverse
 
 __all__ = [
@@ -61,7 +61,10 @@ def _pairwise_terms(d, rs, rows):
     i, j = np.nonzero(~np.eye(len(rows), dtype=bool))
     di, dj, ri = d[rows[i]], d[rows[j]], rs[rows[i]]
     den = di * dj - ri * rs[rows[j]]
-    assert (den > 0.0).all(), "pairwise denominator must be positive on a dominant block"
+    bad = ~(den > 0.0)  # NaN included
+    if bad.any():
+        raise DenominatorError("pairwise denominator |a_ii||a_jj| - R_i R_j",
+                               np.concatenate([rows[i][bad], rows[j][bad]]))
     return di, dj, ri, den
 
 
@@ -96,7 +99,8 @@ def _epsilon_pieces(part, rs):
 
     For non-dominant rows the denominator term is ``h0 - eps * rs``; for
     dominant rows it is ``eps * g + q0``.  The zeroed diagonal of ``off``
-    makes the j != i exclusions automatic.
+    makes the j != i exclusions automatic.  The last piece holds the rows of
+    n1 and n2, which the terms follow, to name them if a term fails.
     """
     off, d, R, P = part.off, part.diag, part.row_sums, part.p_values
     n1, n2 = list(part.n1), list(part.n2)
@@ -104,25 +108,41 @@ def _epsilon_pieces(part, rs):
     h0 = d[n1] - off[np.ix_(n1, n1)].sum(axis=1) - off[np.ix_(n1, n2)] @ ratio
     g = d[n2] - rs[n2]
     q0 = off[np.ix_(n2, n2)] @ ((R[n2] - P[n2]) / d[n2])
-    return h0, rs[n1], g, q0, float(ratio.max())
+    return h0, rs[n1], g, q0, float(ratio.max()), (part.n1, part.n2)
 
 
 def _epsilon_value(pieces, eps):
     """The bound at ``eps``, a scalar or a 1-D array of points evaluated at once."""
-    h0, rs1, g, q0, max_ratio = pieces
+    h0, rs1, g, q0, max_ratio, _ = pieces
     den = np.minimum((h0 - np.multiply.outer(eps, rs1)).min(axis=-1),
                      (np.multiply.outer(eps, g) + q0).min(axis=-1))
-    assert (den > 0.0).all(), "epsilon denominators are positive on the admissible interval"
+    if not (den > 0.0).all():
+        raise _epsilon_denominator_error(pieces, eps)
     return np.maximum(1.0, max_ratio + eps) / den
 
 
 def _epsilon_value_floats(pieces, eps):
     """``_epsilon_value`` at one point on Python floats, with the same IEEE operations."""
-    h0, rs1, g, q0, max_ratio = pieces
+    h0, rs1, g, q0, max_ratio, _ = pieces
     den = min(min([h - eps * r for h, r in zip(h0, rs1)]),
               min([eps * gi + qi for gi, qi in zip(g, q0)]))
-    assert den > 0.0, "epsilon denominators are positive on the admissible interval"
+    if not den > 0.0:
+        raise _epsilon_denominator_error(pieces, eps)
     return max(1.0, max_ratio + eps) / den
+
+
+def _epsilon_denominator_error(pieces, eps):
+    """The ``DenominatorError`` naming every row whose epsilon term is not positive at ``eps``.
+
+    On the admissible interval every term is positive in exact arithmetic;
+    only underflow, overflow or rounding at a dominance tie can break one.
+    """
+    h0, rs1, g, q0, _, (n1, n2) = pieces
+    eps = np.atleast_1d(eps)[:, None]
+    bad1 = ~(np.asarray(h0) - eps * np.asarray(rs1) > 0.0).all(axis=0)
+    bad2 = ~(eps * np.asarray(g) + np.asarray(q0) > 0.0).all(axis=0)
+    rows = [i for i, bad in zip(n1, bad1) if bad] + [j for j, bad in zip(n2, bad2) if bad]
+    return DenominatorError("epsilon denominator", rows)
 
 
 def _golden_min(f, a, b, width):
@@ -191,7 +211,7 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
     b = grid[min(len(grid) - 1, k + 1)]
     evaluate, at = _epsilon_value, pieces
     if part.n <= EPSILON_SCALAR_MAX:
-        evaluate, at = _epsilon_value_floats, (*(p.tolist() for p in pieces[:4]), pieces[4])
+        evaluate, at = _epsilon_value_floats, (*(p.tolist() for p in pieces[:4]), *pieces[4:])
         a, b = float(a), float(b)
     eps = _golden_min(lambda e: evaluate(at, e), a, b, EPSILON_REFINE_WIDTH)
     refined = evaluate(at, eps)
@@ -233,7 +253,8 @@ def _schur_tail(part, S, margins, rs, phi, cap):
         # C-ordered gathers: each row's sum and stacked dot round as its own sum() and @.
         coupling = ((off[sbar[:, None], S] / dS)[:, None, :] @ mS)[:, 0]
         den = d[sbar] - off[sbar[:, None], sbar].sum(axis=1) - coupling
-        assert (den > 0.0).all(), "restricted margins are positive under the S-dominance hypothesis"
+        if not (den > 0.0).all():  # positive under the S-dominance hypothesis
+            raise DenominatorError("restricted margin of an eliminated row", sbar[~(den > 0.0)])
         psi = np.max((1.0 + phi * rs[sbar]) / np.minimum(cap, den))
     prefactor = 1.0 + float((mS / dS).max())
     return prefactor, phi if psi is None else max(phi, psi), psi

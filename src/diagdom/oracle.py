@@ -1,8 +1,16 @@
 """Exact dense reference computations used to verify every certified bound.
 
 These are the floating-point oracles: LU with partial pivoting, inverse,
-determinant, infinity norm, and the exponential-cost structural scans
-(principal minors, comparison-matrix inverse nonnegativity).
+determinant, infinity norm, the exponential-cost principal-minor scan, and
+the H-matrix test with its scaling witness.
+
+The H-matrix test rests on a property of Z-matrices such as the comparison
+matrix <A>: <A> is a nonsingular M-matrix if and only if some x > 0 has
+<A>x > 0, and then x = <A>^{-1} 1 is one (Berman & Plemmons, *Nonnegative
+Matrices in the Mathematical Sciences*, 1994, ch. 6).  So one linear solve
+decides it, and the x it finds scales A into strict diagonal dominance:
+A diag(x) is SDD by rows.  ``h_scaling`` returns that x as an auditable
+witness; ``is_h_matrix`` asks whether it exists.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from .errors import SingularMatrixError, SizeLimitError
 __all__ = [
     "LuFactorization",
     "determinant",
+    "h_scaling",
     "inf_norm",
     "inverse",
     "is_h_matrix",
@@ -29,7 +38,7 @@ __all__ = [
 # Module-level tolerance knobs.  Fixed constants at desk scale; override in
 # one place if a different regime is ever needed.
 SINGULAR_PIVOT_RTOL = 1e-13  # pivot threshold relative to the matrix infinity norm
-INVERSE_NONNEG_TOL = 1e-10   # entrywise slack for inverse-nonnegativity tests
+INVERSE_NONNEG_TOL = 1e-10   # entrywise slack of the comparison inverse behind a Schur ``delta``
 P_MATRIX_MAX_ORDER = 20      # hard guard for the 2^n principal-minor scan
 LU_BLOCK = 32                # panel width of the blocked LU factorization
 LU_SCALAR_MAX = 16           # largest order the LU eliminates on Python floats (measured crossover)
@@ -326,11 +335,35 @@ def _nonneg_inverse(C) -> np.ndarray | None:
     return inv if (inv >= -INVERSE_NONNEG_TOL).all() else None
 
 
-def is_h_matrix(A) -> bool:
-    """True iff the comparison matrix has a (numerically) nonnegative inverse.
+def h_scaling(A) -> np.ndarray | None:
+    """The H-matrix witness: x = <A>^{-1} 1 if it proves <A> a nonsingular M-matrix, else None.
 
-    For Z-matrices this inverse-nonnegativity test is equivalent to being a
-    nonsingular M-matrix, so it avoids any eigensolver.  Singular comparison
-    matrices report False.
+    Solves <A> x = 1 once, with ``<A> = comparison_matrix(A)``.  The
+    read-only x is returned only if it is finite, x > 0, and the computed
+    ``comparison_matrix(A) @ x`` is > 0 in every row: exactly the inequalities
+    that make |a_ii| x_i > sum_{j != i} |a_ij| x_j, so A diag(x) is strictly
+    diagonally dominant by rows.  A singular <A>, a solve that overflows, and
+    an x that fails either inequality give None.
     """
-    return _nonneg_inverse(comparison_matrix(A)) is not None
+    C = comparison_matrix(A)
+    try:
+        x = np.linalg.solve(C, np.ones(C.shape[0]))
+    except np.linalg.LinAlgError:  # an exact zero pivot
+        return None
+    if not (np.isfinite(x).all() and (x > 0.0).all()):
+        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing product fails the test
+        residual = C @ x
+    if not (residual > 0.0).all():
+        return None
+    x.setflags(write=False)
+    return x
+
+
+def is_h_matrix(A) -> bool:
+    """True iff ``h_scaling`` finds a witness: <A> is a nonsingular M-matrix.
+
+    One solve with <A>, no inverse and no eigensolver; see ``h_scaling`` and
+    the module docstring for the method and its source.
+    """
+    return h_scaling(A) is not None

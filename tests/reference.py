@@ -3,12 +3,15 @@
 These are the column-by-column LU factorization and the blocked one with
 one NumPy call per step, the per-element Python loops the library used
 before its hot paths became whole-array NumPy work, the one-matrix-at-a-time
-oracle scans that became stacked NumPy calls, and ``schur_complement`` as
-each call built it before it validated once.  (The per-sample
-``default_rng`` loop is in ``sampled_norms``.)  The library's LU must agree
-with ``lu_factor_unblocked`` exactly up to its block width and with
-``lu_factor_blocked`` at every order; every other function here must agree
-with its library counterpart bit for bit (``==``, not ``allclose``).
+oracle scans that became stacked NumPy calls, the H-matrix test that
+inverted the comparison matrix before it became one solve, and
+``schur_complement`` as each call built it before it validated once.  (The
+per-sample ``default_rng`` loop is in ``sampled_norms``.)  The library's LU
+must agree with ``lu_factor_unblocked`` exactly up to its block width and
+with ``lu_factor_blocked`` at every order; ``is_h_matrix`` must give the
+library's answer on input kept away from singularity; every other function
+here must agree with its library counterpart bit for bit (``==``, not
+``allclose``).
 """
 
 import itertools
@@ -153,7 +156,7 @@ def epsilon_pieces(off, d, part, rs):
 
 
 def epsilon_value(pieces, eps):
-    h0, rs1, g, q0, max_ratio = pieces
+    h0, rs1, g, q0, max_ratio = pieces[:5]
     den = min((h0 - eps * rs1).min(), (eps * g + q0).min())
     assert den > 0.0
     return max(1.0, max_ratio + eps) / den
@@ -402,6 +405,16 @@ def is_p_matrix(A):
             if minor_sign(A[np.ix_(rows, rows)]) <= 0.0:
                 return False
     return True
+
+
+def is_h_matrix(A):
+    """The comparison matrix inverted whole: True iff <A>^{-1} exists and is
+    nonnegative up to ``INVERSE_NONNEG_TOL``."""
+    try:
+        inv = inverse(comparison_matrix(A))
+    except SingularMatrixError:
+        return False
+    return bool((inv >= -INVERSE_NONNEG_TOL).all())
 
 
 def scaled(M, dvec):

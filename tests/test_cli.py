@@ -121,6 +121,19 @@ class TestNormBound:
         assert "n1" in report["error"]["hypothesis"]
 
 
+    def test_out_of_range_denominator_is_structured(self, capsys, tmp_path):
+        # 2^-600 underflows the pairwise denominators: a JSON error, exit 1, no traceback.
+        path = tmp_path / "tiny.mtx"
+        diagdom.write_matrix_market(path, np.ldexp(diagdom.generate_sdd1(6, 3, 0.5), -600))
+        code = main(["norm-bound", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        error = json.loads(captured.out)["error"]
+        assert error["kind"] == "DenominatorError"
+        assert error["rows"] and set(error["rows"]) <= {1, 2, 3, 4, 5, 6}
+        assert "not positive" in error["message"]
+
+
 class TestDetBound:
     def test_brackets_reported(self, capsys, fixture_path):
         code, report = run_json(capsys, "det-bound", "--input", fixture_path("det_6x6_first.mtx"))

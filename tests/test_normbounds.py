@@ -4,17 +4,28 @@ import pytest
 from diagdom import (
     FORMULA_SDD1_SCHUR,
     FORMULA_SDD_PAIRWISE,
+    DenominatorError,
     HypothesisError,
     ParameterError,
     WitnessError,
+    b1_split,
     dominance_partition,
+    generate_b1,
+    generate_sdd1,
     inf_norm,
     inverse,
+    lcp_b1_bound,
     s_sdd1_schur_bound,
     sdd1_epsilon_bound,
     sdd1_schur_bound,
     sdd_pairwise_bound,
     with_exact_norm,
+)
+from diagdom.normbounds import (
+    _epsilon_pieces,
+    _epsilon_value,
+    _epsilon_value_floats,
+    _restricted_schur_value,
 )
 from matrices import NORM_8X8, SINGLE_N2
 from test_oracle import random_sdd
@@ -153,3 +164,42 @@ class TestWitnessBound:
                 continue
             cert = with_exact_norm(s_sdd1_schur_bound(A, part.n2), A)
             assert cert.slack >= -1e-9
+
+
+class TestDenominatorErrors:
+    """A denominator that is not positive raises a structured error naming its
+    rows, also under ``python -O``; no bound is clamped or returned."""
+
+    @pytest.mark.parametrize("exponent", [-600, 600])
+    def test_scaled_pairwise_denominator(self, exponent):
+        # At 2^-600 |a_ii||a_jj| - R_i R_j underflows to 0; at 2^600 it overflows.
+        A = np.ldexp(generate_sdd1(6, 3, 0.5), exponent)
+        M = np.ldexp(generate_b1(6, 3, 0.45), exponent)
+        n2 = dominance_partition(A).n2
+        with np.errstate(over="ignore", invalid="ignore"):
+            for call, rows in ((lambda: sdd1_schur_bound(A), n2),
+                               (lambda: s_sdd1_schur_bound(A, n2), n2),
+                               (lambda: lcp_b1_bound(M), dominance_partition(b1_split(M).a).n2)):
+                with pytest.raises(DenominatorError) as info:
+                    call()
+                assert info.value.rows and set(info.value.rows) <= set(rows)
+                assert str(list(info.value.rows)) in str(info.value)
+
+    def test_epsilon_denominator_names_non_dominant_rows(self):
+        # Past the interval's supremum a non-dominant row's term h0 - eps * rs turns negative.
+        part = dominance_partition(NORM_8X8)
+        pieces = _epsilon_pieces(part, part.off[:, list(part.n2)].sum(axis=1))
+        eps = 10 * sdd1_epsilon_bound(NORM_8X8).parameters["interval_sup"]
+        floats = (*(p.tolist() for p in pieces[:4]), *pieces[4:])
+        for call in (lambda: _epsilon_value(pieces, eps),
+                     lambda: _epsilon_value(pieces, np.array([eps / 100, eps])),
+                     lambda: _epsilon_value_floats(floats, eps)):
+            with pytest.raises(DenominatorError) as info:
+                call()
+            assert info.value.rows and set(info.value.rows) <= set(part.n1)
+
+    def test_restricted_margin_names_eliminated_rows(self):
+        part = dominance_partition(NORM_8X8)
+        with pytest.raises(DenominatorError) as info:
+            _restricted_schur_value(part, list(part.n2), 10 * part.diag)
+        assert info.value.rows and set(info.value.rows) <= set(part.n1)

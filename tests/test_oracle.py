@@ -3,17 +3,23 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import reference
 from diagdom import (
     SingularMatrixError,
     SizeLimitError,
     comparison_matrix,
     determinant,
+    b1_split,
     generate_b1,
+    h_scaling,
     inf_norm,
     inverse,
     is_h_matrix,
     is_p_matrix,
+    is_sdd,
     lu_factor,
     lu_solve,
 )
@@ -356,7 +362,34 @@ class TestHMatrix:
             assert is_h_matrix(random_sdd(6, 300 + seed))
 
     def test_zero_is_not(self):
-        assert not is_h_matrix(np.zeros((3, 3)))
+        for n in (1, 3):
+            assert h_scaling(np.zeros((n, n))) is None
+            assert not is_h_matrix(np.zeros((n, n)))
+
+    def test_singular_comparison_is_not(self):
+        # <A> = [[1, -1], [-1, 1]] for both: an exact zero pivot in the solve.
+        for A in ([[1.0, -1.0], [-1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]]):
+            assert h_scaling(A) is None
+            assert not is_h_matrix(A)
+
+    def test_overflowing_solve_is_not(self):
+        # x = <A>^{-1} 1 overflows to inf: False, with no exception or warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for A in ([[1e-320]], np.diag([1e-310, 1.0])):
+                assert h_scaling(A) is None
+                assert not is_h_matrix(A)
+                assert not reference.is_h_matrix(A)
+
+    def test_witness_contract(self, sdd1_ensemble, b1_ensemble):
+        # The returned x, as returned, makes <A> x > 0 and A diag(x) SDD by rows.
+        matrices = [*sdd1_ensemble, *(b1_split(M).a for M in b1_ensemble), NORM_8X8, LCP_8X8]
+        for A in matrices:
+            x = h_scaling(A)
+            assert x is not None and not x.flags.writeable
+            assert (x > 0).all() and (comparison_matrix(A) @ x > 0).all()
+            assert is_sdd(A * x)
+            assert is_h_matrix(A) == reference.is_h_matrix(A)
 
     def test_fixture(self):
         assert is_h_matrix(NORM_8X8)
@@ -367,3 +400,25 @@ class TestHMatrix:
         for A in sdd1_ensemble[:25]:
             dominator = inverse(comparison_matrix(A))
             assert (dominator >= np.abs(inverse(A)) - 1e-10).all()
+
+
+@st.composite
+def h_candidates(draw):
+    """A generic matrix, or a Z-matrix whose diagonal is its off-diagonal row
+    sum times a factor in [0.3, 1.7], so that both answers occur."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**31 - 1)))
+    A = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        A = -np.abs(A)
+        np.fill_diagonal(A, 0.0)
+        np.fill_diagonal(A, -A.sum(axis=1) * rng.uniform(0.3, 1.7, n) + (n == 1))
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(h_candidates())
+def test_h_matrix_agrees_with_inverse_reference(A):
+    # Kept away from singularity, one solve decides what the whole inverse did.
+    assume(np.linalg.cond(comparison_matrix(A)) < 1e8)
+    assert is_h_matrix(A) == reference.is_h_matrix(A)

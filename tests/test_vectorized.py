@@ -114,7 +114,8 @@ def test_sdd1_epsilon_grid_and_certificate(n, seed, grid):
     rs = off[:, n2].sum(axis=1)
     pieces = _epsilon_pieces(part, rs)
     want = reference.epsilon_pieces(off, d, part, rs)
-    assert all(np.array_equal(x, y) for x, y in zip(pieces, want, strict=True))
+    assert all(np.array_equal(x, y) for x, y in zip(pieces[:5], want, strict=True))
+    assert pieces[5] == (part.n1, part.n2)
     sup = reference.epsilon_sup(d, part.p_values, rs)
     top = sup if np.isfinite(sup) else 1.0
     grid = np.linspace(top * 1e-6, top * (1 - 1e-6), EPSILON_GRID_POINTS)
