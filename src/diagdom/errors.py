@@ -35,11 +35,12 @@ class DenominatorError(ToolkitError):
     zero, negative or NaN.
 
     Input scaled far from 1 does this: at 2^-600 a product of two diagonal
-    moduli underflows to zero, at 2^600 it overflows.  ``rows`` holds the
-    sorted 0-based rows whose terms failed.
+    moduli underflows to zero, at 2^600 it overflows.  ``what`` names the
+    denominator and ``rows`` holds the sorted 0-based rows whose terms failed.
     """
 
     def __init__(self, what, rows):
+        self.what = what
         self.rows = tuple(sorted({int(i) for i in rows}))
         super().__init__(f"{what} is not positive in rows {list(self.rows)}")
 

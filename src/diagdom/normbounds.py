@@ -253,8 +253,9 @@ def _schur_tail(part, S, margins, rs, phi, cap):
         # C-ordered gathers: each row's sum and stacked dot round as its own sum() and @.
         coupling = ((off[sbar[:, None], S] / dS)[:, None, :] @ mS)[:, 0]
         den = d[sbar] - off[sbar[:, None], sbar].sum(axis=1) - coupling
-        if not (den > 0.0).all():  # positive under the S-dominance hypothesis
-            raise DenominatorError("restricted margin of an eliminated row", sbar[~(den > 0.0)])
+        bad = ~(den > 0.0)  # positive under the S-dominance hypothesis
+        if bad.any():
+            raise DenominatorError("restricted margin of an eliminated row", sbar[bad])
         psi = np.max((1.0 + phi * rs[sbar]) / np.minimum(cap, den))
     prefactor = 1.0 + float((mS / dS).max())
     return prefactor, phi if psi is None else max(phi, psi), psi

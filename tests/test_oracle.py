@@ -10,9 +10,9 @@ import reference
 from diagdom import (
     SingularMatrixError,
     SizeLimitError,
+    b1_split,
     comparison_matrix,
     determinant,
-    b1_split,
     generate_b1,
     h_scaling,
     inf_norm,
