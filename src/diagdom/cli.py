@@ -66,7 +66,7 @@ _FORMULAS = {
 
 
 def _cert_payload(cert):
-    params = _jsonable(cert.parameters)
+    params = dict(cert.parameters)
     if isinstance(params.get("s"), list):  # reports speak 1-based
         params["s"] = [i + 1 for i in params["s"]]
     return {
@@ -78,24 +78,19 @@ def _cert_payload(cert):
     }
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _numpy_default(obj):
+    """``json.dumps`` hook for the numpy values that reports carry."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
         return bool(obj)
-    return obj
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report, output):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_numpy_default) + "\n"
     if output:
         with open(output, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -106,7 +101,7 @@ def _emit(report, output):
 def _h_section(A):
     """Whether A is an H-matrix, and the scaling x that proves it (None if not)."""
     x = h_scaling(A)
-    return x is not None, None if x is None else _jsonable(x)
+    return x is not None, x
 
 
 def _cmd_classify(A, args):
@@ -121,9 +116,9 @@ def _cmd_classify(A, args):
         "is_sdd1": rep.is_sdd1,
         "n1": _one_based(rep.partition.n1),
         "n2": _one_based(rep.partition.n2),
-        "row_sums": _jsonable(rep.partition.row_sums),
-        "p_values": _jsonable(rep.partition.p_values),
-        "dominance_degrees": _jsonable(rep.dominance_degrees),
+        "row_sums": rep.partition.row_sums,
+        "p_values": rep.partition.p_values,
+        "dominance_degrees": rep.dominance_degrees,
         "s_sdd1_witness": witness,
         "is_h_matrix": is_h,
         "h_scaling": scaling,
@@ -140,11 +135,11 @@ def _cmd_schur(A, args):
     return {"result": {
         "alpha": _one_based(res.alpha),
         "alpha_bar": _one_based(res.alpha_bar),
-        "complement": _jsonable(res.complement),
+        "complement": res.complement,
         "tilde_n1": _one_based(res.tilde_n1),
         "tilde_n2": _one_based(res.tilde_n2),
         "delta_available": res.delta is not None,
-        "delta": None if res.delta is None else _jsonable(res.delta),
+        "delta": res.delta,
         "certified_kind": res.certified_kind,
         "certified_lower_bounds": None
         if res.certified_lower_bounds is None
@@ -183,7 +178,7 @@ def _det_section(A):
             "lower": broad.lower,
             "upper": broad.upper,
             "theta": broad.theta,
-            "factors": _jsonable(broad.factors),
+            "factors": broad.factors,
         }
     except HypothesisError as exc:
         result["huang"] = {"unavailable": str(exc), "hypothesis": exc.hypothesis}
@@ -191,7 +186,7 @@ def _det_section(A):
     result["dominance_ratio"] = {
         "lower": tight.lower,
         "upper": tight.upper,
-        "factors": _jsonable(tight.factors),
+        "factors": tight.factors,
     }
     return result
 
@@ -263,7 +258,8 @@ def _cmd_verify(A, args):
     except HypothesisError as exc:
         result["lcp"] = {"skipped": exc.hypothesis}
 
-    sound = all(c.slack is not None and c.slack >= -tol for c in certs)
+    sound = all(c.slack is not None and c.slack >= -tol * min(1.0, abs(c.exact_value))
+                for c in certs)
     brackets = result["det"].get("brackets", {}).values()
     contained = all(b.get("contains_det", True) for b in brackets)
     result["all_sound"] = bool(sound and contained and result["lcp"].get("violations", 0) == 0)
@@ -340,7 +336,8 @@ def _build_parser():
     p.add_argument("--epsilon", type=float)
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tolerance", type=float, default=1e-9, help="soundness slack tolerance")
+    p.add_argument("--tolerance", type=float, default=1e-9,
+                   help="soundness slack tolerance, relative to an oracle below 1")
 
     p = sub.add_parser("generate")
     p.add_argument("--output", help="write the matrix here (Matrix Market) instead of stdout")

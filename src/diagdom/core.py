@@ -12,8 +12,7 @@ All indices in this API are 0-based.  The command-line layer converts to
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,43 +38,26 @@ MEMO_MAX_ORDER = 32  # largest order kept (measured, 2-CPU VM): a repeated parti
                      # bytes key makes a first call 24 us slower
 MEMO_ENTRIES = 8     # ensemble-audit's hit share is 79% with 1 entry, 97.1% with 2 and 97.6%
                      # from 4 on; 8 entries of order 32 hold at most 128 KiB of matrices and moduli
-_MEMO: OrderedDict = OrderedDict()  # key bytes -> [read-only matrix, IndexPartition or None]
-_MEMO_LOCK = threading.Lock()
 
 
-def _memo_key(arr):
-    """The memo key of a square float64 array: its C-order bytes, or None above the bound."""
-    if arr.dtype == np.float64 and arr.shape[0] <= MEMO_MAX_ORDER:
-        return arr.tobytes()
-    return None
+@functools.lru_cache(maxsize=MEMO_ENTRIES)
+def _analysis(key, n):
+    """The validated matrix with C-order float64 bytes ``key``, and its partition.
 
-
-def _memo_entry(key):
-    """The entry under ``key``, marked most recently used, or None."""
-    with _MEMO_LOCK:
-        entry = _MEMO.get(key)
-        if entry is not None:
-            _MEMO.move_to_end(key)
-        return entry
-
-
-def _memo_store(key, shape, partition=None):
-    """The entry under ``key``, made if absent (evicting the least recently used).
-
-    A new entry's matrix is a view of the key itself: a ``bytes`` buffer, so
-    the array can never be made writable and always matches its key.
+    The matrix is a view of ``key`` itself, a ``bytes`` buffer, so it can
+    never be made writable and always matches its key.  Non-finite entries
+    raise ``ValidationError``, and ``lru_cache`` stores no exception.
     """
-    with _MEMO_LOCK:
-        entry = _MEMO.get(key)
-        if entry is None:
-            entry = _MEMO[key] = [np.frombuffer(key, dtype=np.float64).reshape(shape), None]
-            if len(_MEMO) > MEMO_ENTRIES:
-                _MEMO.popitem(last=False)
-        else:
-            _MEMO.move_to_end(key)
-        if partition is not None:
-            entry[1] = partition
-        return entry
+    A = _finite(np.frombuffer(key, dtype=np.float64).reshape(n, n))
+    return A, _build_partition(A)
+
+
+def _finite(arr):
+    """``arr`` made read-only, or ValidationError if any entry is not finite."""
+    if not np.isfinite(arr).all():
+        raise ValidationError("matrix entries must be finite")
+    arr.setflags(write=False)
+    return arr
 
 
 def as_matrix(a) -> np.ndarray:
@@ -93,23 +75,10 @@ def as_matrix(a) -> np.ndarray:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-    key = _memo_key(arr)
-    if key is not None:
-        entry = _memo_entry(key)  # only finite bytes are ever stored
-        if entry is not None:
-            return entry[0]
-    if not np.isfinite(arr).all():
-        raise ValidationError("matrix entries must be finite")
-    return _share(arr, key)
-
-
-def _share(arr, key):
-    """The read-only matrix for a validated array: the memo's, or a copy above the bound."""
-    if key is not None:
-        return _memo_store(key, arr.shape)[0]
-    out = arr.copy()
-    out.setflags(write=False)
-    return out
+    n = arr.shape[0]
+    if n <= MEMO_MAX_ORDER:
+        return _analysis(arr.tobytes(), n)[0]
+    return _finite(arr.copy())
 
 
 def as_index_set(indices, n, *, allow_empty=False, name="index set") -> tuple[int, ...]:
@@ -201,11 +170,14 @@ def dominance_partition(A) -> IndexPartition:
 
 def _partition(A) -> IndexPartition:
     """``dominance_partition`` of an array that ``as_matrix`` has already validated."""
-    key = _memo_key(A)
-    if key is not None:
-        entry = _memo_entry(key)
-        if entry is not None and entry[1] is not None:
-            return entry[1]
+    n = A.shape[0]
+    if n <= MEMO_MAX_ORDER:
+        return _analysis(A.tobytes(), n)[1]
+    return _build_partition(A)
+
+
+def _build_partition(A) -> IndexPartition:
+    """The dominance partition of a validated matrix, built afresh."""
     off = np.abs(A)
     d = off.diagonal().copy()
     np.fill_diagonal(off, 0.0)
@@ -217,11 +189,8 @@ def _partition(A) -> IndexPartition:
     P = off[:, i1].sum(axis=1) + off[:, i2] @ w[i2]  # an empty set adds exact zeros
     for arr in (R, P, off, d):
         arr.setflags(write=False)
-    part = IndexPartition(n1=tuple(i1.tolist()), n2=tuple(i2.tolist()), row_sums=R,
+    return IndexPartition(n1=tuple(i1.tolist()), n2=tuple(i2.tolist()), row_sums=R,
                           p_values=P, off=off, diag=d)
-    if key is not None:
-        return _memo_store(key, A.shape, part)[1]
-    return part
 
 
 def comparison_matrix(A) -> np.ndarray:

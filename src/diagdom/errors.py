@@ -32,7 +32,7 @@ class SingularDiagonalError(ToolkitError):
 
 class DenominatorError(ToolkitError):
     """A denominator that the bound's hypotheses make positive was computed as
-    zero, negative or NaN.
+    zero, negative or NaN, or as infinite where no cap bounds it.
 
     Input scaled far from 1 does this: at 2^-600 a product of two diagonal
     moduli underflows to zero, at 2^600 it overflows.  ``what`` names the

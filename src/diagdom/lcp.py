@@ -134,8 +134,8 @@ def lcp_b1_bound(M) -> BoundCertificate:
     if len(n2) == 1:
         phi = max(1.0, 1.0 / d[n2[0]])
     else:
-        di, dj, ri, den = _pairwise_terms(d, rs, n2)
-        den = np.minimum(np.minimum(np.minimum(1.0, di), dj), den)
+        di, dj, ri, den = _pairwise_terms(d, rs, n2, 1.0)
+        den = np.minimum(np.minimum(di, dj), den)
         phi = np.max((np.maximum(1.0, dj) + ri) / den, initial=0.0)
     # P_i is R^{n1}_i + Q^{n2}_i; the scaling caps every psi denominator at 1.
     prefactor, best, psi = _schur_tail(part, n2, part.p_values, rs, phi, 1.0)

@@ -55,13 +55,19 @@ def with_exact_norm(cert: BoundCertificate, A) -> BoundCertificate:
     return cert.with_exact(inf_norm(inverse(A)))
 
 
-def _pairwise_terms(d, rs, rows):
-    """Flattened ordered pairs i != j in ``rows``: (d_i, d_j, rs_i, d_i d_j - rs_i rs_j)."""
+def _pairwise_terms(d, rs, rows, cap=math.inf):
+    """Flattened ordered pairs i != j in ``rows``: (d_i, d_j, rs_i, min(cap, d_i d_j - rs_i rs_j)).
+
+    ``cap`` is 1.0 for the LCP bound and infinity (no cap) for the norm
+    bounds.  Each capped denominator must be positive and finite: a product
+    d_i d_j that overflows to inf would make an uncapped term vanish.
+    """
     rows = np.asarray(rows, dtype=np.intp)
     i, j = np.nonzero(~np.eye(len(rows), dtype=bool))
     di, dj, ri = d[rows[i]], d[rows[j]], rs[rows[i]]
-    den = di * dj - ri * rs[rows[j]]
-    bad = ~(den > 0.0)  # NaN included
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = np.minimum(cap, di * dj - ri * rs[rows[j]])
+    bad = ~((den > 0.0) & (den < math.inf))  # NaN included
     if bad.any():
         raise DenominatorError("pairwise denominator |a_ii||a_jj| - R_i R_j",
                                np.concatenate([rows[i][bad], rows[j][bad]]))

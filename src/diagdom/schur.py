@@ -24,8 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import _require_sdd1, is_sdd1
-from .core import (IndexPartition, _memo_key, _partition, _share, as_index_set, as_matrix,
-                   dominance_partition)
+from .core import IndexPartition, _partition, as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
 from .oracle import _lu_factor, _nonneg_inverse, inf_norm, lu_solve
 
@@ -142,8 +141,7 @@ def schur_complement(A, alpha) -> SchurResult:
 
 def _analysed_complement(A, alpha, bar):
     """A/alpha as a shared read-only matrix, and its partition, both left in the memo."""
-    comp = _complement(A, alpha, bar)
-    comp = _share(comp, _memo_key(comp))
+    comp = as_matrix(_complement(A, alpha, bar))
     return comp, _partition(comp)
 
 

@@ -223,6 +223,21 @@ class TestVerify:
         assert slacks[FORMULA_SDD1_SCHUR] < 0.0
         assert list(report["timing"]) == ["verify"]
 
+    @pytest.mark.parametrize("exponent", [0, 40])
+    def test_unsound_certificate_is_caught_at_any_scale(self, capsys, fixture_path, tmp_path,
+                                                        monkeypatch, exponent):
+        # A quarter of the bound is unsound; at 2^40 its slack is only about -1e-12.
+        path = tmp_path / "norm.mtx"
+        A = np.ldexp(read_matrix_market(fixture_path("norm_8x8.mtx")), exponent)
+        diagdom.write_matrix_market(path, A)
+        real = normbounds.sdd1_schur_bound
+        monkeypatch.setattr(normbounds, "sdd1_schur_bound",
+                            lambda A: dataclasses.replace(real(A), value=real(A).value / 4))
+        code, report = run_json(capsys, "verify", "--input", str(path), "--samples", "20")
+        assert code == 1
+        assert report["error"]["kind"] == "soundness"
+        assert report["result"]["all_sound"] is False
+
     def test_bracket_missing_det_is_unsound(self, capsys, fixture_path, monkeypatch):
         real = detbounds.dominance_bracket
 

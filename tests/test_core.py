@@ -14,6 +14,7 @@ from diagdom import (
     dominance_partition,
     row_sum,
 )
+from diagdom.core import MEMO_MAX_ORDER
 from matrices import SCHUR_5X5, NORM_8X8
 
 
@@ -44,6 +45,15 @@ class TestAsMatrix:
         M = as_matrix([[1.0, 2.0], [3.0, 4.0]])
         with pytest.raises(ValueError):
             M[0, 0] = 9.0
+
+    def test_same_checks_above_the_memo_bound(self):
+        A = np.eye(MEMO_MAX_ORDER + 1)
+        M = as_matrix(A)
+        with pytest.raises(ValueError):
+            M[0, 0] = 9.0
+        A[0, 1] = np.nan
+        with pytest.raises(ValidationError):
+            as_matrix(A)
 
 
 class TestIndexSet:

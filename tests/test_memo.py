@@ -48,13 +48,11 @@ from test_vectorized import draw, same, schur_instance
 
 
 def clear_memo():
-    with core._MEMO_LOCK:
-        core._MEMO.clear()
+    core._analysis.cache_clear()
 
 
-def memo_orders():
-    with core._MEMO_LOCK:
-        return [entry[0].shape[0] for entry in core._MEMO.values()]
+def memo_size():
+    return core._analysis.cache_info().currsize
 
 
 def fingerprint(obj):
@@ -161,7 +159,7 @@ def test_signed_zeros_are_separate_entries_and_nan_still_raises():
     assert a is not b
     assert not np.signbit(a[0, 1]) and np.signbit(b[0, 1])
     assert dominance_partition(plus) is not dominance_partition(minus)
-    assert len(memo_orders()) == 2
+    assert memo_size() == 2
     for bad in (np.nan, np.inf):
         c = plus.copy()
         c[0, 1] = bad
@@ -169,7 +167,7 @@ def test_signed_zeros_are_separate_entries_and_nan_still_raises():
             as_matrix(c)
         with pytest.raises(ValidationError, match="finite"):
             dominance_partition(c)
-    assert len(memo_orders()) == 2
+    assert memo_size() == 2
 
 
 def test_shared_matrix_cannot_be_unlocked():
@@ -182,19 +180,22 @@ def test_shared_matrix_cannot_be_unlocked():
 def test_memo_stays_within_its_cap_and_order_bound():
     clear_memo()
     sizes = []
-    for n in [2, 3, MEMO_MAX_ORDER, MEMO_MAX_ORDER + 1, *range(4, 4 + 2 * MEMO_ENTRIES), 512]:
+    for n in [2, 3, MEMO_MAX_ORDER, *range(4, 4 + 2 * MEMO_ENTRIES)]:
         A = np.eye(n) * 2.0 + 1.0 / n  # strictly dominant: a complement of each order below
-        kept = list(core._MEMO)
         dominance_partition(A)
         schur_complement(A, [n - 1])
-        sizes.append(len(memo_orders()))
-        assert max(memo_orders()) <= MEMO_MAX_ORDER
+        sizes.append(memo_size())
     assert max(sizes) == MEMO_ENTRIES
-    assert list(core._MEMO) == kept  # the order-512 call neither added nor evicted
     clear_memo()
     as_matrix(np.eye(MEMO_MAX_ORDER))
-    as_matrix(np.eye(MEMO_MAX_ORDER + 1))
-    assert memo_orders() == [MEMO_MAX_ORDER]
+    assert memo_size() == 1
+    kept = core._analysis.cache_info()
+    big = [np.eye(n) * 2.0 + 1.0 / n for n in (MEMO_MAX_ORDER + 1, 512)]
+    for A in big:
+        as_matrix(A)
+        dominance_partition(A)
+    schur_complement(big[-1], [0])  # its complement, of order 511, is above the bound too
+    assert core._analysis.cache_info() == kept  # neither looked up, added nor evicted
 
 
 def test_delta_is_built_once_on_first_read():
@@ -256,4 +257,4 @@ def test_threads_sweeping_different_matrices_match_a_serial_run():
     assert not any(t.is_alive() for t in threads)
     assert results == [[[s] * 3 for s in mats] for mats in serial]
     assert all(d is deltas[0] for d in deltas) and deltas[0] is not None
-    assert len(memo_orders()) <= MEMO_ENTRIES
+    assert memo_size() <= MEMO_ENTRIES

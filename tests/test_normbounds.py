@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,32 @@ class TestDenominatorErrors:
                     call()
                 assert info.value.rows and set(info.value.rows) <= set(rows)
                 assert str(list(info.value.rows)) in str(info.value)
+
+    @pytest.mark.parametrize("exponent", [510, 515, 600])
+    def test_overflowing_diagonal_product(self, exponent):
+        # From 2^512 on |a_ii||a_jj| overflows to inf while R_i R_j stays finite,
+        # so the pairwise term (|a_jj| + R_i) / inf would vanish.
+        tie = 2.0**-10
+        A = np.ldexp([[1.0, 1.0, 1.0], [tie, 1.0, tie], [tie, tie, 1.0]], exponent)
+        B = np.ldexp([[1.0, tie], [tie, 1.0]], exponent)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call, M in ((lambda: sdd1_schur_bound(A), A),
+                            (lambda: s_sdd1_schur_bound(A, [1, 2]), A),
+                            (lambda: sdd_pairwise_bound(B), B)):
+                if exponent < 512:
+                    assert call().value >= exact_norm(M)
+                else:
+                    with pytest.raises(DenominatorError):
+                        call()
+
+    def test_lcp_caps_an_overflowing_pairwise_denominator(self):
+        # The LCP bound's pairwise denominator min(1, a_ii, a_jj, .) is 1 either way.
+        tie = 2.0**-10
+        M = np.ldexp([[1.0, -1.0, -1.0], [-tie, 1.0, -tie], [-tie, -tie, 1.0]], 515)
+        with np.errstate(over="ignore"):
+            cert = lcp_b1_bound(M)
+        assert cert.parameters["phi"] == np.ldexp(1.0 + tie, 515)
 
     def test_epsilon_denominator_names_non_dominant_rows(self):
         # Past the interval's supremum a non-dominant row's term h0 - eps * rs turns negative.
