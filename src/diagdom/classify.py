@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexPartition, as_index_set, as_matrix, dominance_partition
+from .core import IndexPartition, _partition, as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SizeLimitError, WitnessError
 
 __all__ = [
@@ -68,20 +68,25 @@ def is_sdd(A) -> bool:
     return len(part.n1) == 0
 
 
-def dominance_degrees(A, partition=None) -> np.ndarray:
+def dominance_degrees(A) -> np.ndarray:
     """Per-row margins |a_ii| - P_i; all positive exactly when the matrix is SDD1."""
-    part = partition if partition is not None else dominance_partition(A)
+    part = dominance_partition(A)
     return part.diag - part.p_values
 
 
-def is_sdd1(A, partition=None) -> bool:
+def is_sdd1(A) -> bool:
     """Generalized dominance |a_ii| > P_i for every row."""
-    return bool((dominance_degrees(A, partition) > 0).all())
+    return _is_sdd1(dominance_partition(A))
 
 
-def _require_sdd1(A, part):
-    """Raise unless the matrix with partition ``part`` is SDD1."""
-    if not is_sdd1(A, part):
+def _is_sdd1(part) -> bool:
+    """The SDD1 inequality |a_ii| > P_i for every row of the matrix partitioned as ``part``."""
+    return bool((part.diag > part.p_values).all())
+
+
+def _require_sdd1(part):
+    """Raise unless the matrix partitioned as ``part`` is SDD1."""
+    if not _is_sdd1(part):
         raise HypothesisError("matrix is not SDD1")
 
 
@@ -118,13 +123,17 @@ def is_s_sdd1(A, S) -> bool:
     return bool((_s_sdd1_margins(part, _validate_witness(part, S)) > 0).all())
 
 
-def find_s_sdd1_witness(A, partition=None) -> tuple[int, ...] | None:
+def find_s_sdd1_witness(A) -> tuple[int, ...] | None:
     """Search for a subset S of n2 making the matrix S-restricted dominant.
 
     Exhaustive over subsets, largest cardinality first, lexicographically
     first winner reported.  Guarded to |n2| <= 15.
     """
-    part = partition if partition is not None else dominance_partition(A)
+    return _find_witness(dominance_partition(A))
+
+
+def _find_witness(part) -> tuple[int, ...] | None:
+    """``find_s_sdd1_witness`` of the matrix partitioned as ``part``."""
     n2 = part.n2
     if len(n2) > WITNESS_SEARCH_MAX:
         raise SizeLimitError(
@@ -140,15 +149,14 @@ def find_s_sdd1_witness(A, partition=None) -> tuple[int, ...] | None:
 def classify(A) -> ClassReport:
     """Assemble the full class report for one matrix."""
     part = dominance_partition(A)
-    degrees = dominance_degrees(A, part)
     witness = None
     if part.n2 and len(part.n2) <= WITNESS_SEARCH_MAX:
-        witness = find_s_sdd1_witness(A, part)
+        witness = _find_witness(part)
     return ClassReport(
         is_sdd=len(part.n1) == 0,
-        is_sdd1=bool((degrees > 0).all()),
+        is_sdd1=_is_sdd1(part),
         s_sdd1_witness=witness,
-        dominance_degrees=degrees,
+        dominance_degrees=part.diag - part.p_values,
         partition=part,
     )
 
@@ -165,14 +173,14 @@ def b1_split(M) -> B1Split:
     return B1Split(a=a, c=c, r=r)
 
 
-def _b1_partition(split) -> IndexPartition | None:
-    """Partition of the shift part ``split.a`` when the split matrix is B1, else None."""
-    if not (split.a.diagonal() > 0).all():
+def _positive_sdd1(A) -> IndexPartition | None:
+    """Partition of a validated matrix when it is SDD1 with positive diagonal, else None."""
+    if not (A.diagonal() > 0).all():
         return None
-    part = dominance_partition(split.a)
-    return part if is_sdd1(split.a, part) else None
+    part = _partition(A)
+    return part if _is_sdd1(part) else None
 
 
 def is_b1(M) -> bool:
     """True iff the shift part of the split is SDD1 with all-positive diagonal."""
-    return _b1_partition(b1_split(M)) is not None
+    return _positive_sdd1(b1_split(M).a) is not None

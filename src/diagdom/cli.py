@@ -3,8 +3,8 @@
 Subcommands: classify, schur, norm-bound, det-bound, lcp-bound, verify,
 generate.  All indices in flags and reports are 1-based; the Python API
 underneath is 0-based.  Exit codes: 0 success, 1 when a guarded hypothesis is
-violated or a bound's denominator is not positive (reported structurally,
-never as a traceback), 2 for I/O, parse, or usage errors.
+violated or a bound's denominator is not positive and finite (reported
+structurally, never as a traceback), 2 for I/O, parse, or usage errors.
 
 Every subcommand but ``generate`` runs one pipeline in ``main``: read and hash
 the input, call the subcommand's handler ``(A, args) -> dict`` (no I/O, no
@@ -369,7 +369,7 @@ def main(argv=None) -> int:
             error = {"kind": "hypothesis", "hypothesis": exc.hypothesis, "message": str(exc)}
         if isinstance(exc, DenominatorError):  # reports speak 1-based
             rows = _one_based(exc.rows)
-            error.update(message=f"{exc.what} is not positive in rows {rows}", rows=rows)
+            error.update(message=exc.describe(rows), rows=rows)
         report = {"command": args.command, "error": error}
     _emit(report, None if args.command == "generate" else args.output)  # --output is the matrix
     return 1 if "error" in report else 0

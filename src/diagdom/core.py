@@ -139,12 +139,10 @@ def row_sum(A, i, subset=None) -> float:
     return float(sum(abs(A[i, j]) for j in cols if j != i))
 
 
-def damped_row_sum(A, i, subset, partition=None) -> float:
+def damped_row_sum(A, i, subset) -> float:
     """Damped restricted row sum Q^S_i: sum of |a_ij| * R_j / |a_jj| over j in S, j != i.
 
     Every j in the subset (other than i) must have a nonzero diagonal.
-    ``partition``, the matrix's own ``dominance_partition``, saves building it
-    again.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -152,7 +150,7 @@ def damped_row_sum(A, i, subset, partition=None) -> float:
         raise ValidationError(f"row index {i} outside 0..{n - 1}")
     i = int(i)
     cols = as_index_set(subset, n, allow_empty=True, name="subset")
-    part = partition if partition is not None and partition.n == n else dominance_partition(A)
+    part = _partition(A)
     total = 0.0
     for j in cols:
         if j == i:

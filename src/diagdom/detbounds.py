@@ -139,7 +139,7 @@ def huang_bracket(A) -> DetBracket:
             "every non-dominant row decouples from the dominant columns, "
             "so the global weight has no finite definition",
         )
-    _require_sdd1(A, part)
+    _require_sdd1(part)
     theta = min(candidates)
     x = np.ones(part.n)
     x[n2] = theta + R[n2] / d[n2]
@@ -154,7 +154,7 @@ def dominance_bracket(A) -> DetBracket:
     f_i >= |a_ii| - P_i > 0, so the lower endpoint is strictly positive.
     """
     part = _ordered_partition(A)
-    _require_sdd1(A, part)
+    _require_sdd1(part)
     d = part.diag
     y = np.empty(part.n)
     n1, n2 = list(part.n1), list(part.n2)

@@ -42,7 +42,11 @@ class DenominatorError(ToolkitError):
     def __init__(self, what, rows):
         self.what = what
         self.rows = tuple(sorted({int(i) for i in rows}))
-        super().__init__(f"{what} is not positive in rows {list(self.rows)}")
+        super().__init__(self.describe(self.rows))
+
+    def describe(self, rows) -> str:
+        """The message naming ``rows``, which a report may number from 1."""
+        return f"{self.what} is not positive and finite in rows {list(rows)}"
 
 
 class HypothesisError(ToolkitError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .classify import _is_sdd1
 from .core import as_matrix, dominance_partition
 from .errors import GenerationError, ValidationError
 
@@ -94,13 +95,7 @@ def generate_sdd1(n, seed, n1_fraction=0.4, positive_diagonal=False, z_pattern=F
             continue
 
         part = dominance_partition(A)
-        degrees = np.abs(A.diagonal()) - part.p_values
-        if (
-            (degrees > 0).all()
-            and part.n1 == tuple(int(i) for i in n1_rows)
-            and part.n1
-            and part.n2
-        ):
+        if _is_sdd1(part) and part.n1 == tuple(int(i) for i in n1_rows) and part.n2:
             return as_matrix(A)
     raise GenerationError(
         f"no SDD1 instance with {k1} non-dominant rows of order {n} "
@@ -131,8 +126,7 @@ def generate_b1(n, seed, n1_fraction=0.4, shift_probability=0.5):
             a[i, int(rng.choice(cols))] = 0.0
             r[i] = rng.integers(1, 33) / 16.0
         part = dominance_partition(a)
-        degrees = np.abs(a.diagonal()) - part.p_values
-        if not ((degrees > 0).all() and part.n1 and part.n2):
+        if not (_is_sdd1(part) and part.n1 and part.n2):
             continue  # zeroing an entry may have collapsed a class
         return as_matrix(a + r[:, None])
     raise GenerationError(f"no B1 instance of order {n} within {RETRY_BUDGET} draws")

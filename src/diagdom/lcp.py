@@ -16,8 +16,8 @@ import numpy as np
 
 from ._streams import uniform_streams
 from .certificates import FORMULA_LCP_B1, BoundCertificate
-from .classify import _b1_partition, _s_sdd1_margins, b1_split, is_sdd1
-from .core import as_matrix, dominance_partition
+from .classify import _positive_sdd1, _s_sdd1_margins, b1_split
+from .core import as_matrix
 from .errors import HypothesisError, SingularMatrixError, SizeLimitError, ValidationError
 from .mmio import matrix_digest
 from .normbounds import _pairwise_terms, _schur_tail
@@ -121,7 +121,7 @@ def lcp_b1_bound(M) -> BoundCertificate:
     max{1, 1/a_ii}.  Rows are those of ``a`` throughout.
     """
     split = b1_split(M)
-    part = _b1_partition(split)
+    part = _positive_sdd1(split.a)
     if part is None:
         raise HypothesisError(
             "matrix is not B1",
@@ -221,8 +221,8 @@ def scaled_matrix_sdd1_check(A, dvec) -> bool:
     n1(B) inside n1(A)), and B is S-restricted dominant with witness n2(A).
     """
     A = as_matrix(A)
-    part = dominance_partition(A)
-    if not ((A.diagonal() > 0).all() and is_sdd1(A, part)):
+    part = _positive_sdd1(A)
+    if part is None:
         raise HypothesisError(
             "matrix is not SDD1 with positive diagonal",
             "the scaling-structure checks need positive diagonal SDD1 input",
@@ -230,11 +230,9 @@ def scaled_matrix_sdd1_check(A, dvec) -> bool:
     dvec = np.asarray(dvec, dtype=float)
     if dvec.shape != (A.shape[0],) or ((dvec < 0) | (dvec > 1)).any():
         raise ValidationError("scaling vector must lie in [0,1]^n")
-    B = _scaled(A, dvec)
-    bpart = dominance_partition(B)
+    bpart = _positive_sdd1(_scaled(A, dvec))
     checks = (
-        is_sdd1(B, bpart)
-        and (B.diagonal() > 0).all()
+        bpart is not None
         and set(bpart.n1) <= set(part.n1)
         and set(part.n2) <= set(bpart.n2)
         and (_s_sdd1_margins(bpart, part.n2) > 0).all()  # witness n2(A), inside n2(B) here

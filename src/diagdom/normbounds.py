@@ -32,6 +32,7 @@ from .classify import _require_sdd1, _s_sdd1_margins, _validate_witness
 from .core import dominance_partition
 from .errors import DenominatorError, HypothesisError, ParameterError
 from .oracle import inf_norm, inverse
+from .schur import _eliminated_margins
 
 __all__ = [
     "s_sdd1_schur_bound",
@@ -181,7 +182,7 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
     interval supremum are recorded in the certificate parameters.
     """
     part = dominance_partition(A)
-    _require_sdd1(A, part)
+    _require_sdd1(part)
     if not part.n1 or not part.n2:
         raise HypothesisError(
             "n1 or n2 is empty",
@@ -245,25 +246,21 @@ def _restricted_schur_value(part, S, margins):
 def _schur_tail(part, S, margins, rs, phi, cap):
     """The eliminated-row term psi and the prefactor shared by every Schur bound.
 
-    psi is the max over rows i outside ``S`` of
-    (1 + phi R^S_i) / min(cap, |a_ii| - R^{Sbar}_i - sum_{j in S} |a_ij| m_j / |a_jj|),
-    with ``cap`` 1.0 for the LCP bound and infinity (no cap) for the norm
+    psi is the max over rows i outside ``S`` of (1 + phi R^S_i) / min(cap, e_i),
+    where e_i is ``schur._eliminated_margins`` with m = ``margins``, and
+    ``cap`` is 1.0 for the LCP bound and infinity (no cap) for the norm
     bounds.  Returns (prefactor, max(phi, psi), psi); psi is None when S
     covers every row.
     """
-    off, d = part.off, part.diag
     sbar = np.delete(np.arange(part.n), S)
     psi = None
-    dS, mS = d[S], margins[S]
     if len(sbar):
-        # C-ordered gathers: each row's sum and stacked dot round as its own sum() and @.
-        coupling = ((off[sbar[:, None], S] / dS)[:, None, :] @ mS)[:, 0]
-        den = d[sbar] - off[sbar[:, None], sbar].sum(axis=1) - coupling
+        den = _eliminated_margins(part, S, sbar, margins)
         bad = ~(den > 0.0)  # positive under the S-dominance hypothesis
         if bad.any():
             raise DenominatorError("restricted margin of an eliminated row", sbar[bad])
         psi = np.max((1.0 + phi * rs[sbar]) / np.minimum(cap, den))
-    prefactor = 1.0 + float((mS / dS).max())
+    prefactor = 1.0 + float((margins[S] / part.diag[S]).max())
     return prefactor, phi if psi is None else max(phi, psi), psi
 
 
@@ -277,7 +274,7 @@ def sdd1_schur_bound(A) -> BoundCertificate:
     reciprocal of its diagonal modulus.
     """
     part = dominance_partition(A)
-    _require_sdd1(A, part)
+    _require_sdd1(part)
     if not part.n1:
         sub = _sdd_pairwise(part)
         params = {"substituted_formula": FORMULA_SDD_PAIRWISE, "reason": "n1 empty"}

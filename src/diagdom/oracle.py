@@ -38,7 +38,6 @@ __all__ = [
 # Module-level tolerance knobs.  Fixed constants at desk scale; override in
 # one place if a different regime is ever needed.
 SINGULAR_PIVOT_RTOL = 1e-13  # pivot threshold relative to the matrix infinity norm
-INVERSE_NONNEG_TOL = 1e-10   # entrywise slack of the comparison inverse behind a Schur ``delta``
 P_MATRIX_MAX_ORDER = 20      # hard guard for the 2^n principal-minor scan
 LU_BLOCK = 32                # panel width of the blocked LU factorization
 LU_SCALAR_MAX = 16           # largest order the LU eliminates on Python floats (measured crossover)
@@ -323,18 +322,6 @@ def is_p_matrix(A) -> bool:
     return True
 
 
-def _nonneg_inverse(C) -> np.ndarray | None:
-    """Inverse of a comparison matrix ``C`` if it is (numerically) nonnegative, else None.
-
-    ``None`` also covers a singular comparison matrix.
-    """
-    try:
-        inv = _inverse(C)
-    except SingularMatrixError:
-        return None
-    return inv if (inv >= -INVERSE_NONNEG_TOL).all() else None
-
-
 def h_scaling(A) -> np.ndarray | None:
     """The H-matrix witness: x = <A>^{-1} 1 if it proves <A> a nonsingular M-matrix, else None.
 
@@ -345,7 +332,14 @@ def h_scaling(A) -> np.ndarray | None:
     diagonally dominant by rows.  A singular <A>, a solve that overflows, and
     an x that fails either inequality give None.
     """
-    C = comparison_matrix(A)
+    return _m_matrix_witness(comparison_matrix(A))
+
+
+def _m_matrix_witness(C) -> np.ndarray | None:
+    """``h_scaling`` of any matrix whose comparison matrix is the Z-matrix ``C``.
+
+    The one M-matrix test: the Schur ``delta`` applies it to its pivot block.
+    """
     try:
         x = np.linalg.solve(C, np.ones(C.shape[0]))
     except np.linalg.LinAlgError:  # an exact zero pivot

@@ -23,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classify import _require_sdd1, is_sdd1
+from .classify import _is_sdd1, _require_sdd1
 from .core import IndexPartition, _partition, as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
-from .oracle import _lu_factor, _nonneg_inverse, inf_norm, lu_solve
+from .oracle import _inverse, _lu_factor, _m_matrix_witness, inf_norm, lu_solve
 
 __all__ = [
     "SchurResult",
@@ -90,8 +90,11 @@ def _coupling_radii(part, alpha, bar):
     ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
     comparison = -part.off[ia[:, None], ia]  # <A(alpha)> from the moduli of the partition
     np.fill_diagonal(comparison, part.diag[ia])
-    inv_comp = _nonneg_inverse(comparison)
-    if inv_comp is None:  # the pivot block is not an H-matrix
+    if _m_matrix_witness(comparison) is None:  # the test of ``h_scaling``
+        return None
+    try:
+        inv_comp = _inverse(comparison)
+    except SingularMatrixError:
         return None
     # Rounding may leave tiny negatives in an M-matrix inverse; clamping
     # them up only widens the radii, keeping the entry sandwich valid.
@@ -126,7 +129,7 @@ def schur_complement(A, alpha) -> SchurResult:
     A, alpha, bar = _validate_alpha(A, alpha)
     part = _partition(A)
     comp, cpart = _analysed_complement(A, alpha, bar)
-    certified, kind = _certified_dispatch(A, part, alpha, bar)
+    certified, kind = _certified_dispatch(part, alpha, bar)
     return SchurResult(
         complement=comp,
         alpha=alpha,
@@ -160,14 +163,16 @@ def _complement(A, alpha, bar):
     return comp
 
 
-def _certified_dispatch(A, part, alpha, bar):
-    if not is_sdd1(A, part):
+def _certified_dispatch(part, alpha, bar):
+    """The certified lower bounds keyed by row and their kind, or (None, None)."""
+    if not _is_sdd1(part):
         return None, None
     aset, n2set = set(alpha), set(part.n2)
     if aset < n2set:
         return _proper_subset_margins(part, alpha, bar), "sdd1_degree"
     if n2set <= aset:  # alpha = n2 leaves bar = n1, nonempty as alpha is proper
-        return _eliminated_margins(part, alpha, bar), "sdd_degree"
+        margins = _eliminated_margins(part, alpha, bar, part.p_values)
+        return dict(zip(bar, margins.tolist())), "sdd_degree"
     return None, None
 
 
@@ -199,16 +204,16 @@ def _proper_subset_margins(part, alpha, bar):
     return dict(zip(bar, (base - coupling).tolist()))
 
 
-def _eliminated_margins(part, alpha, bar):
-    """Certified |a'_tt| - R_t(A/alpha) lower bounds for alpha containing n2.
+def _eliminated_margins(part, alpha, bar, m) -> np.ndarray:
+    """|a_tt| - R^{bar}_t - sum over h in alpha of |a_th| m_h / |a_hh| for each row t in bar.
 
-    Row t gets |a_tt| - R^{bar}_t - sum over h in alpha of |a_th| P_h / |a_hh|.
+    With m = P it bounds |a'_tt| - R_t(A/alpha) for alpha containing n2.
     """
     off, d = part.off, part.diag
     ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
-    coupling = ((off[ib[:, None], ia] / d[ia])[:, None, :] @ part.p_values[ia])[:, 0]
-    margins = d[ib] - off[ib[:, None], ib].sum(axis=1) - coupling
-    return dict(zip(bar, margins.tolist()))
+    # C-ordered gathers: each row's sum and stacked dot round as its own sum() and @.
+    coupling = ((off[ib[:, None], ia] / d[ia])[:, None, :] @ m[ia])[:, 0]
+    return d[ib] - off[ib[:, None], ib].sum(axis=1) - coupling
 
 
 def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
@@ -221,7 +226,7 @@ def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
     """
     A, alpha, bar = _validate_alpha(A, alpha)
     part = _partition(A)
-    _require_sdd1(A, part)
+    _require_sdd1(part)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
             "alpha is not a proper subset of n2",
@@ -233,7 +238,7 @@ def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
 def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
     """Certified lower bounds on |a'_tt| - R_t(A/n2): the complement is SDD."""
     part = dominance_partition(A)
-    _require_sdd1(A, part)
+    _require_sdd1(part)
     if not part.n1:
         raise HypothesisError(
             "n1 is empty",
@@ -242,20 +247,20 @@ def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
         )
     if not part.n2:
         raise HypothesisError("n2 is empty", "there is no dominant set to eliminate")
-    return _eliminated_margins(part, part.n2, part.n1)
+    return _certified_dispatch(part, part.n2, part.n1)[0]
 
 
 def certified_bound_superset(A, alpha) -> dict[int, float]:
     """Certified lower bounds on |a'_tt| - R_t(A/alpha) for alpha beyond n2."""
     A, alpha, bar = _validate_alpha(A, alpha)
     part = _partition(A)
-    _require_sdd1(A, part)
+    _require_sdd1(part)
     if not set(part.n2) < set(alpha):
         raise HypothesisError(
             "alpha does not strictly contain n2",
             "this regime needs n2 strictly inside alpha, alpha strictly inside N",
         )
-    return _eliminated_margins(part, alpha, bar)
+    return _certified_dispatch(part, alpha, bar)[0]
 
 
 def tilde_set_identity_check(A, alpha) -> bool:

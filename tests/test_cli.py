@@ -131,7 +131,7 @@ class TestNormBound:
         error = json.loads(captured.out)["error"]
         assert error["kind"] == "DenominatorError"
         assert error["rows"] and set(error["rows"]) <= {1, 2, 3, 4, 5, 6}
-        assert error["message"].endswith(f"is not positive in rows {error['rows']}")
+        assert error["message"].endswith(f"is not positive and finite in rows {error['rows']}")
 
 
 class TestDetBound:

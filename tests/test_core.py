@@ -93,7 +93,7 @@ class TestRowSum:
 class TestDampedRowSum:
     def test_fixture_value(self):
         part = dominance_partition(SCHUR_5X5)
-        got = damped_row_sum(SCHUR_5X5, 3, part.n2, part)
+        got = damped_row_sum(SCHUR_5X5, 3, part.n2)
         assert got == pytest.approx(0.5, abs=1e-15)
 
     def test_self_only_subset_is_empty(self):
@@ -138,9 +138,7 @@ class TestPartition:
     def test_p_values_cached(self):
         part = dominance_partition(SCHUR_5X5)
         for i in range(5):
-            expected = row_sum(SCHUR_5X5, i, part.n1) + damped_row_sum(
-                SCHUR_5X5, i, part.n2, part
-            )
+            expected = row_sum(SCHUR_5X5, i, part.n1) + damped_row_sum(SCHUR_5X5, i, part.n2)
             assert part.p_values[i] == pytest.approx(expected, rel=1e-14)
 
     @settings(max_examples=50, deadline=None)

@@ -133,6 +133,9 @@ class TestNesting:
             ordered = dominance_ordering(A).apply(A)
             assert bracket_nesting_check(ordered)
 
+    # ROADMAP item 2: the float products overflow at order 256, and np.prod
+    # warns on the way; the assertions below pin the structured error.
+    @pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
     def test_overflow_raises(self):
         # At order 256 both brackets and the oracle |det| overflow to inf,
         # where inf <= inf would pass every comparison of the chain.
