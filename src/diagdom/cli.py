@@ -369,7 +369,7 @@ def main(argv=None) -> int:
             error = {"kind": "hypothesis", "hypothesis": exc.hypothesis, "message": str(exc)}
         if isinstance(exc, DenominatorError):  # reports speak 1-based
             rows = _one_based(exc.rows)
-            error.update(message=exc.describe(rows), rows=rows)
+            error.update(message=exc._describe(rows), rows=rows)
         report = {"command": args.command, "error": error}
     _emit(report, None if args.command == "generate" else args.output)  # --output is the matrix
     return 1 if "error" in report else 0

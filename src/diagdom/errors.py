@@ -42,9 +42,9 @@ class DenominatorError(ToolkitError):
     def __init__(self, what, rows):
         self.what = what
         self.rows = tuple(sorted({int(i) for i in rows}))
-        super().__init__(self.describe(self.rows))
+        super().__init__(self._describe(self.rows))
 
-    def describe(self, rows) -> str:
+    def _describe(self, rows) -> str:
         """The message naming ``rows``, which a report may number from 1."""
         return f"{self.what} is not positive and finite in rows {list(rows)}"
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diagdom import (
+    SizeLimitError,
     WitnessError,
     b1_split,
     classify,
@@ -15,6 +16,7 @@ from diagdom import (
     is_sdd,
     is_sdd1,
 )
+from diagdom.classify import WITNESS_SEARCH_MAX
 from matrices import DET_6X6_SECOND, LCP_8X8, NORM_8X8, SCHUR_5X5, SCHUR_6X6
 from test_oracle import random_sdd
 
@@ -78,6 +80,17 @@ class TestSSdd1:
     def test_witness_search_prefers_full_n2(self):
         part = dominance_partition(SCHUR_6X6)
         assert find_s_sdd1_witness(SCHUR_6X6) == part.n2
+
+    def test_witness_search_size_guard(self):
+        # Every row of the identity is dominant: |n2| = 16 is past the guard.
+        with pytest.raises(SizeLimitError):
+            find_s_sdd1_witness(np.eye(WITNESS_SEARCH_MAX + 1))
+
+    def test_no_witness(self):
+        # n2 = {1, 2, 3}, but no subset of it compensates the heavy first row.
+        A = [[1.0, 6.0, 0.0, 0.0], [0.0, 5.0, 1.0, 0.0], [0.0, 1.0, 5.0, 0.0], [4.0, 0.0, 0.0, 5.0]]
+        assert dominance_partition(A).n2 == (1, 2, 3)
+        assert find_s_sdd1_witness(A) is None
 
 
 class TestInclusionChain:

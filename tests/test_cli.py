@@ -355,6 +355,26 @@ class TestGenerate:
         assert not path.exists()
 
 
+class TestReportOutput:
+    def test_report_written_to_the_file(self, capsys, fixture_path, tmp_path):
+        path = tmp_path / "report.json"
+        _, expected = run_json(capsys, "classify", "--input", fixture_path("norm_8x8.mtx"))
+        code, out = run_cli(capsys, "classify", "--input", fixture_path("norm_8x8.mtx"),
+                            "--output", str(path))
+        assert code == 0 and out == ""
+        assert strip_timing(json.loads(path.read_text())) == strip_timing(expected)
+
+    def test_error_report_written_to_the_file(self, capsys, tmp_path):
+        matrix, path = tmp_path / "sdd.mtx", tmp_path / "report.json"
+        diagdom.write_matrix_market(matrix, np.diag([2.0, 3.0]) + 0.1)
+        argv = ["norm-bound", "--input", str(matrix), "--formula", "sdd1-epsilon"]
+        _, expected = run_json(capsys, *argv)
+        code, out = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 1 and out == ""
+        assert json.loads(path.read_text()) == expected
+        assert expected["error"]["kind"] == "hypothesis"
+
+
 class TestErrors:
     def test_missing_file_exit_2(self, capsys):
         code = main(["classify", "--input", "/nonexistent/never.mtx"])

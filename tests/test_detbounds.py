@@ -123,6 +123,14 @@ class TestDominanceBracket:
         assert exact <= br.upper + 1e-12
 
 
+@pytest.mark.parametrize("bracket", [huang_bracket, dominance_bracket])
+def test_brackets_need_both_row_classes(bracket):
+    # Strictly dominant input has an empty n1, where neither bracket is defined.
+    with pytest.raises(HypothesisError) as err:
+        bracket(random_sdd(5, 3))
+    assert err.value.hypothesis == "n1 or n2 is empty"
+
+
 class TestNesting:
     def test_fixtures(self):
         assert bracket_nesting_check(DET_6X6_FIRST)

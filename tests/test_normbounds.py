@@ -142,6 +142,15 @@ class TestWitnessBound:
         with pytest.raises(HypothesisError):
             s_sdd1_schur_bound(SINGLE_N2, dominance_partition(SINGLE_N2).n2)
 
+    def test_witness_covering_every_row(self):
+        # On SDD input S = N is a witness; no row is left to eliminate, so psi
+        # is absent and the bound is the prefactor times the pairwise term.
+        A = random_sdd(5, 7)
+        cert = with_exact_norm(s_sdd1_schur_bound(A, range(5)), A)
+        assert cert.parameters["psi"] is None
+        assert cert.parameters["reason"] == "S complement empty"
+        assert cert.slack >= 0.0
+
     def test_invalid_witness(self):
         with pytest.raises(WitnessError):
             s_sdd1_schur_bound(NORM_8X8, [0, 1])  # rows from n1

@@ -20,6 +20,7 @@ from diagdom import (
     schur_complement,
     tilde_set_identity_check,
 )
+import reference
 from matrices import NORM_8X8, SCHUR_5X5, SCHUR_5X5_COMPLEMENT, SCHUR_6X6, SCHUR_6X6_COMPLEMENT, TOL4
 from test_oracle import random_sdd
 
@@ -87,6 +88,14 @@ class TestComplement:
         got = np.abs(res.complement)
         assert (got >= orig - res.delta - 1e-12).all()
         assert (got <= orig + res.delta + 1e-12).all()
+
+    def test_delta_absent_when_pivot_comparison_is_singular(self):
+        # A(alpha) = [[1, 1], [-1, 1]] is invertible, but its comparison matrix
+        # [[1, -1], [-1, 1]] is singular, so the pivot block is no H-matrix.
+        A = np.array([[1.0, 1.0, 0.5], [-1.0, 1.0, 0.5], [0.5, 0.5, 4.0]])
+        res = schur_complement(A, [0, 1])
+        assert res.delta is None
+        assert reference.schur_complement(A, [0, 1])[4] is None
 
     def test_determinant_identity(self):
         res = schur_complement(SCHUR_6X6, [0, 1])
