@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexPartition, _partition, as_index_set, as_matrix, dominance_partition
+from .core import IndexPartition, as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SizeLimitError, WitnessError
 
 __all__ = [
@@ -174,10 +174,11 @@ def b1_split(M) -> B1Split:
 
 
 def _positive_sdd1(A) -> IndexPartition | None:
-    """Partition of a validated matrix when it is SDD1 with positive diagonal, else None."""
+    """Partition of ``A`` when it is SDD1 with positive diagonal, else None.  ``A`` is
+    validated after the diagonal test: a shift part M - c can overflow where M does not."""
     if not (A.diagonal() > 0).all():
         return None
-    part = _partition(A)
+    part = dominance_partition(A)
     return part if _is_sdd1(part) else None
 
 

@@ -44,8 +44,7 @@ class DenominatorError(ToolkitError):
         self.rows = tuple(sorted({int(i) for i in rows}))
         super().__init__(self._describe(self.rows))
 
-    def _describe(self, rows) -> str:
-        """The message naming ``rows``, which a report may number from 1."""
+    def _describe(self, rows) -> str:  # the message; the CLI passes 1-based rows
         return f"{self.what} is not positive and finite in rows {list(rows)}"
 
 

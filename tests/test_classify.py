@@ -3,6 +3,7 @@ import pytest
 
 from diagdom import (
     SizeLimitError,
+    ValidationError,
     WitnessError,
     b1_split,
     classify,
@@ -138,6 +139,15 @@ class TestB1:
 
     def test_negated_identity(self):
         assert not is_b1(-np.eye(3))
+
+    @pytest.mark.parametrize("n", [8, 40])  # on each side of the memo's largest order
+    def test_overflowing_shift_part_is_rejected(self, n):
+        # M is finite, but a_02 = M_02 - r_0 = -1.7e308 - 1.7e308 is not, while
+        # a_00 > 0 passes the diagonal test: the shift part must not be judged.
+        M = np.eye(n) * 4.0 + 0.1
+        M[0, :3] = [1.79e308, 1.7e308, -1.7e308]
+        with np.errstate(over="ignore"), pytest.raises(ValidationError):
+            is_b1(M)
 
     def test_b1_implies_p(self, b1_ensemble):
         small = [M for M in b1_ensemble if M.shape[0] <= 10][:25]
