@@ -43,6 +43,12 @@ class TestSdd1:
     def test_symmetric_off_dominant(self):
         assert not is_sdd1([[1.0, 2.0], [2.0, 1.0]])
 
+    def test_exact_tie_is_not_sdd1(self):
+        # Row 0 is non-dominant with P_0 = 2 * (0.5 / 1) = 1 = |a_00| exactly.
+        A = [[1.0, 2.0], [0.5, 1.0]]
+        assert dominance_degrees(A)[0] == 0.0
+        assert not is_sdd1(A) and not classify(A).is_sdd1
+
     def test_degrees_positive_iff_sdd1(self):
         assert (dominance_degrees(SCHUR_6X6) > 0).all()
         assert (dominance_degrees([[1.0, 2.0], [2.0, 1.0]]) <= 0).any()
