@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexPartition, as_index_set, as_matrix, dominance_partition
-from .errors import HypothesisError, SizeLimitError, WitnessError
+from .core import IndexPartition, _partition, as_index_set, as_matrix, dominance_partition
+from .errors import HypothesisError, SizeLimitError, ValidationError, WitnessError
 
 __all__ = [
     "B1Split",
@@ -149,9 +149,7 @@ def _find_witness(part) -> tuple[int, ...] | None:
 def classify(A) -> ClassReport:
     """Assemble the full class report for one matrix."""
     part = dominance_partition(A)
-    witness = None
-    if part.n2 and len(part.n2) <= WITNESS_SEARCH_MAX:
-        witness = _find_witness(part)
+    witness = _find_witness(part) if len(part.n2) <= WITNESS_SEARCH_MAX else None
     return ClassReport(
         is_sdd=len(part.n1) == 0,
         is_sdd1=_is_sdd1(part),
@@ -162,23 +160,29 @@ def classify(A) -> ClassReport:
 
 
 def b1_split(M) -> B1Split:
-    """Exact shift decomposition M = a + c; asserts nothing about class membership."""
+    """Exact shift decomposition M = a + c; asserts nothing about class membership.
+
+    Raises ``ValidationError`` when ``a = M - c`` overflows, which a finite M
+    holding large entries of both signs in one row can do.
+    """
     M = as_matrix(M)
     n = M.shape[0]
     masked = np.array(M)
     np.fill_diagonal(masked, -np.inf)
     r = np.maximum(0.0, masked.max(axis=1))
     c = np.tile(r[:, None], (1, n))
-    a = M - c
+    with np.errstate(over="ignore"):
+        a = M - c
+    if not np.isfinite(a).all():
+        raise ValidationError("the shift part M - c overflows")
     return B1Split(a=a, c=c, r=r)
 
 
 def _positive_sdd1(A) -> IndexPartition | None:
-    """Partition of ``A`` when it is SDD1 with positive diagonal, else None.  ``A`` is
-    validated after the diagonal test: a shift part M - c can overflow where M does not."""
+    """Partition of the validated ``A`` when it is SDD1 with positive diagonal, else None."""
     if not (A.diagonal() > 0).all():
         return None
-    part = dominance_partition(A)
+    part = _partition(A)
     return part if _is_sdd1(part) else None
 
 

@@ -179,12 +179,13 @@ def _build_partition(A) -> IndexPartition:
     off = np.abs(A)
     d = off.diagonal().copy()
     np.fill_diagonal(off, 0.0)
-    R = off.sum(axis=1)
-    n2_mask = d > R
-    (i1,), (i2,) = (~n2_mask).nonzero(), n2_mask.nonzero()
-    w = np.zeros(A.shape[0])
-    w[i2] = R[i2] / d[i2]
-    P = off[:, i1].sum(axis=1) + off[:, i2] @ w[i2]  # an empty set adds exact zeros
+    with np.errstate(over="ignore"):  # a finite row's moduli may sum to inf, which keeps it in n1
+        R = off.sum(axis=1)
+        n2_mask = d > R
+        (i1,), (i2,) = (~n2_mask).nonzero(), n2_mask.nonzero()
+        w = np.zeros(A.shape[0])
+        w[i2] = R[i2] / d[i2]
+        P = off[:, i1].sum(axis=1) + off[:, i2] @ w[i2]  # an empty set adds exact zeros
     for arr in (R, P, off, d):
         arr.setflags(write=False)
     return IndexPartition(n1=tuple(i1.tolist()), n2=tuple(i2.tolist()), row_sums=R,

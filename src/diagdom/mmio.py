@@ -29,11 +29,28 @@ def matrix_digest(A) -> str:
     return "sha256:" + h.hexdigest()
 
 
+def _parse_int(tok, lineno):
+    try:
+        return int(tok)
+    except ValueError:
+        raise MatrixMarketError(f"expected an integer, got {tok!r}", line=lineno) from None
+
+
+def _parse_real(tok, lineno):
+    try:
+        return float(tok)
+    except ValueError:
+        raise MatrixMarketError(f"expected a real number, got {tok!r}", line=lineno) from None
+
+
 def read_matrix_market(path) -> np.ndarray:
     """Read a square dense matrix from a Matrix Market file.
 
+    After the banner, a line is data unless it is blank or its first
+    non-blank character is ``%``; the first data line is the size line.
     Coordinate entries are placed at their (1-based) positions with every
-    unlisted entry zero.  Non-square sizes and complex fields are rejected.
+    unlisted entry zero.  Non-square sizes, orders below 1 and complex
+    fields are rejected.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
@@ -53,73 +70,39 @@ def read_matrix_market(path) -> np.ndarray:
     if symmetry != "general":
         raise MatrixMarketError(f"unsupported symmetry {symmetry!r}; only general storage", line=1)
 
-    # Skip comments; find the size line.
-    k = 1
-    while k < len(lines) and (lines[k].startswith("%") or not lines[k].strip()):
-        k += 1
-    if k >= len(lines):
+    data = [(lineno, tokens) for lineno, text in enumerate(lines[1:], start=2)
+            if (tokens := text.split()) and not tokens[0].startswith("%")]
+    if not data:
         raise MatrixMarketError("missing size line", line=len(lines))
-    size_tokens = lines[k].split()
-
-    def parse_int(tok, lineno):
-        try:
-            return int(tok)
-        except ValueError:
-            raise MatrixMarketError(f"expected an integer, got {tok!r}", line=lineno) from None
-
-    def parse_real(tok, lineno):
-        try:
-            return float(tok)
-        except ValueError:
-            raise MatrixMarketError(f"expected a real number, got {tok!r}", line=lineno) from None
+    (size_line, size_tokens), entries = data[0], data[1:]
+    count, word = (2, "two") if layout == "array" else (3, "three")
+    if len(size_tokens) != count:
+        raise MatrixMarketError(f"{layout} size line needs exactly {word} integers", line=size_line)
+    size = [_parse_int(tok, size_line) for tok in size_tokens]
+    n = size[0]
+    if size[1] != n:
+        raise MatrixMarketError(f"matrix is not square: {n} x {size[1]}", line=size_line)
+    if n < 1:
+        raise MatrixMarketError(f"matrix order must be at least 1, got {n}", line=size_line)
 
     if layout == "array":
-        if len(size_tokens) != 2:
-            raise MatrixMarketError("array size line needs exactly two integers", line=k + 1)
-        rows = parse_int(size_tokens[0], k + 1)
-        cols = parse_int(size_tokens[1], k + 1)
-        if rows != cols:
-            raise MatrixMarketError(f"matrix is not square: {rows} x {cols}", line=k + 1)
-        values = []
-        for lineno in range(k + 1, len(lines)):
-            text = lines[lineno].strip()
-            if not text or text.startswith("%"):
-                continue
-            for tok in text.split():
-                values.append(parse_real(tok, lineno + 1))
-        if len(values) != rows * cols:
-            raise MatrixMarketError(
-                f"expected {rows * cols} values, found {len(values)}", line=len(lines)
-            )
+        values = [_parse_real(tok, lineno) for lineno, tokens in entries for tok in tokens]
+        if len(values) != n * n:
+            raise MatrixMarketError(f"expected {n * n} values, found {len(values)}", line=len(lines))
         # Array format lists entries column-major.
-        A = np.array(values, dtype=float).reshape((cols, rows)).T
-        return as_matrix(A)
+        return as_matrix(np.array(values, dtype=float).reshape((n, n)).T)
 
-    if len(size_tokens) != 3:
-        raise MatrixMarketError("coordinate size line needs exactly three integers", line=k + 1)
-    rows = parse_int(size_tokens[0], k + 1)
-    cols = parse_int(size_tokens[1], k + 1)
-    nnz = parse_int(size_tokens[2], k + 1)
-    if rows != cols:
-        raise MatrixMarketError(f"matrix is not square: {rows} x {cols}", line=k + 1)
-    A = np.zeros((rows, cols))
-    seen = 0
-    for lineno in range(k + 1, len(lines)):
-        text = lines[lineno].strip()
-        if not text or text.startswith("%"):
-            continue
-        tokens = text.split()
+    A = np.zeros((n, n))
+    for lineno, tokens in entries:
         if len(tokens) != 3:
-            raise MatrixMarketError("coordinate entries need 'row col value'", line=lineno + 1)
-        i = parse_int(tokens[0], lineno + 1)
-        j = parse_int(tokens[1], lineno + 1)
-        v = parse_real(tokens[2], lineno + 1)
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise MatrixMarketError(f"entry ({i}, {j}) outside the matrix", line=lineno + 1)
+            raise MatrixMarketError("coordinate entries need 'row col value'", line=lineno)
+        i, j = _parse_int(tokens[0], lineno), _parse_int(tokens[1], lineno)
+        v = _parse_real(tokens[2], lineno)
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise MatrixMarketError(f"entry ({i}, {j}) outside the matrix", line=lineno)
         A[i - 1, j - 1] = v
-        seen += 1
-    if seen != nnz:
-        raise MatrixMarketError(f"expected {nnz} entries, found {seen}", line=len(lines))
+    if len(entries) != size[2]:
+        raise MatrixMarketError(f"expected {size[2]} entries, found {len(entries)}", line=len(lines))
     return as_matrix(A)
 
 

@@ -245,8 +245,6 @@ def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
             "eliminating the dominant set needs a nonempty non-dominant set "
             "(strictly dominant input already has a classical SDD closure)",
         )
-    if not part.n2:
-        raise HypothesisError("n2 is empty", "there is no dominant set to eliminate")
     return _certified_dispatch(part, part.n2, part.n1)[0]
 
 

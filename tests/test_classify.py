@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -148,12 +150,14 @@ class TestB1:
 
     @pytest.mark.parametrize("n", [8, 40])  # on each side of the memo's largest order
     def test_overflowing_shift_part_is_rejected(self, n):
-        # M is finite, but a_02 = M_02 - r_0 = -1.7e308 - 1.7e308 is not, while
-        # a_00 > 0 passes the diagonal test: the shift part must not be judged.
+        # M is finite, but a_02 = M_02 - r_0 = -1.7e308 - 1.7e308 is not: the
+        # split rejects its shift part, and nothing warns on the way.
         M = np.eye(n) * 4.0 + 0.1
         M[0, :3] = [1.79e308, 1.7e308, -1.7e308]
-        with np.errstate(over="ignore"), pytest.raises(ValidationError):
-            is_b1(M)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="shift part M - c overflows"):
+                is_b1(M)
 
     def test_b1_implies_p(self, b1_ensemble):
         small = [M for M in b1_ensemble if M.shape[0] <= 10][:25]

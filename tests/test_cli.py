@@ -388,6 +388,16 @@ class TestErrors:
         capsys.readouterr()
         assert code == 2
 
+    @pytest.mark.parametrize("layout, size", [("array", "-1 -1"), ("coordinate", "-2 -2 0"),
+                                              ("array", "0 0")])
+    def test_order_below_one_exit_2(self, capsys, tmp_path, layout, size):
+        path = tmp_path / "empty.mtx"
+        path.write_text(f"%%MatrixMarket matrix {layout} real general\n{size}\n1.0\n")
+        code = main(["classify", "--input", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "line 2: matrix order must be at least 1" in captured.err
+
     def test_unknown_flag_exit_2(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["classify", "--nope"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,11 @@ class TestDampedRowSum:
         for i in range(3):
             assert damped_row_sum(D, i, [0, 1, 2]) == 0.0
 
+    @pytest.mark.parametrize("i", [-1, 5])
+    def test_index_out_of_range(self, i):
+        with pytest.raises(ValidationError, match="row index"):
+            damped_row_sum(SCHUR_5X5, i, [0])
+
     def test_zero_diagonal_rejected(self):
         M = np.array([[0.0, 1.0], [1.0, 2.0]])
         with pytest.raises(SingularDiagonalError):
@@ -134,6 +141,17 @@ class TestPartition:
         part = dominance_partition(np.eye(5))
         assert part.n1 == ()
         assert part.n2 == tuple(range(5))
+
+    @pytest.mark.parametrize("n", [8, 40])  # on each side of the memo's largest order
+    def test_finite_row_whose_moduli_sum_overflows(self, n):
+        M = np.eye(n) * 4.0 + 0.1
+        M[0, :3] = [1.79e308, 1.7e308, -1.7e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            part = dominance_partition(M)
+        assert part.row_sums[0] == np.inf
+        assert part.n1 == (0,)
+        assert part.n2 == tuple(range(1, n))
 
     def test_p_values_cached(self):
         part = dominance_partition(SCHUR_5X5)

@@ -96,3 +96,61 @@ def test_digest_distinguishes_matrices():
     assert a != b and a != c
     assert a == matrix_digest(np.eye(3))
     assert a.startswith("sha256:")
+
+
+ARRAY = "%%MatrixMarket matrix array real general\n"
+COORD = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize(
+    "content, fragment, line",
+    [
+        ("%%MatrixMarket matrix dense real general\n2 2\n", "unsupported layout", 1),
+        ("%%MatrixMarket matrix array pattern general\n2 2\n", "unsupported field", 1),
+        (ARRAY + "% only comments\n\n", "missing size line", 3),
+        (ARRAY + "2 2 4\n", "array size line needs exactly two integers", 2),
+        (COORD + "2 2\n", "coordinate size line needs exactly three integers", 2),
+        (ARRAY + "2 x\n", "expected an integer, got 'x'", 2),
+        (COORD + "2 3 0\n", "matrix is not square: 2 x 3", 2),
+        (ARRAY + "-1 -1\n1.0\n", "matrix order must be at least 1, got -1", 2),
+        (COORD + "-2 -2 0\n", "matrix order must be at least 1, got -2", 2),
+        (ARRAY + "0 0\n", "matrix order must be at least 1, got 0", 2),
+        (COORD + "0 0 0\n", "matrix order must be at least 1, got 0", 2),
+        (COORD + "2 2 1\n1 1\n", "coordinate entries need 'row col value'", 3),
+        (COORD + "2 2 2\n1 1 1.0\n", "expected 2 entries, found 1", 3),
+        (COORD + "2 2 1\n\n% skipped\n1 1 x\n", "expected a real number, got 'x'", 5),
+    ],
+    ids=["layout", "field", "no-size-line", "array-size-tokens", "coordinate-size-tokens",
+         "size-integer", "coordinate-not-square", "array-negative", "coordinate-negative",
+         "array-zero", "coordinate-zero", "entry-tokens", "entry-count", "line-after-skips"],
+)
+def test_parse_error_message_and_line(tmp_path, content, fragment, line):
+    path = tmp_path / "bad.mtx"
+    path.write_text(content)
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert fragment in str(err.value)
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        ARRAY + "% c\n2 2\n1.0\n\n% between values\n  % indented\n2.0\n3.0\n\n4.0\n",
+        COORD + "% c\n2 2 4\n1 1 1.0\n\n% between entries\n  % indented\n2 1 2.0\n1 2 3.0\n\n2 2 4.0\n",
+    ],
+    ids=["array", "coordinate"],
+)
+def test_comments_and_blank_lines_inside_data_are_skipped(tmp_path, content):
+    path = tmp_path / "c.mtx"
+    path.write_text(content)
+    assert np.array_equal(read_matrix_market(path), [[1.0, 3.0], [2.0, 4.0]])
+
+
+@pytest.mark.parametrize("header", [ARRAY + "  % indented\n\t%\n2 2\n", COORD + "  % indented\n2 2 4\n"],
+                         ids=["array", "coordinate"])
+def test_indented_comment_before_size_line_is_skipped(tmp_path, header):
+    body = "1.0\n2.0\n3.0\n4.0\n" if "array" in header else "1 1 1.0\n2 1 2.0\n1 2 3.0\n2 2 4.0\n"
+    path = tmp_path / "i.mtx"
+    path.write_text(header + body)
+    assert np.array_equal(read_matrix_market(path), [[1.0, 3.0], [2.0, 4.0]])
