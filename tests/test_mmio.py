@@ -138,19 +138,13 @@ def test_parse_error_message_and_line(tmp_path, content, fragment, line):
     [
         ARRAY + "% c\n2 2\n1.0\n\n% between values\n  % indented\n2.0\n3.0\n\n4.0\n",
         COORD + "% c\n2 2 4\n1 1 1.0\n\n% between entries\n  % indented\n2 1 2.0\n1 2 3.0\n\n2 2 4.0\n",
+        ARRAY + "  % indented\n\t%\n2 2\n1.0\n2.0\n3.0\n4.0\n",
+        COORD + "  % indented\n2 2 4\n1 1 1.0\n2 1 2.0\n1 2 3.0\n2 2 4.0\n",
     ],
-    ids=["array", "coordinate"],
+    ids=["array-inside-data", "coordinate-inside-data", "array-before-size-line",
+         "coordinate-before-size-line"],
 )
-def test_comments_and_blank_lines_inside_data_are_skipped(tmp_path, content):
+def test_comment_and_blank_lines_are_skipped(tmp_path, content):
     path = tmp_path / "c.mtx"
     path.write_text(content)
-    assert np.array_equal(read_matrix_market(path), [[1.0, 3.0], [2.0, 4.0]])
-
-
-@pytest.mark.parametrize("header", [ARRAY + "  % indented\n\t%\n2 2\n", COORD + "  % indented\n2 2 4\n"],
-                         ids=["array", "coordinate"])
-def test_indented_comment_before_size_line_is_skipped(tmp_path, header):
-    body = "1.0\n2.0\n3.0\n4.0\n" if "array" in header else "1 1 1.0\n2 1 2.0\n1 2 3.0\n2 2 4.0\n"
-    path = tmp_path / "i.mtx"
-    path.write_text(header + body)
     assert np.array_equal(read_matrix_market(path), [[1.0, 3.0], [2.0, 4.0]])
