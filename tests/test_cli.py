@@ -391,7 +391,7 @@ class TestErrors:
     @pytest.mark.parametrize("layout, size", [("array", "-1 -1"), ("coordinate", "-2 -2 0"),
                                               ("array", "0 0")])
     def test_order_below_one_exit_2(self, capsys, tmp_path, layout, size):
-        path = tmp_path / "empty.mtx"
+        path = tmp_path / "order.mtx"
         path.write_text(f"%%MatrixMarket matrix {layout} real general\n{size}\n1.0\n")
         code = main(["classify", "--input", str(path)])
         captured = capsys.readouterr()
