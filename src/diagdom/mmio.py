@@ -49,8 +49,8 @@ def read_matrix_market(path) -> np.ndarray:
     After the banner, a line is data unless it is blank or its first
     non-blank character is ``%``; the first data line is the size line.
     Coordinate entries are placed at their (1-based) positions with every
-    unlisted entry zero.  Non-square sizes, orders below 1 and complex
-    fields are rejected.
+    unlisted entry zero; a position listed twice is rejected at its second
+    line.  Non-square sizes, orders below 1 and complex fields are rejected.
     """
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         lines = fh.read().splitlines()
@@ -93,6 +93,7 @@ def read_matrix_market(path) -> np.ndarray:
         return as_matrix(np.array(values, dtype=float).reshape((n, n)).T)
 
     A = np.zeros((n, n))
+    first = {}  # (i, j) -> the line that gave it
     for lineno, tokens in entries:
         if len(tokens) != 3:
             raise MatrixMarketError("coordinate entries need 'row col value'", line=lineno)
@@ -100,6 +101,9 @@ def read_matrix_market(path) -> np.ndarray:
         v = _parse_real(tokens[2], lineno)
         if not (1 <= i <= n and 1 <= j <= n):
             raise MatrixMarketError(f"entry ({i}, {j}) outside the matrix", line=lineno)
+        if (i, j) in first:
+            raise MatrixMarketError(f"entry ({i}, {j}) repeats line {first[i, j]}", line=lineno)
+        first[i, j] = lineno
         A[i - 1, j - 1] = v
     if len(entries) != size[2]:
         raise MatrixMarketError(f"expected {size[2]} entries, found {len(entries)}", line=len(lines))

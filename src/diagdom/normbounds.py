@@ -250,7 +250,8 @@ def _schur_tail(part, S, margins, rs, phi, cap):
     where e_i is ``schur._eliminated_margins`` with m = ``margins``, and
     ``cap`` is 1.0 for the LCP bound and infinity (no cap) for the norm
     bounds.  Returns (prefactor, max(phi, psi), psi); psi is None when S
-    covers every row.
+    covers every row.  A term that overflows raises ``DenominatorError``
+    naming its rows instead of returning a vacuous infinite bound.
     """
     sbar = np.delete(np.arange(part.n), S)
     psi = None
@@ -259,7 +260,13 @@ def _schur_tail(part, S, margins, rs, phi, cap):
         bad = ~(den > 0.0)  # positive under the S-dominance hypothesis
         if bad.any():
             raise DenominatorError("restricted margin of an eliminated row", sbar[bad])
-        psi = np.max((1.0 + phi * rs[sbar]) / np.minimum(cap, den))
+        with np.errstate(over="ignore"):
+            terms = (1.0 + phi * rs[sbar]) / np.minimum(cap, den)
+        bad = ~(terms < math.inf)
+        if bad.any():
+            raise DenominatorError("eliminated-row term (1 + phi R^S_i) / min(cap, e_i)",
+                                   sbar[bad])
+        psi = np.max(terms)
     prefactor = 1.0 + float((margins[S] / part.diag[S]).max())
     return prefactor, phi if psi is None else max(phi, psi), psi
 

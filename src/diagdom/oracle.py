@@ -11,10 +11,19 @@ Matrices in the Mathematical Sciences*, 1994, ch. 6).  So one linear solve
 decides it, and the x it finds scales A into strict diagonal dominance:
 A diag(x) is SDD by rows.  ``h_scaling`` returns that x as an auditable
 witness; ``is_h_matrix`` asks whether it exists.
+
+Each matrix is factored once.  ``lu_factor``, ``determinant`` and the
+Schur complement's pivot block read one ``functools.lru_cache`` of a single
+entry, keyed by the exact bytes of the matrix and its order, so factoring
+the matrix that was factored last (``determinant(A)`` and then
+``lu_factor(A)``, as an audit does) is a lookup that returns the same
+read-only factorization.  The entry holds the key and the packed factor,
+2 * 8 n^2 bytes: 4 MiB at order 512.  Singular input is never stored.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -97,16 +106,39 @@ def lu_factor(A) -> LuFactorization:
     A pivot of modulus at most ``SINGULAR_PIVOT_RTOL`` times the matrix
     infinity norm stops the elimination with a ``SingularMatrixError`` that
     names the failing column; near-singular input is never silently factored.
+
+    The last factorization is kept, keyed by the matrix's exact bytes and
+    order (so 0.0 and -0.0 are different matrices), and input with those
+    bytes gets that same read-only factorization back without a new
+    elimination.  The one entry costs 2 * 8 n^2 bytes of memory; a singular
+    input raises on every call and is never kept.
     """
     return _lu_factor(as_matrix(A))
 
 
 def _lu_factor(A) -> LuFactorization:
     """``lu_factor`` of an array that ``as_matrix`` has already validated."""
-    n = A.shape[0]
+    return _factorization(A.tobytes(), A.shape[0])
+
+
+@functools.lru_cache(maxsize=1)
+def _factorization(key, n) -> LuFactorization:
+    """The factorization of the matrix with C-order float64 bytes ``key``.
+
+    ``packed`` is a view of the factor's own ``bytes``, so it can never be
+    made writable and a shared factorization stays what it was.  A singular
+    pivot raises, and ``lru_cache`` stores no exception.
+    """
+    A = np.frombuffer(key, dtype=np.float64).reshape(n, n)
     thresh = SINGULAR_PIVOT_RTOL * float(np.abs(A).sum(axis=1).max())
-    if n <= LU_SCALAR_MAX:
-        return _lu_scalar(A, thresh)
+    lu, perm, sign = (_lu_scalar if n <= LU_SCALAR_MAX else _lu_blocked)(A, thresh)
+    packed = np.frombuffer(lu.tobytes(), dtype=np.float64).reshape(n, n)
+    return LuFactorization(packed=packed, perm=tuple(perm), sign=sign)
+
+
+def _lu_blocked(A, thresh):
+    """The blocked elimination in transposed panels: (factor array, perm, sign)."""
+    n = A.shape[0]
     lu = np.array(A)
     perm = list(range(n))
     sign = 1
@@ -132,10 +164,10 @@ def _lu_factor(A) -> LuFactorization:
             for k in range(k0 + 1, k1):  # U12 = L11^{-1} A12, row by row
                 lu[k, k1:] -= lu[k, k0:k] @ lu[k0:k, k1:]
             lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
-    return LuFactorization(packed=lu, perm=tuple(perm), sign=sign)
+    return lu, perm, sign
 
 
-def _lu_scalar(A, thresh) -> LuFactorization:
+def _lu_scalar(A, thresh):
     """The column-by-column elimination on Python floats, operation for operation."""
     n = A.shape[0]
     rows = A.tolist()
@@ -162,7 +194,7 @@ def _lu_scalar(A, thresh) -> LuFactorization:
             m = row[k] = row[k] / pivot[k]
             for j in range(k + 1, n):
                 row[j] -= m * pivot[j]
-    return LuFactorization(packed=np.array(rows), perm=tuple(perm), sign=sign)
+    return np.array(rows), perm, sign
 
 
 def lu_solve(fact: LuFactorization, b) -> np.ndarray:

@@ -107,14 +107,20 @@ def lu_factor_blocked(A):
     return LuFactorization(packed=lu, perm=tuple(int(i) for i in perm), sign=sign)
 
 
+def positive(den, what):
+    """``den`` if it is positive, else ValueError: a check that ``python -O`` keeps."""
+    if not den > 0.0:
+        raise ValueError(f"reference {what} is not positive: {den!r}")
+    return den
+
+
 def pairwise_max(d, rs, rows):
     best = 0.0
     for i in rows:
         for j in rows:
             if i == j:
                 continue
-            den = d[i] * d[j] - rs[i] * rs[j]
-            assert den > 0.0
+            den = positive(d[i] * d[j] - rs[i] * rs[j], "pairwise denominator")
             best = max(best, (d[j] + rs[i]) / den)
     return best
 
@@ -133,8 +139,9 @@ def restricted_schur_value(A, S, prefactor_margins):
     if sbar:
         psi = 0.0
         for i in sbar:
-            den = d[i] - off[i, sbar].sum() - (off[i, list(S)] / d[list(S)]) @ prefactor_margins[list(S)]
-            assert den > 0.0
+            den = positive(d[i] - off[i, sbar].sum()
+                           - (off[i, list(S)] / d[list(S)]) @ prefactor_margins[list(S)],
+                           "restricted margin")
             psi = max(psi, (1.0 + phi * rs[i]) / den)
     prefactor = 1.0 + float((prefactor_margins[list(S)] / d[list(S)]).max())
     best = phi if psi is None else max(phi, psi)
@@ -161,8 +168,7 @@ def epsilon_pieces(off, d, part, rs):
 
 def epsilon_value(pieces, eps):
     h0, rs1, g, q0, max_ratio = pieces[:5]
-    den = min((h0 - eps * rs1).min(), (eps * g + q0).min())
-    assert den > 0.0
+    den = positive(min((h0 - eps * rs1).min(), (eps * g + q0).min()), "epsilon denominator")
     return max(1.0, max_ratio + eps) / den
 
 
@@ -220,15 +226,15 @@ def lcp_b1_bound(M):
                 if i == j:
                     continue
                 num = max(1.0, d[j]) + rs[i]
-                den = min(1.0, d[i], d[j], d[i] * d[j] - rs[i] * rs[j])
-                assert den > 0.0
+                den = positive(min(1.0, d[i], d[j], d[i] * d[j] - rs[i] * rs[j]),
+                               "pairwise denominator")
                 phi = max(phi, num / den)
     psi = None
     if n1:
         psi = 0.0
         for i in n1:
-            inner = d[i] - off[i, n1].sum() - (off[i, n2] / d[n2]) @ P[n2]
-            assert inner > 0.0
+            inner = positive(d[i] - off[i, n1].sum() - (off[i, n2] / d[n2]) @ P[n2],
+                             "restricted margin")
             psi = max(psi, (1.0 + phi * rs[i]) / min(1.0, inner))
     zero_shift = bool((split.r == 0.0).all())
     coefficient = 1 if zero_shift else n - 1

@@ -1,4 +1,6 @@
-"""The analysis memo behind ``as_matrix`` and the partition, and the lazy Schur ``delta``.
+"""The analysis memo behind ``as_matrix`` and the partition, the factorization
+memo behind ``lu_factor``, ``determinant`` and the Schur pivot block, and the
+lazy Schur ``delta``.
 
 The memo may only remove work: every public call must give the same bits
 with a warm memo as after clearing it, whatever the caller does to its own
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 import reference
 from diagdom import (
+    SingularMatrixError,
     ToolkitError,
     ValidationError,
     as_matrix,
@@ -34,6 +37,7 @@ from diagdom import (
     is_h_matrix,
     is_p_matrix,
     lcp_b1_bound,
+    lu_factor,
     quotient_formula_check,
     run_experiment,
     s_sdd1_schur_bound,
@@ -42,13 +46,14 @@ from diagdom import (
     sdd1_schur_bound,
     tilde_set_identity_check,
 )
-from diagdom import core
+from diagdom import core, oracle
 from diagdom.core import MEMO_ENTRIES, MEMO_MAX_ORDER
 from test_vectorized import draw, same, schur_instance
 
 
 def clear_memo():
     core._analysis.cache_clear()
+    oracle._factorization.cache_clear()
 
 
 def memo_size():
@@ -229,6 +234,21 @@ def sweep(A):
     return out
 
 
+def in_threads(run, count):
+    """``run(k)`` for k < count, one thread each, switching as often as the interpreter allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 def test_threads_sweeping_different_matrices_match_a_serial_run():
     # More threads than the 2-CPU VM has cores, switching as often as the
     # interpreter allows; every thread also reads one shared lazy delta.
@@ -244,17 +264,142 @@ def test_threads_sweeping_different_matrices_match_a_serial_run():
         deltas[k] = shared.delta
         results[k] = [[sweep(A) for _ in range(3)] for A in work[k]]
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(work))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    in_threads(run, len(work))
     assert results == [[[s] * 3 for s in mats] for mats in serial]
     assert all(d is deltas[0] for d in deltas) and deltas[0] is not None
     assert memo_size() <= MEMO_ENTRIES
+
+
+# --- the factorization memo -----------------------------------------------------
+
+
+def lu_info():
+    return oracle._factorization.cache_info()
+
+
+def pivoting(n, seed):
+    """A random matrix of order n that needs row swaps and is safely nonsingular."""
+    return np.random.default_rng(seed).standard_normal((n, n)) + np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 33, 300])
+def test_warm_factorization_gives_cold_bits(n):
+    A = pivoting(n, n)
+    calls = [lambda: lu_factor(A), lambda: determinant(A), lambda: lu_factor(A.copy()),
+             lambda: determinant(np.asfortranarray(A))]
+    cold = []
+    for call in calls:
+        clear_memo()
+        cold.append(outcome(call))
+    clear_memo()
+    warm = [outcome(call) for call in calls]
+    again = [outcome(call) for call in calls]
+    assert warm == cold
+    assert again == cold
+    assert lu_info().misses == 1  # every warm call after the first is a lookup
+
+
+def test_shared_factor_cannot_be_unlocked():
+    A = pivoting(20, 1)
+    fact = lu_factor(A)
+    assert lu_factor(A) is fact
+    with pytest.raises(ValueError):
+        fact.packed.setflags(write=True)
+    with pytest.raises(ValueError):
+        fact.packed[0, 0] = 1.0
+    assert fact.lower.flags.writeable  # derived arrays are the caller's own
+
+
+def test_signed_zero_and_one_ulp_are_separate_factorizations():
+    plus = np.array([[2.0, 0.0, 1.0], [1.0, 3.0, 0.0], [0.0, 1.0, 4.0]])
+    minus = plus.copy()
+    minus[0, 1] = -0.0
+    ulp = plus.copy()
+    ulp[2, 2] = np.nextafter(4.0, 5.0)
+    clear_memo()
+    facts = [lu_factor(M) for M in (plus, minus, ulp)]
+    assert lu_info().misses == 3 and lu_info().hits == 0
+    assert not np.signbit(facts[0].packed[0, 1]) and np.signbit(facts[1].packed[0, 1])
+    assert facts[2].packed[2, 2] != facts[0].packed[2, 2]
+    assert lu_factor(plus) is not facts[0]  # evicted by the later inputs
+    assert lu_info().currsize == 1
+
+
+def test_singular_input_raises_every_time_and_is_never_stored():
+    good, singular = pivoting(20, 2), np.ones((20, 20))
+    clear_memo()
+    kept = lu_factor(good)
+    for _ in range(3):
+        with pytest.raises(SingularMatrixError, match="column 1"):
+            lu_factor(singular)
+        assert determinant(singular) == 0.0
+    assert lu_factor(good) is kept  # the failures neither replaced nor evicted it
+    clear_memo()
+    with pytest.raises(SingularMatrixError):
+        lu_factor(singular)
+    assert lu_info().currsize == 0
+
+
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The number of eliminations run so far, by counting both kernels."""
+    count = []
+    for name in ("_lu_scalar", "_lu_blocked"):
+        kernel = getattr(oracle, name)
+
+        def spy(A, thresh, kernel=kernel):
+            count.append(A.shape[0])
+            return kernel(A, thresh)
+
+        monkeypatch.setattr(oracle, name, spy)
+    clear_memo()
+    return count
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_determinant_then_lu_factor_eliminates_once(eliminations, n):
+    A = pivoting(n, 3)
+    det = determinant(A)
+    fact = lu_factor(A)
+    assert eliminations == [n]
+    assert det == float(fact.sign * np.prod(fact.packed.diagonal()))
+
+
+def test_schur_pivot_block_determinant_is_a_lookup(eliminations):
+    # The order ``schur`` on the command line takes: complement, then the pivot block's determinant.
+    A = np.array(generate_sdd1(12, 5, n1_fraction=0.5))
+    alpha = list(dominance_partition(A).n2[:3])
+    schur_complement(A, alpha)
+    determinant(A[np.ix_(alpha, alpha)])
+    assert eliminations == [len(alpha)]
+
+
+def test_factorization_memo_holds_one_entry():
+    clear_memo()
+    sizes = []
+    for n in (1, 2, 17, 33, 64):
+        for seed in range(3):
+            A = pivoting(n, seed)
+            determinant(A)
+            lu_factor(A)
+            sizes.append(lu_info().currsize)
+    assert lu_info().maxsize == 1 and max(sizes) == 1
+
+
+def test_threads_factoring_different_matrices_match_a_serial_run():
+    # Each thread's matrices evict the others' entry as often as the switch interval allows.
+    work = [[pivoting(n, 10 * k + n) for n in (5, 17, 40)] for k in range(4)]
+
+    def factor_all(mats):
+        return [(fingerprint(lu_factor(A)), fingerprint(determinant(A))) for A in mats]
+
+    clear_memo()
+    serial = [factor_all(mats) for mats in work]
+    results = [None] * len(work)
+
+    def run(k):
+        results[k] = [factor_all(work[k]) for _ in range(20)]
+
+    in_threads(run, len(work))
+    assert results == [[s] * 20 for s in serial]
+    assert lu_info().currsize <= 1

@@ -119,10 +119,12 @@ COORD = "%%MatrixMarket matrix coordinate real general\n"
         (COORD + "2 2 1\n1 1\n", "coordinate entries need 'row col value'", 3),
         (COORD + "2 2 2\n1 1 1.0\n", "expected 2 entries, found 1", 3),
         (COORD + "2 2 1\n\n% skipped\n1 1 x\n", "expected a real number, got 'x'", 5),
+        (COORD + "2 2 3\n1 1 1.0\n2 2 1.0\n1 1 5.0\n", "entry (1, 1) repeats line 3", 5),
     ],
     ids=["layout", "field", "no-size-line", "array-size-tokens", "coordinate-size-tokens",
          "size-integer", "coordinate-not-square", "array-negative", "coordinate-negative",
-         "array-zero", "coordinate-zero", "entry-tokens", "entry-count", "line-after-skips"],
+         "array-zero", "coordinate-zero", "entry-tokens", "entry-count", "line-after-skips",
+         "duplicate-entry"],
 )
 def test_parse_error_message_and_line(tmp_path, content, fragment, line):
     path = tmp_path / "bad.mtx"

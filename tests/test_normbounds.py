@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -216,11 +217,26 @@ class TestDenominatorErrors:
 
     def test_lcp_caps_an_overflowing_pairwise_denominator(self):
         # The LCP bound's pairwise denominator min(1, a_ii, a_jj, .) is 1 either way.
+        # Row 0 stays unscaled, so its eliminated-row term 1 + phi R^S_0 is finite.
         tie = 2.0**-10
         M = np.ldexp([[1.0, -1.0, -1.0], [-tie, 1.0, -tie], [-tie, -tie, 1.0]], 515)
-        with np.errstate(over="ignore"):
+        M[0] = [1.0, -1.0, -1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cert = lcp_b1_bound(M)
         assert cert.parameters["phi"] == np.ldexp(1.0 + tie, 515)
+        assert cert.parameters["psi"] is not None and math.isfinite(cert.value)
+
+    def test_lcp_overflowing_eliminated_row_term_raises(self):
+        # Scaled as a whole, phi R^S_0 is about 2^1031: no vacuous inf certificate.
+        tie = 2.0**-10
+        M = np.ldexp([[1.0, -1.0, -1.0], [-tie, 1.0, -tie], [-tie, -tie, 1.0]], 515)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DenominatorError) as info:
+                lcp_b1_bound(M)
+        assert info.value.rows == (0,)
+        assert info.value.what.startswith("eliminated-row term")
 
     def test_epsilon_denominator_names_non_dominant_rows(self):
         # Past the interval's supremum a non-dominant row's term h0 - eps * rs turns negative.
