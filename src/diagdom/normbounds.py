@@ -260,9 +260,9 @@ def _schur_tail(part, S, margins, rs, phi, cap):
         bad = ~(den > 0.0)  # positive under the S-dominance hypothesis
         if bad.any():
             raise DenominatorError("restricted margin of an eliminated row", sbar[bad])
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             terms = (1.0 + phi * rs[sbar]) / np.minimum(cap, den)
-        bad = ~(terms < math.inf)
+        bad = ~(terms < math.inf)  # NaN included
         if bad.any():
             raise DenominatorError("eliminated-row term (1 + phi R^S_i) / min(cap, e_i)",
                                    sbar[bad])
