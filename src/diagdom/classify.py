@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexPartition, _partition, as_index_set, as_matrix, dominance_partition
+from .core import IndexPartition, as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SizeLimitError, ValidationError, WitnessError
 
 __all__ = [
@@ -182,7 +182,7 @@ def _positive_sdd1(A) -> IndexPartition | None:
     """Partition of the validated ``A`` when it is SDD1 with positive diagonal, else None."""
     if not (A.diagonal() > 0).all():
         return None
-    part = _partition(A)
+    part = dominance_partition(A)
     return part if _is_sdd1(part) else None
 
 

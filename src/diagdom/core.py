@@ -12,7 +12,8 @@ All indices in this API are 0-based.  The command-line layer converts to
 
 from __future__ import annotations
 
-import functools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,35 +30,35 @@ __all__ = [
     "row_sum",
 ]
 
-# The analysis memo: validated small matrices and their partitions, keyed by
-# their exact bytes, so a matrix analysed again (the criterion-7 sweep calls
-# ``schur_complement`` about 22 times on one A, then partitions each
-# complement) is neither copied, checked nor partitioned again.
-MEMO_MAX_ORDER = 32  # largest order kept (measured, 2-CPU VM): a repeated partition costs 8 us
-                     # instead of 25 at order 32, but 25 instead of 28 at order 64, where the
-                     # bytes key makes a first call 24 us slower
-MEMO_ENTRIES = 8     # ensemble-audit's hit share is 79% with 1 entry, 97.1% with 2 and 97.6%
-                     # from 4 on; 8 entries of order 32 hold at most 128 KiB of matrices and moduli
+# The memo: a record per recently used matrix, holding the validated matrix and,
+# built on first request, its partition and LU factorization, so a matrix seen
+# again (criterion 7 calls ``schur_complement`` about 22 times on one A; an audit
+# takes ``determinant(A)``, then ``lu_factor(A)``) is not checked or built again.
+MEMO_BYTES = 25 * 2**19  # what the records may hold, each counted as its matrix, moduli and factor,
+                         # 24 n^2 + 24 n bytes.  An order-512 audit keeps A while its dominance-
+                         # ordered copy arrives before ``lu_factor(A)``: 12 MiB and 24 KiB in all
+MEMO_RECORDS = 8         # records it may hold.  ensemble-audit's hit share is 68% from 4 records to
+                         # 128; kept whole, its cycle of 3500 small records adds 7 MB (+16%) to RSS
+_MEMO = OrderedDict()    # fingerprint -> record, least recently used first
+_LOCK = threading.RLock()  # guards _MEMO and the results built into records
 
 
-@functools.lru_cache(maxsize=MEMO_ENTRIES)
-def _analysis(key, n):
-    """The validated matrix with C-order float64 bytes ``key``, and its partition.
+class _Record:
+    """A validated read-only matrix and the results built from it, each on first request."""
 
-    The matrix is a view of ``key`` itself, a ``bytes`` buffer, so it can
-    never be made writable and always matches its key.  Non-finite entries
-    raise ``ValidationError``, and ``lru_cache`` stores no exception.
-    """
-    A = _finite(np.frombuffer(key, dtype=np.float64).reshape(n, n))
-    return A, _build_partition(A)
+    __slots__ = ("key", "raw", "matrix", "nbytes", "partition", "factorization")
 
+    def __init__(self, key, raw):
+        self.key, self.raw, self.nbytes = key, raw, 3 * len(raw) + 24 * key[0]
+        self.matrix = np.frombuffer(raw, dtype=np.float64).reshape(key[0], key[0])
+        self.partition = self.factorization = None
 
-def _finite(arr):
-    """``arr`` made read-only, or ValidationError if any entry is not finite."""
-    if not np.isfinite(arr).all():
-        raise ValidationError("matrix entries must be finite")
-    arr.setflags(write=False)
-    return arr
+    def result(self, name, build):
+        """The result ``name``, ``build(matrix)``; kept, unless it raised, while the record is."""
+        with _LOCK:
+            if getattr(self, name) is None:
+                setattr(self, name, build(self.matrix))
+            return getattr(self, name)
 
 
 def as_matrix(a) -> np.ndarray:
@@ -65,20 +66,45 @@ def as_matrix(a) -> np.ndarray:
 
     Rejects complex input (the bound machinery is real-valued), non-square
     shapes, and non-finite entries.  Returns a read-only copy so results that
-    hold references to it stay immutable.  Up to order ``MEMO_MAX_ORDER`` the
-    copy is shared: input with exactly the bytes of a recently validated
-    matrix gets that matrix back, unchecked and uncopied.
+    hold references to it stay immutable.  The copy is shared: input with
+    exactly the bytes of a recently validated matrix gets that matrix back,
+    unchecked and uncopied, and the shared copy can never be made writable.
     """
-    arr = np.asarray(a)
-    if np.iscomplexobj(arr):
-        raise ValidationError("complex matrices are not supported")
-    arr = np.asarray(arr, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-    n = arr.shape[0]
-    if n <= MEMO_MAX_ORDER:
-        return _analysis(arr.tobytes(), n)[0]
-    return _finite(arr.copy())
+    return _record(a).matrix
+
+
+def _record(a) -> _Record:
+    """The memo's record of ``a``, validated and added if absent.
+
+    A record is found by its fingerprint, the order and the bytes of the
+    diagonal and of the first row, and confirmed by the identity of its own
+    matrix or by equal bytes, so 0.0 and -0.0 differ and the whole matrix is
+    never hashed.  A matrix with a record's fingerprint but other bytes
+    replaces that record.  Every thread gets the same record back.
+    """
+    with _LOCK:
+        rec = next(reversed(_MEMO.values()), None)
+        if rec is not None and rec.matrix is a:  # the last record's own matrix, passed back
+            return rec
+        arr = np.asarray(a)
+        if arr.dtype.kind == "c":
+            raise ValidationError("complex matrices are not supported")
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+            raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+        key = (arr.shape[0], arr.diagonal().tobytes(), arr[0].tobytes())
+        rec = _MEMO.get(key)
+        if rec is not None and (rec.matrix is arr or rec.raw == arr.tobytes()):
+            _MEMO.move_to_end(key)
+            return rec
+        if not np.isfinite(arr).all():
+            raise ValidationError("matrix entries must be finite")
+        rec = _MEMO[key] = _Record(key, arr.tobytes())  # in place of any other bytes
+        _MEMO.move_to_end(key)
+        while len(_MEMO) > MEMO_RECORDS or (
+                len(_MEMO) > 1 and sum(r.nbytes for r in _MEMO.values()) > MEMO_BYTES):
+            _MEMO.popitem(last=False)
+        return rec
 
 
 def as_index_set(indices, n, *, allow_empty=False, name="index set") -> tuple[int, ...]:
@@ -150,7 +176,7 @@ def damped_row_sum(A, i, subset) -> float:
         raise ValidationError(f"row index {i} outside 0..{n - 1}")
     i = int(i)
     cols = as_index_set(subset, n, allow_empty=True, name="subset")
-    part = _partition(A)
+    part = dominance_partition(A)
     total = 0.0
     for j in cols:
         if j == i:
@@ -163,15 +189,7 @@ def damped_row_sum(A, i, subset) -> float:
 
 def dominance_partition(A) -> IndexPartition:
     """Split rows into non-dominant ``n1`` (|a_ii| <= R_i) and dominant ``n2``."""
-    return _partition(as_matrix(A))
-
-
-def _partition(A) -> IndexPartition:
-    """``dominance_partition`` of an array that ``as_matrix`` has already validated."""
-    n = A.shape[0]
-    if n <= MEMO_MAX_ORDER:
-        return _analysis(A.tobytes(), n)[1]
-    return _build_partition(A)
+    return _record(A).result("partition", _build_partition)
 
 
 def _build_partition(A) -> IndexPartition:

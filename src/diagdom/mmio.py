@@ -25,7 +25,7 @@ def matrix_digest(A) -> str:
     h = hashlib.sha256()
     h.update(str(A.shape[0]).encode("ascii"))
     h.update(b":")
-    h.update(np.ascontiguousarray(A).tobytes())
+    h.update(A)  # as_matrix returns C-ordered arrays, hashed in place, uncopied
     return "sha256:" + h.hexdigest()
 
 

@@ -13,23 +13,21 @@ A diag(x) is SDD by rows.  ``h_scaling`` returns that x as an auditable
 witness; ``is_h_matrix`` asks whether it exists.
 
 Each matrix is factored once.  ``lu_factor``, ``determinant`` and the
-Schur complement's pivot block read one ``functools.lru_cache`` of a single
-entry, keyed by the exact bytes of the matrix and its order, so factoring
-the matrix that was factored last (``determinant(A)`` and then
-``lu_factor(A)``, as an audit does) is a lookup that returns the same
-read-only factorization.  The entry holds the key and the packed factor,
-2 * 8 n^2 bytes: 4 MiB at order 512.  Singular input is never stored.
+Schur complement's pivot block keep the factorization in the matrix's record
+in ``core``'s table, within its byte budget ``core.MEMO_BYTES``, so factoring
+a matrix that is still recorded (``determinant(A)`` and then ``lu_factor(A)``,
+as an audit does) returns the same read-only factorization.  Singular input
+is never stored.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_matrix, comparison_matrix
+from .core import _record, as_matrix, comparison_matrix
 from .errors import SingularMatrixError, SizeLimitError
 
 __all__ = [
@@ -107,29 +105,21 @@ def lu_factor(A) -> LuFactorization:
     infinity norm stops the elimination with a ``SingularMatrixError`` that
     names the failing column; near-singular input is never silently factored.
 
-    The last factorization is kept, keyed by the matrix's exact bytes and
-    order (so 0.0 and -0.0 are different matrices), and input with those
-    bytes gets that same read-only factorization back without a new
-    elimination.  The one entry costs 2 * 8 n^2 bytes of memory; a singular
-    input raises on every call and is never kept.
+    The factorization is kept in the matrix's record in the memo of
+    ``as_matrix``, so input with the same bytes (0.0 and -0.0 differ) gets the
+    same read-only factorization back without a new elimination while the
+    record lasts; a singular input raises on every call and is never kept.
     """
-    return _lu_factor(as_matrix(A))
+    return _record(A).result("factorization", _factorize)
 
 
-def _lu_factor(A) -> LuFactorization:
-    """``lu_factor`` of an array that ``as_matrix`` has already validated."""
-    return _factorization(A.tobytes(), A.shape[0])
-
-
-@functools.lru_cache(maxsize=1)
-def _factorization(key, n) -> LuFactorization:
-    """The factorization of the matrix with C-order float64 bytes ``key``.
+def _factorize(A) -> LuFactorization:
+    """The factorization of a validated matrix, eliminated afresh.
 
     ``packed`` is a view of the factor's own ``bytes``, so it can never be
-    made writable and a shared factorization stays what it was.  A singular
-    pivot raises, and ``lru_cache`` stores no exception.
+    made writable and a shared factorization stays what it was.
     """
-    A = np.frombuffer(key, dtype=np.float64).reshape(n, n)
+    n = A.shape[0]
     thresh = SINGULAR_PIVOT_RTOL * float(np.abs(A).sum(axis=1).max())
     lu, perm, sign = (_lu_scalar if n <= LU_SCALAR_MAX else _lu_blocked)(A, thresh)
     packed = np.frombuffer(lu.tobytes(), dtype=np.float64).reshape(n, n)
@@ -219,7 +209,7 @@ def determinant(A) -> float:
     if A.shape[0] == 1:
         return float(A[0, 0])
     try:
-        fact = _lu_factor(A)
+        fact = lu_factor(A)  # the record just found: no second fingerprint
     except SingularMatrixError:
         return 0.0
     return float(fact.sign * np.prod(fact.packed.diagonal()))
@@ -231,13 +221,8 @@ def inverse(A) -> np.ndarray:
     Backed by LAPACK through numpy for speed; the hand-rolled factorization
     above stays the authority for pivot-level diagnostics.
     """
-    return _inverse(as_matrix(A))
-
-
-def _inverse(A) -> np.ndarray:
-    """``inverse`` of an array that ``as_matrix`` has already validated."""
     try:
-        inv = np.linalg.inv(A)
+        inv = np.linalg.inv(as_matrix(A))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     if not np.isfinite(inv).all():

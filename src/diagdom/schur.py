@@ -18,15 +18,14 @@ All per-row outputs are dictionaries keyed by original row index.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .classify import _is_sdd1, _require_sdd1
-from .core import IndexPartition, _partition, as_index_set, as_matrix, dominance_partition
+from .core import _LOCK, IndexPartition, as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
-from .oracle import _inverse, _lu_factor, _m_matrix_witness, inf_norm, lu_solve
+from .oracle import _m_matrix_witness, inf_norm, inverse, lu_factor, lu_solve
 
 __all__ = [
     "SchurResult",
@@ -74,15 +73,12 @@ class SchurResult:
 
     @property
     def delta(self) -> np.ndarray | None:
-        with _DELTA_LOCK:
+        with _LOCK:
             if self._a_partition is not None:
                 delta = _coupling_radii(self._a_partition, self.alpha, self.alpha_bar)
                 object.__setattr__(self, "_delta", delta)
                 object.__setattr__(self, "_a_partition", None)  # delta was all it was kept for
             return self._delta
-
-
-_DELTA_LOCK = threading.Lock()
 
 
 def _coupling_radii(part, alpha, bar):
@@ -93,7 +89,7 @@ def _coupling_radii(part, alpha, bar):
     if _m_matrix_witness(comparison) is None:  # the test of ``h_scaling``
         return None
     try:
-        inv_comp = _inverse(comparison)
+        inv_comp = inverse(comparison)
     except SingularMatrixError:
         return None
     # Rounding may leave tiny negatives in an M-matrix inverse; clamping
@@ -127,7 +123,7 @@ def schur_complement(A, alpha) -> SchurResult:
     when their hypotheses hold, otherwise left as ``None``.
     """
     A, alpha, bar = _validate_alpha(A, alpha)
-    part = _partition(A)
+    part = dominance_partition(A)
     comp, cpart = _analysed_complement(A, alpha, bar)
     certified, kind = _certified_dispatch(part, alpha, bar)
     return SchurResult(
@@ -145,7 +141,7 @@ def schur_complement(A, alpha) -> SchurResult:
 def _analysed_complement(A, alpha, bar):
     """A/alpha as a shared read-only matrix, and its partition, both left in the memo."""
     comp = as_matrix(_complement(A, alpha, bar))
-    return comp, _partition(comp)
+    return comp, dominance_partition(comp)
 
 
 def _complement(A, alpha, bar):
@@ -154,7 +150,7 @@ def _complement(A, alpha, bar):
     labels = tuple(a + 1 for a in alpha)
     with np.errstate(all="ignore"):
         try:
-            fact = _lu_factor(A[ia[:, None], ia])
+            fact = lu_factor(A[ia[:, None], ia])
         except SingularMatrixError as exc:
             raise SingularBlockError(f"pivot block {labels} is singular", column=exc.column) from exc
         comp = A[ib[:, None], ib] - A[ib[:, None], ia] @ lu_solve(fact, A[ia[:, None], ib])
@@ -225,7 +221,7 @@ def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
     |a_jt,jt| - P_jt (positive) and the exact complement margin.
     """
     A, alpha, bar = _validate_alpha(A, alpha)
-    part = _partition(A)
+    part = dominance_partition(A)
     _require_sdd1(part)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
@@ -251,7 +247,7 @@ def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
 def certified_bound_superset(A, alpha) -> dict[int, float]:
     """Certified lower bounds on |a'_tt| - R_t(A/alpha) for alpha beyond n2."""
     A, alpha, bar = _validate_alpha(A, alpha)
-    part = _partition(A)
+    part = dominance_partition(A)
     _require_sdd1(part)
     if not set(part.n2) < set(alpha):
         raise HypothesisError(
@@ -270,7 +266,7 @@ def tilde_set_identity_check(A, alpha) -> bool:
     inside the dominant set, not full SDD1 membership.
     """
     A, alpha, bar = _validate_alpha(A, alpha)
-    part = _partition(A)
+    part = dominance_partition(A)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
             "alpha is not a proper subset of n2",

@@ -148,7 +148,7 @@ class TestB1:
     def test_negated_identity(self):
         assert not is_b1(-np.eye(3))
 
-    @pytest.mark.parametrize("n", [8, 40])  # on each side of the memo's largest order
+    @pytest.mark.parametrize("n", [8, 40])  # a small and a moderate order
     def test_overflowing_shift_part_is_rejected(self, n):
         # M is finite, but a_02 = M_02 - r_0 = -1.7e308 - 1.7e308 is not: the
         # split rejects its shift part, and nothing warns on the way.

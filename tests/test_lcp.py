@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diagdom import (
     FORMULA_LCP_B1,
@@ -8,12 +10,14 @@ from diagdom import (
     ValidationError,
     corner_norms,
     dominance_partition,
+    generate_b1,
     generate_sdd1,
     lcp_b1_bound,
     run_experiment,
     scaled_matrix_sdd1_check,
 )
 from matrices import LCP_8X8, LCP_8X8_BOUND, SINGLE_N2_B1, TOL4
+from test_vectorized import draw
 
 
 def scaled(M, dvec):
@@ -153,3 +157,13 @@ class TestScaledMatrixCheck:
             scaled_matrix_sdd1_check(A, np.full(5, 1.5))
         with pytest.raises(HypothesisError):
             scaled_matrix_sdd1_check(-np.eye(3), np.zeros(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=3, max_value=10), st.integers(min_value=0, max_value=2**31 - 1))
+def test_no_sample_exceeds_the_corner_maximum(n, seed):
+    # The vertex argument in the module docstring of ``diagdom.lcp``: the maximum
+    # over D in [0, 1]^n is taken at a corner.  No slack: a sample's computed norm
+    # could pass its corner's only by rounding, within about 1e-15 of that corner.
+    M = draw(generate_b1, n, seed)
+    assert run_experiment(M, 200, seed).exact_norms.max() <= corner_norms(M).max()

@@ -1,6 +1,6 @@
-"""The analysis memo behind ``as_matrix`` and the partition, the factorization
-memo behind ``lu_factor``, ``determinant`` and the Schur pivot block, and the
-lazy Schur ``delta``.
+"""The memo of per-matrix records behind ``as_matrix``, the partition,
+``lu_factor``, ``determinant`` and the Schur pivot block, and the lazy Schur
+``delta``.
 
 The memo may only remove work: every public call must give the same bits
 with a warm memo as after clearing it, whatever the caller does to its own
@@ -14,7 +14,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -47,17 +47,29 @@ from diagdom import (
     tilde_set_identity_check,
 )
 from diagdom import core, oracle
-from diagdom.core import MEMO_ENTRIES, MEMO_MAX_ORDER
+from diagdom.core import MEMO_BYTES, MEMO_RECORDS
 from test_vectorized import draw, same, schur_instance
 
 
 def clear_memo():
-    core._analysis.cache_clear()
-    oracle._factorization.cache_clear()
+    with core._LOCK:
+        core._MEMO.clear()
 
 
 def memo_size():
-    return core._analysis.cache_info().currsize
+    return len(core._MEMO)
+
+
+def within_bounds():
+    """At most MEMO_RECORDS records, counting at most MEMO_BYTES bytes unless one
+    record alone counts more; each record counts at least what it holds."""
+    records = list(core._MEMO.values())
+    for r in records:
+        held = [r.matrix, *(a for f in (r.partition, r.factorization) if f is not None
+                            for a in vars(f).values() if isinstance(a, np.ndarray))]
+        assert sum(a.nbytes for a in held) <= r.nbytes
+    counted = sum(r.nbytes for r in records)
+    return len(records) <= MEMO_RECORDS and (counted <= MEMO_BYTES or len(records) == 1)
 
 
 def fingerprint(obj):
@@ -125,6 +137,10 @@ def instance(kind, n, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("sdd1", "scaled", "b1", "random")), st.integers(min_value=3, max_value=10),
        st.integers(min_value=0, max_value=2**31 - 1))
+@example("sdd1", 33, 1)
+@example("b1", 33, 2)
+@example("scaled", 64, 3)
+@example("random", 64, 4)
 def test_warm_memo_gives_cold_bits(kind, n, seed):
     M = instance(kind, n, seed)
     calls = public_calls(M, kind)
@@ -182,25 +198,41 @@ def test_shared_matrix_cannot_be_unlocked():
         M.setflags(write=True)
 
 
-def test_memo_stays_within_its_cap_and_order_bound():
+def test_memo_stays_within_its_byte_budget(monkeypatch):
     clear_memo()
-    sizes = []
-    for n in [2, 3, MEMO_MAX_ORDER, *range(4, 4 + 2 * MEMO_ENTRIES)]:
+    for n in [2, 3, 32, 33, 300, 512, 64, *range(4, 4 + 2 * MEMO_RECORDS)]:
         A = np.eye(n) * 2.0 + 1.0 / n  # strictly dominant: a complement of each order below
         dominance_partition(A)
+        assert within_bounds()
         schur_complement(A, [n - 1])
-        sizes.append(memo_size())
-    assert max(sizes) == MEMO_ENTRIES
+        assert within_bounds()
+    assert memo_size() == MEMO_RECORDS
+    A = np.eye(512) * 2.0 + 1.0 / 512
+    fact = lu_factor(A)
+    dominance_partition(A)
+    ordered = A[::-1, ::-1].copy()
+    dominance_partition(ordered)  # two records counting 12 MiB and 24 KiB: both stay
+    assert within_bounds() and memo_size() >= 2
+    assert lu_factor(A) is fact
+    monkeypatch.setattr(core, "MEMO_BYTES", 64 * 2**10)  # one order-64 record outgrows it
+    big = np.eye(64) * 2.0 + 1.0 / 64
+    dominance_partition(big)
+    assert memo_size() == 1 and within_bounds()
+    assert next(iter(core._MEMO.values())).matrix is as_matrix(big)
+
+
+def test_matching_fingerprint_with_other_bits_replaces_the_record():
+    # Equal order, diagonal and first row: the same fingerprint, told apart by the bytes.
     clear_memo()
-    as_matrix(np.eye(MEMO_MAX_ORDER))
-    assert memo_size() == 1
-    kept = core._analysis.cache_info()
-    big = [np.eye(n) * 2.0 + 1.0 / n for n in (MEMO_MAX_ORDER + 1, 512)]
-    for A in big:
-        as_matrix(A)
-        dominance_partition(A)
-    schur_complement(big[-1], [0])  # its complement, of order 511, is above the bound too
-    assert core._analysis.cache_info() == kept  # neither looked up, added nor evicted
+    plus = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 1.0, 4.0]])
+    minus = plus.copy()
+    minus[1, 0] = -0.0
+    a = dominance_partition(plus)
+    b = dominance_partition(minus)
+    assert a is not b and memo_size() == 1
+    assert np.signbit(as_matrix(minus)[1, 0]) and not np.signbit(as_matrix(plus)[1, 0])
+    assert dominance_partition(plus) is not a  # replaced, so built again, with the same bits
+    assert fingerprint(dominance_partition(plus)) == fingerprint(a)
 
 
 def test_delta_is_built_once_on_first_read():
@@ -267,14 +299,10 @@ def test_threads_sweeping_different_matrices_match_a_serial_run():
     in_threads(run, len(work))
     assert results == [[[s] * 3 for s in mats] for mats in serial]
     assert all(d is deltas[0] for d in deltas) and deltas[0] is not None
-    assert memo_size() <= MEMO_ENTRIES
+    assert within_bounds()
 
 
-# --- the factorization memo -----------------------------------------------------
-
-
-def lu_info():
-    return oracle._factorization.cache_info()
+# --- factorizations in the records ---------------------------------------------
 
 
 def pivoting(n, seed):
@@ -282,8 +310,24 @@ def pivoting(n, seed):
     return np.random.default_rng(seed).standard_normal((n, n)) + np.eye(n)
 
 
+@pytest.fixture
+def eliminations(monkeypatch):
+    """The order of each elimination run so far, by counting both kernels."""
+    count = []
+    for name in ("_lu_scalar", "_lu_blocked"):
+        kernel = getattr(oracle, name)
+
+        def spy(A, thresh, kernel=kernel):
+            count.append(A.shape[0])
+            return kernel(A, thresh)
+
+        monkeypatch.setattr(oracle, name, spy)
+    clear_memo()
+    return count
+
+
 @pytest.mark.parametrize("n", [1, 16, 17, 33, 300])
-def test_warm_factorization_gives_cold_bits(n):
+def test_warm_factorization_gives_cold_bits(eliminations, n):
     A = pivoting(n, n)
     calls = [lambda: lu_factor(A), lambda: determinant(A), lambda: lu_factor(A.copy()),
              lambda: determinant(np.asfortranarray(A))]
@@ -292,11 +336,12 @@ def test_warm_factorization_gives_cold_bits(n):
         clear_memo()
         cold.append(outcome(call))
     clear_memo()
+    del eliminations[:]
     warm = [outcome(call) for call in calls]
     again = [outcome(call) for call in calls]
     assert warm == cold
     assert again == cold
-    assert lu_info().misses == 1  # every warm call after the first is a lookup
+    assert eliminations == [n]  # every warm call after the first is a lookup
 
 
 def test_shared_factor_cannot_be_unlocked():
@@ -310,50 +355,30 @@ def test_shared_factor_cannot_be_unlocked():
     assert fact.lower.flags.writeable  # derived arrays are the caller's own
 
 
-def test_signed_zero_and_one_ulp_are_separate_factorizations():
+def test_signed_zero_and_one_ulp_are_separate_factorizations(eliminations):
     plus = np.array([[2.0, 0.0, 1.0], [1.0, 3.0, 0.0], [0.0, 1.0, 4.0]])
     minus = plus.copy()
     minus[0, 1] = -0.0
     ulp = plus.copy()
     ulp[2, 2] = np.nextafter(4.0, 5.0)
-    clear_memo()
     facts = [lu_factor(M) for M in (plus, minus, ulp)]
-    assert lu_info().misses == 3 and lu_info().hits == 0
+    assert eliminations == [3, 3, 3]
     assert not np.signbit(facts[0].packed[0, 1]) and np.signbit(facts[1].packed[0, 1])
     assert facts[2].packed[2, 2] != facts[0].packed[2, 2]
-    assert lu_factor(plus) is not facts[0]  # evicted by the later inputs
-    assert lu_info().currsize == 1
+    assert [lu_factor(M) for M in (plus, minus, ulp)] == facts  # all three kept side by side
+    assert eliminations == [3, 3, 3] and memo_size() == 3
 
 
-def test_singular_input_raises_every_time_and_is_never_stored():
+def test_singular_input_raises_every_time_and_is_never_stored(eliminations):
     good, singular = pivoting(20, 2), np.ones((20, 20))
-    clear_memo()
     kept = lu_factor(good)
     for _ in range(3):
         with pytest.raises(SingularMatrixError, match="column 1"):
             lu_factor(singular)
         assert determinant(singular) == 0.0
     assert lu_factor(good) is kept  # the failures neither replaced nor evicted it
-    clear_memo()
-    with pytest.raises(SingularMatrixError):
-        lu_factor(singular)
-    assert lu_info().currsize == 0
-
-
-@pytest.fixture
-def eliminations(monkeypatch):
-    """The number of eliminations run so far, by counting both kernels."""
-    count = []
-    for name in ("_lu_scalar", "_lu_blocked"):
-        kernel = getattr(oracle, name)
-
-        def spy(A, thresh, kernel=kernel):
-            count.append(A.shape[0])
-            return kernel(A, thresh)
-
-        monkeypatch.setattr(oracle, name, spy)
-    clear_memo()
-    return count
+    assert eliminations == [20] * 7  # each singular call eliminated again
+    assert core._record(singular).factorization is None
 
 
 @pytest.mark.parametrize("n", [8, 40])
@@ -374,20 +399,42 @@ def test_schur_pivot_block_determinant_is_a_lookup(eliminations):
     assert eliminations == [len(alpha)]
 
 
-def test_factorization_memo_holds_one_entry():
-    clear_memo()
-    sizes = []
-    for n in (1, 2, 17, 33, 64):
+def test_order_300_audit_partitions_and_eliminates_a_once(eliminations, monkeypatch):
+    partitioned = []
+    build = core._build_partition
+    monkeypatch.setattr(core, "_build_partition", lambda M: partitioned.append(M.tobytes()) or build(M))
+    A = np.array(generate_sdd1(300, 1, n1_fraction=0.5))
+    A = np.ldexp(A, -8)  # an exact scaling to unit-sized pivots, so the determinant stays finite
+    n2 = list(dominance_partition(A).n2)
+    classify(A)
+    is_h_matrix(A)
+    inverse(A)
+    sdd1_schur_bound(A)
+    sdd1_epsilon_bound(A)
+    s_sdd1_schur_bound(A, n2)
+    ordered = dominance_ordering(A).apply(A)
+    huang_bracket(ordered)
+    dominance_bracket(ordered)
+    determinant(A)
+    lu_factor(A)
+    dominance_partition(schur_complement(A, n2).complement)
+    assert partitioned.count(A.tobytes()) == 1
+    assert eliminations.count(300) == 1
+
+
+def test_factorizations_count_toward_the_budget(eliminations):
+    for n in (1, 2, 17, 33, 64, 128):
         for seed in range(3):
             A = pivoting(n, seed)
             determinant(A)
-            lu_factor(A)
-            sizes.append(lu_info().currsize)
-    assert lu_info().maxsize == 1 and max(sizes) == 1
+            fact = lu_factor(A)
+            assert within_bounds()
+            assert lu_factor(A) is fact
+    assert eliminations == [n for n in (1, 2, 17, 33, 64, 128) for _ in range(3)]
 
 
 def test_threads_factoring_different_matrices_match_a_serial_run():
-    # Each thread's matrices evict the others' entry as often as the switch interval allows.
+    # Each thread's matrices evict the others' records as often as the switch interval allows.
     work = [[pivoting(n, 10 * k + n) for n in (5, 17, 40)] for k in range(4)]
 
     def factor_all(mats):
@@ -402,4 +449,4 @@ def test_threads_factoring_different_matrices_match_a_serial_run():
 
     in_threads(run, len(work))
     assert results == [[s] * 20 for s in serial]
-    assert lu_info().currsize <= 1
+    assert within_bounds()

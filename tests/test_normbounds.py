@@ -12,13 +12,18 @@ from diagdom import (
     ParameterError,
     WitnessError,
     b1_split,
+    comparison_matrix,
+    dominance_bracket,
+    dominance_ordering,
     dominance_partition,
     generate_b1,
     generate_sdd1,
+    huang_bracket,
     inf_norm,
     inverse,
     lcp_b1_bound,
     s_sdd1_schur_bound,
+    schur_complement,
     sdd1_epsilon_bound,
     sdd1_schur_bound,
     sdd_pairwise_bound,
@@ -31,6 +36,7 @@ from diagdom.normbounds import (
     _restricted_schur_value,
 )
 from matrices import NORM_8X8, SINGLE_N2
+from test_memo import outcome
 from test_oracle import random_sdd
 
 
@@ -256,3 +262,22 @@ class TestDenominatorErrors:
         with pytest.raises(DenominatorError) as info:
             _restricted_schur_value(part, list(part.n2), 10 * part.diag)
         assert info.value.rows and set(info.value.rows) <= set(part.n1)
+
+
+def test_moduli_only_outputs_are_the_same_on_the_comparison_matrix(sdd1_ensemble):
+    # Every norm certificate and both determinant brackets read only the moduli
+    # |a_ij|, so each is bit-identical on A and on <A> = comparison_matrix(A); a
+    # formula that started to read a sign would differ.  SDD_PAIRWISE refuses the
+    # ensemble (it is not SDD), so it also runs on the SDD complement A/n2.
+    def ordered(bracket):
+        return lambda M: bracket(dominance_ordering(M).apply(M))
+
+    for A in sdd1_ensemble:
+        n2 = list(dominance_partition(A).n2)
+        S = schur_complement(A, n2).complement
+        for f, M in [(sdd_pairwise_bound, A), (sdd_pairwise_bound, S), (sdd1_schur_bound, A),
+                     (sdd1_epsilon_bound, A), (lambda M: s_sdd1_schur_bound(M, n2), A),
+                     (ordered(huang_bracket), A), (ordered(dominance_bracket), A)]:
+            got = outcome(lambda: f(M))
+            assert got == outcome(lambda: f(comparison_matrix(M)))
+            assert got[0] != "raises" or M is A and f is sdd_pairwise_bound

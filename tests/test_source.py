@@ -24,6 +24,22 @@ def test_no_assert_statements():
     assert paths and not found, found
 
 
+def test_no_function_cache_outside_the_memo():
+    # ``core`` keeps each matrix's analysis in one bit-checked table; a
+    # ``functools`` cache elsewhere would be a second memo beside it.
+    found = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names if name in ("cache", "lru_cache")]
+    assert not found, found
+
+
 def test_no_public_function_takes_a_partition():
     # Each public function partitions the matrix it is given.  A partition
     # passed in beside the matrix was never checked against it, so
