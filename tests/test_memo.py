@@ -365,7 +365,7 @@ def test_signed_zero_and_one_ulp_are_separate_factorizations(eliminations):
     assert eliminations == [3, 3, 3]
     assert not np.signbit(facts[0].packed[0, 1]) and np.signbit(facts[1].packed[0, 1])
     assert facts[2].packed[2, 2] != facts[0].packed[2, 2]
-    assert [lu_factor(M) for M in (plus, minus, ulp)] == facts  # all three kept side by side
+    assert all(lu_factor(M) is f for M, f in zip((plus, minus, ulp), facts))  # kept side by side
     assert eliminations == [3, 3, 3] and memo_size() == 3
 
 
