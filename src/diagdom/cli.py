@@ -129,7 +129,7 @@ def _cmd_schur(A, args):
     if not args.alpha:
         raise ValidationError("--alpha is required for the schur subcommand")
     res = schur_complement(A, _parse_index_list(args.alpha))
-    det_block = determinant(A[np.ix_(res.alpha, res.alpha)])  # the pivot block just factored
+    det_block = determinant(A[np.ix_(res.alpha, res.alpha)])  # factored again: blocks are not kept
     det_full = determinant(A)
     det_comp = determinant(res.complement)
     return {"result": {

@@ -12,6 +12,7 @@ All indices in this API are 0-based.  The command-line layer converts to
 
 from __future__ import annotations
 
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -34,22 +35,22 @@ __all__ = [
 # built on first request, its partition and LU factorization, so a matrix seen
 # again (criterion 7 calls ``schur_complement`` about 22 times on one A; an audit
 # takes ``determinant(A)``, then ``lu_factor(A)``) is not checked or built again.
-MEMO_BYTES = 25 * 2**19  # what the records may hold, each counted as its matrix, moduli and factor,
-                         # 24 n^2 + 24 n bytes.  An order-512 audit keeps A while its dominance-
-                         # ordered copy arrives before ``lu_factor(A)``: 12 MiB and 24 KiB in all
-MEMO_RECORDS = 8         # records it may hold.  ensemble-audit's hit share is 68% from 4 records to
-                         # 128; kept whole, its cycle of 3500 small records adds 7 MB (+16%) to RSS
-_MEMO = OrderedDict()    # fingerprint -> record, least recently used first
+# It keeps the MEMO_RECORDS most recently used records, each holding at most
+# 24 n^2 + 24 n bytes (matrix, moduli, factor).  Three is the fewest with which a
+# large-dense pass builds no partition or factor twice: A's record outlasts
+# those of its inverse, its ordered copy and its complement.
+MEMO_RECORDS = 3
+_MEMO = OrderedDict()  # fingerprint -> record, least recently used first
 _LOCK = threading.RLock()  # guards _MEMO and the results built into records
 
 
 class _Record:
     """A validated read-only matrix and the results built from it, each on first request."""
 
-    __slots__ = ("key", "raw", "matrix", "nbytes", "partition", "factorization")
+    __slots__ = ("key", "raw", "matrix", "partition", "factorization")
 
     def __init__(self, key, raw):
-        self.key, self.raw, self.nbytes = key, raw, 3 * len(raw) + 24 * key[0]
+        self.key, self.raw = key, raw
         self.matrix = np.frombuffer(raw, dtype=np.float64).reshape(key[0], key[0])
         self.partition = self.factorization = None
 
@@ -101,15 +102,17 @@ def _record(a) -> _Record:
             raise ValidationError("matrix entries must be finite")
         rec = _MEMO[key] = _Record(key, arr.tobytes())  # in place of any other bytes
         _MEMO.move_to_end(key)
-        while len(_MEMO) > MEMO_RECORDS or (
-                len(_MEMO) > 1 and sum(r.nbytes for r in _MEMO.values()) > MEMO_BYTES):
+        while len(_MEMO) > MEMO_RECORDS:
             _MEMO.popitem(last=False)
         return rec
 
 
 def as_index_set(indices, n, *, allow_empty=False, name="index set") -> tuple[int, ...]:
-    """Normalize an iterable of row indices to a strictly increasing tuple."""
-    raw = [int(i) for i in indices]
+    """Normalize an iterable of integer row indices (numpy's too) to a strictly increasing tuple."""
+    try:
+        raw = [operator.index(i) for i in indices]
+    except TypeError:
+        raise ValidationError(f"{name} holds an index that is not an integer") from None
     if len(set(raw)) != len(raw):
         raise ValidationError(f"{name} contains duplicate indices")
     idx = tuple(sorted(raw))
@@ -155,9 +158,7 @@ def row_sum(A, i, subset=None) -> float:
     """
     A = as_matrix(A)
     n = A.shape[0]
-    if not 0 <= int(i) < n:
-        raise ValidationError(f"row index {i} outside 0..{n - 1}")
-    i = int(i)
+    (i,) = as_index_set([i], n, name="row index")
     if subset is None:
         cols = range(n)
     else:
@@ -172,9 +173,7 @@ def damped_row_sum(A, i, subset) -> float:
     """
     A = as_matrix(A)
     n = A.shape[0]
-    if not 0 <= int(i) < n:
-        raise ValidationError(f"row index {i} outside 0..{n - 1}")
-    i = int(i)
+    (i,) = as_index_set([i], n, name="row index")
     cols = as_index_set(subset, n, allow_empty=True, name="subset")
     part = dominance_partition(A)
     total = 0.0

@@ -12,12 +12,12 @@ decides it, and the x it finds scales A into strict diagonal dominance:
 A diag(x) is SDD by rows.  ``h_scaling`` returns that x as an auditable
 witness; ``is_h_matrix`` asks whether it exists.
 
-Each matrix is factored once.  ``lu_factor``, ``determinant`` and the
-Schur complement's pivot block keep the factorization in the matrix's record
-in ``core``'s table, within its byte budget ``core.MEMO_BYTES``, so factoring
-a matrix that is still recorded (``determinant(A)`` and then ``lu_factor(A)``,
-as an audit does) returns the same read-only factorization.  Singular input
-is never stored.
+Each matrix is factored once.  ``lu_factor`` and ``determinant`` keep the
+factorization in the matrix's record in ``core``'s table of at most
+``core.MEMO_RECORDS`` records, so factoring a matrix that is still recorded
+(``determinant(A)`` and then ``lu_factor(A)``, as an audit does) returns the
+same read-only factorization.  Singular input is never stored.  A Schur
+complement's pivot block is factored by ``_factorize`` and kept nowhere.
 """
 
 from __future__ import annotations

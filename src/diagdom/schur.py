@@ -25,7 +25,7 @@ import numpy as np
 from .classify import _is_sdd1, _require_sdd1
 from .core import _LOCK, IndexPartition, as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
-from .oracle import _m_matrix_witness, inf_norm, inverse, lu_factor, lu_solve
+from .oracle import _factorize, _m_matrix_witness, inf_norm, inverse, lu_solve
 
 __all__ = [
     "SchurResult",
@@ -150,7 +150,7 @@ def _complement(A, alpha, bar):
     labels = tuple(a + 1 for a in alpha)
     with np.errstate(all="ignore"):
         try:
-            fact = lu_factor(A[ia[:, None], ia])
+            fact = _factorize(A[ia[:, None], ia])  # finite, and never looked up: no record
         except SingularMatrixError as exc:
             raise SingularBlockError(f"pivot block {labels} is singular", column=exc.column) from exc
         comp = A[ib[:, None], ib] - A[ib[:, None], ia] @ lu_solve(fact, A[ia[:, None], ib])

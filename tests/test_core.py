@@ -15,6 +15,8 @@ from diagdom import (
     damped_row_sum,
     dominance_partition,
     row_sum,
+    schur_complement,
+    tilde_set_identity_check,
 )
 from matrices import SCHUR_5X5, NORM_8X8
 
@@ -60,6 +62,7 @@ class TestAsMatrix:
 class TestIndexSet:
     def test_sorts_and_validates(self):
         assert as_index_set([3, 1], 5) == (1, 3)
+        assert as_index_set([np.int64(3), np.int32(1)], 5) == (1, 3)
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValidationError):
@@ -74,11 +77,21 @@ class TestIndexSet:
         with pytest.raises(ValidationError):
             as_index_set([], 5)
 
+    @pytest.mark.parametrize("index", [1.7, 1.0, np.float64(1.0), "3", np.str_("1")])
+    def test_rejects_indices_that_are_not_integers(self, index):
+        for call in (lambda: as_index_set([index], 6), lambda: row_sum(SCHUR_5X5, index),
+                     lambda: damped_row_sum(SCHUR_5X5, index, [0]),
+                     lambda: schur_complement(SCHUR_5X5, [index]),
+                     lambda: tilde_set_identity_check(SCHUR_5X5, [index])):
+            with pytest.raises(ValidationError, match="not an integer"):
+                call()
+
 
 class TestRowSum:
     def test_full_row(self):
         # Row 4 (1-based) of the 5x5 fixture has off-diagonal mass 1+0+0+1.
         assert row_sum(SCHUR_5X5, 3) == 2.0
+        assert row_sum(SCHUR_5X5, np.intp(3)) == 2.0
 
     def test_identity_has_no_mass(self):
         assert row_sum(np.eye(4), 0) == 0.0

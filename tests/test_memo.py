@@ -1,6 +1,6 @@
 """The memo of per-matrix records behind ``as_matrix``, the partition,
-``lu_factor``, ``determinant`` and the Schur pivot block, and the lazy Schur
-``delta``.
+``lu_factor`` and ``determinant``, and the lazy Schur ``delta``; Schur pivot
+blocks are factored outside it.
 
 The memo may only remove work: every public call must give the same bits
 with a warm memo as after clearing it, whatever the caller does to its own
@@ -33,6 +33,7 @@ from diagdom import (
     generate_b1,
     generate_sdd1,
     huang_bracket,
+    inf_norm,
     inverse,
     is_h_matrix,
     is_p_matrix,
@@ -47,7 +48,7 @@ from diagdom import (
     tilde_set_identity_check,
 )
 from diagdom import core, oracle
-from diagdom.core import MEMO_BYTES, MEMO_RECORDS
+from diagdom.core import MEMO_RECORDS
 from test_vectorized import draw, same, schur_instance
 
 
@@ -61,15 +62,8 @@ def memo_size():
 
 
 def within_bounds():
-    """At most MEMO_RECORDS records, counting at most MEMO_BYTES bytes unless one
-    record alone counts more; each record counts at least what it holds."""
-    records = list(core._MEMO.values())
-    for r in records:
-        held = [r.matrix, *(a for f in (r.partition, r.factorization) if f is not None
-                            for a in vars(f).values() if isinstance(a, np.ndarray))]
-        assert sum(a.nbytes for a in held) <= r.nbytes
-    counted = sum(r.nbytes for r in records)
-    return len(records) <= MEMO_RECORDS and (counted <= MEMO_BYTES or len(records) == 1)
+    """At most MEMO_RECORDS records."""
+    return memo_size() <= MEMO_RECORDS
 
 
 def fingerprint(obj):
@@ -198,8 +192,7 @@ def test_shared_matrix_cannot_be_unlocked():
         M.setflags(write=True)
 
 
-def test_memo_stays_within_its_byte_budget(monkeypatch):
-    clear_memo()
+def test_memo_stays_within_its_record_count(eliminations):
     for n in [2, 3, 32, 33, 300, 512, 64, *range(4, 4 + 2 * MEMO_RECORDS)]:
         A = np.eye(n) * 2.0 + 1.0 / n  # strictly dominant: a complement of each order below
         dominance_partition(A)
@@ -207,18 +200,20 @@ def test_memo_stays_within_its_byte_budget(monkeypatch):
         schur_complement(A, [n - 1])
         assert within_bounds()
     assert memo_size() == MEMO_RECORDS
-    A = np.eye(512) * 2.0 + 1.0 / 512
+    # An order-512 audit's A keeps its record and factor while the records of its
+    # inverse, its dominance-ordered copy and its complement arrive.
+    A = np.full((512, 512), 1.0 / 512) + np.diag(np.resize([3.0, 0.5], 512))  # odd rows in n1
+    ordered = dominance_ordering(A).apply(A)
+    assert not np.array_equal(ordered, A)
+    del eliminations[:]
     fact = lu_factor(A)
-    dominance_partition(A)
-    ordered = A[::-1, ::-1].copy()
-    dominance_partition(ordered)  # two records counting 12 MiB and 24 KiB: both stay
-    assert within_bounds() and memo_size() >= 2
+    for step in (lambda: inf_norm(inverse(A)), lambda: dominance_partition(ordered),
+                 lambda: schur_complement(A, [511])):
+        step()
+        assert within_bounds()
+    assert memo_size() == MEMO_RECORDS
     assert lu_factor(A) is fact
-    monkeypatch.setattr(core, "MEMO_BYTES", 64 * 2**10)  # one order-64 record outgrows it
-    big = np.eye(64) * 2.0 + 1.0 / 64
-    dominance_partition(big)
-    assert memo_size() == 1 and within_bounds()
-    assert next(iter(core._MEMO.values())).matrix is as_matrix(big)
+    assert eliminations == [512, 1]  # A once, then the pivot block
 
 
 def test_matching_fingerprint_with_other_bits_replaces_the_record():
@@ -390,13 +385,40 @@ def test_determinant_then_lu_factor_eliminates_once(eliminations, n):
     assert det == float(fact.sign * np.prod(fact.packed.diagonal()))
 
 
-def test_schur_pivot_block_determinant_is_a_lookup(eliminations):
-    # The order ``schur`` on the command line takes: complement, then the pivot block's determinant.
+def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
     A = np.array(generate_sdd1(12, 5, n1_fraction=0.5))
     alpha = list(dominance_partition(A).n2[:3])
+    clear_memo()
+    res = schur_complement(A, alpha)
+    assert [r.matrix for r in core._MEMO.values()] == [as_matrix(A), res.complement]
+    clear_memo()
+    quotient_formula_check(A, list(range(11)), [0])
+    assert [r.matrix for r in core._MEMO.values()] == [as_matrix(A)]
+    # The order ``schur`` on the command line takes: complement, then the pivot block's
+    # determinant, which factors the block a second time, to the same bits.
+    clear_memo()
+    del eliminations[:]
     schur_complement(A, alpha)
-    determinant(A[np.ix_(alpha, alpha)])
-    assert eliminations == [len(alpha)]
+    assert determinant(A[np.ix_(alpha, alpha)]).hex() == "0x1.62fee80000000p+10"
+    assert eliminations == [len(alpha)] * 2
+    # Criterion 7's sweep of an order-8 matrix, complements and their partitions,
+    # records A and one complement per alpha (reading a ``delta`` would add its
+    # comparison block's inverse).
+    A = np.array(generate_sdd1(8, 3, n1_fraction=0.5))
+    n2 = dominance_partition(A).n2
+    alphas = [list(a) for size in range(1, len(n2) + 1) for a in itertools.combinations(n2, size)]
+    created = []
+
+    class Counted(core._Record):
+        def __init__(self, key, raw):
+            created.append(key)
+            super().__init__(key, raw)
+
+    monkeypatch.setattr(core, "_Record", Counted)
+    clear_memo()
+    for alpha in alphas:
+        dominance_partition(schur_complement(A, alpha).complement)
+    assert len(alphas) > 1 and len(created) == 1 + len(alphas)
 
 
 def test_order_300_audit_partitions_and_eliminates_a_once(eliminations, monkeypatch):
@@ -422,7 +444,7 @@ def test_order_300_audit_partitions_and_eliminates_a_once(eliminations, monkeypa
     assert eliminations.count(300) == 1
 
 
-def test_factorizations_count_toward_the_budget(eliminations):
+def test_factorizations_stay_within_the_record_count(eliminations):
     for n in (1, 2, 17, 33, 64, 128):
         for seed in range(3):
             A = pivoting(n, seed)

@@ -6,7 +6,8 @@ import subprocess
 import sys
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
-BENCH_FILES = ["BENCH_6.json", "BENCH_7.json", "BENCH_8.json"]
+BENCH_FILES = sorted((p.name for p in REPO_ROOT.glob("BENCH_*.json")),
+                     key=lambda name: int(name[len("BENCH_"):-len(".json")]))
 
 
 def test_trajectory_over_committed_bench_files():
@@ -29,7 +30,8 @@ def test_trajectory_over_committed_bench_files():
                 assert float(fields[3]) == float(f"{m['change']['median']:.4g}")
                 assert fields[5] == f"{m['wins']}/{m['pairs']}"
     ensemble = lines.index("ensemble-audit throughput_ops_s (1/s, higher is better)")
-    assert lines[ensemble + 2].split()[5] == "10/10"  # BENCH_7's claimed gain
+    at = BENCH_FILES.index("BENCH_7.json")
+    assert lines[ensemble + 1 + at].split()[5] == "10/10"  # BENCH_7's claimed gain
 
 
 def test_comparison_mode_still_needs_its_arguments():
