@@ -390,10 +390,12 @@ def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
     alpha = list(dominance_partition(A).n2[:3])
     clear_memo()
     res = schur_complement(A, alpha)
-    assert [r.matrix for r in core._MEMO.values()] == [as_matrix(A), res.complement]
+    held = [r.matrix for r in core._MEMO.values()]
+    assert len(held) == 2 and held[0] is as_matrix(A) and held[1] is res.complement
     clear_memo()
     quotient_formula_check(A, list(range(11)), [0])
-    assert [r.matrix for r in core._MEMO.values()] == [as_matrix(A)]
+    held = [r.matrix for r in core._MEMO.values()]
+    assert len(held) == 1 and held[0] is as_matrix(A)
     # The order ``schur`` on the command line takes: complement, then the pivot block's
     # determinant, which factors the block a second time, to the same bits.
     clear_memo()
