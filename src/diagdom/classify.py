@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexPartition, as_index_set, as_matrix, dominance_partition
+from .core import IndexPartition, _checked, as_index_set, dominance_partition
 from .errors import HypothesisError, SizeLimitError, ValidationError, WitnessError
 
 __all__ = [
@@ -165,12 +165,11 @@ def b1_split(M) -> B1Split:
     Raises ``ValidationError`` when ``a = M - c`` overflows, which a finite M
     holding large entries of both signs in one row can do.
     """
-    M = as_matrix(M)
-    n = M.shape[0]
+    M = _checked(M)
     masked = np.array(M)
     np.fill_diagonal(masked, -np.inf)
     r = np.maximum(0.0, masked.max(axis=1))
-    c = np.tile(r[:, None], (1, n))
+    c = np.tile(r[:, None], (1, M.shape[0]))
     with np.errstate(over="ignore"):
         a = M - c
     if not np.isfinite(a).all():

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import operator
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,27 +30,28 @@ __all__ = [
     "row_sum",
 ]
 
-# The memo: a record per recently used matrix, holding the validated matrix and,
-# built on first request, its partition and LU factorization, so a matrix seen
-# again (criterion 7 calls ``schur_complement`` about 22 times on one A; an audit
-# takes ``determinant(A)``, then ``lu_factor(A)``) is not checked or built again.
-# It keeps the MEMO_RECORDS most recently used records, each holding at most
-# 24 n^2 + 24 n bytes (matrix, moduli, factor).  Three is the fewest with which a
-# large-dense pass builds no partition or factor twice: A's record outlasts
-# those of its inverse, its ordered copy and its complement.
-MEMO_RECORDS = 3
-_MEMO = OrderedDict()  # fingerprint -> record, least recently used first
+# The memo: a record per recently analysed matrix, holding the validated matrix
+# and, built on first request, its partition and LU factorization, so a matrix
+# seen again (criterion 7 calls ``schur_complement`` about 22 times on one A) is
+# not checked or built again.  Only a matrix whose partition or factorization is
+# read, or whose shared copy ``as_matrix`` is asked for, gets a record; a call
+# that reads its matrix once validates it with ``_checked``.  The MEMO_RECORDS
+# most recently used records are kept, each at most 24 n^2 + 24 n bytes.  Two is
+# the fewest with which a dense pass builds no partition or factor twice: A's
+# record outlasts the ordered copy's or the complement's before A is read again.
+MEMO_RECORDS = 2
+_MEMO = []  # records, least recently used first
 _LOCK = threading.RLock()  # guards _MEMO and the results built into records
 
 
 class _Record:
     """A validated read-only matrix and the results built from it, each on first request."""
 
-    __slots__ = ("key", "raw", "matrix", "partition", "factorization")
+    __slots__ = ("raw", "matrix", "partition", "factorization")
 
-    def __init__(self, key, raw):
-        self.key, self.raw = key, raw
-        self.matrix = np.frombuffer(raw, dtype=np.float64).reshape(key[0], key[0])
+    def __init__(self, arr, raw):
+        self.raw = raw
+        self.matrix = np.frombuffer(raw, dtype=np.float64).reshape(arr.shape)
         self.partition = self.factorization = None
 
     def result(self, name, build):
@@ -66,53 +66,59 @@ def as_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a validated square float64 matrix.
 
     Rejects complex input (the bound machinery is real-valued), non-square
-    shapes, and non-finite entries.  Returns a read-only copy so results that
-    hold references to it stay immutable.  The copy is shared: input with
-    exactly the bytes of a recently validated matrix gets that matrix back,
-    unchecked and uncopied, and the shared copy can never be made writable.
+    shapes, and non-finite entries.  Returns the read-only matrix of ``a``'s
+    record in the memo, so results that hold it stay immutable, and input with
+    exactly the bytes of a recently analysed matrix gets that matrix back,
+    unchecked and uncopied.  Asking for it makes a record, so the library's
+    calls that read their input once validate it with ``_checked`` instead.
     """
     return _record(a).matrix
+
+
+def _checked(a, *, finite=True) -> np.ndarray:
+    """``a`` checked as ``as_matrix`` checks it (``finite`` included), but neither copied
+    nor recorded: a C-ordered float64 array, which may be the caller's own."""
+    arr = np.asarray(a)
+    if arr.dtype.kind == "c":
+        raise ValidationError("complex matrices are not supported")
+    arr = np.asarray(arr, dtype=np.float64, order="C")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
+        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+    if finite and not np.isfinite(arr).all():
+        raise ValidationError("matrix entries must be finite")
+    return arr
 
 
 def _record(a) -> _Record:
     """The memo's record of ``a``, validated and added if absent.
 
-    A record is found by its fingerprint, the order and the bytes of the
-    diagonal and of the first row, and confirmed by the identity of its own
-    matrix or by equal bytes, so 0.0 and -0.0 differ and the whole matrix is
-    never hashed.  A matrix with a record's fingerprint but other bytes
-    replaces that record.  Every thread gets the same record back.
+    Found by the identity of its own matrix, else by equal bytes, so 0.0 and
+    -0.0 differ; only a new record is checked for finite entries.
     """
     with _LOCK:
-        rec = next(reversed(_MEMO.values()), None)
-        if rec is not None and rec.matrix is a:  # the last record's own matrix, passed back
-            return rec
-        arr = np.asarray(a)
-        if arr.dtype.kind == "c":
-            raise ValidationError("complex matrices are not supported")
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-            raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-        key = (arr.shape[0], arr.diagonal().tobytes(), arr[0].tobytes())
-        rec = _MEMO.get(key)
-        if rec is not None and (rec.matrix is arr or rec.raw == arr.tobytes()):
-            _MEMO.move_to_end(key)
-            return rec
-        if not np.isfinite(arr).all():
-            raise ValidationError("matrix entries must be finite")
-        rec = _MEMO[key] = _Record(key, arr.tobytes())  # in place of any other bytes
-        _MEMO.move_to_end(key)
-        while len(_MEMO) > MEMO_RECORDS:
-            _MEMO.popitem(last=False)
+        rec = next((r for r in _MEMO if r.matrix is a), None)
+        if rec is None:
+            arr = _checked(a, finite=False)
+            raw = arr.tobytes()
+            rec = next((r for r in _MEMO if r.raw == raw), None) or _Record(_checked(arr), raw)
+        if rec in _MEMO:
+            _MEMO.remove(rec)
+        _MEMO.append(rec)
+        del _MEMO[:-MEMO_RECORDS]
         return rec
+
+
+def _integer(value, message) -> int:
+    """``value`` as an int by ``operator.index`` (numpy's too); else ValidationError(message)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(message) from None
 
 
 def as_index_set(indices, n, *, allow_empty=False, name="index set") -> tuple[int, ...]:
     """Normalize an iterable of integer row indices (numpy's too) to a strictly increasing tuple."""
-    try:
-        raw = [operator.index(i) for i in indices]
-    except TypeError:
-        raise ValidationError(f"{name} holds an index that is not an integer") from None
+    raw = [_integer(i, f"{name} holds an index that is not an integer") for i in indices]
     if len(set(raw)) != len(raw):
         raise ValidationError(f"{name} contains duplicate indices")
     idx = tuple(sorted(raw))
@@ -156,13 +162,10 @@ def row_sum(A, i, subset=None) -> float:
 
     ``subset=None`` means the full index range, giving R_i.
     """
-    A = as_matrix(A)
+    A = _checked(A)
     n = A.shape[0]
     (i,) = as_index_set([i], n, name="row index")
-    if subset is None:
-        cols = range(n)
-    else:
-        cols = as_index_set(subset, n, allow_empty=True, name="subset")
+    cols = range(n) if subset is None else as_index_set(subset, n, allow_empty=True, name="subset")
     return float(sum(abs(A[i, j]) for j in cols if j != i))
 
 
@@ -171,11 +174,9 @@ def damped_row_sum(A, i, subset) -> float:
 
     Every j in the subset (other than i) must have a nonzero diagonal.
     """
-    A = as_matrix(A)
-    n = A.shape[0]
-    (i,) = as_index_set([i], n, name="row index")
-    cols = as_index_set(subset, n, allow_empty=True, name="subset")
     part = dominance_partition(A)
+    (i,) = as_index_set([i], part.n, name="row index")
+    cols = as_index_set(subset, part.n, allow_empty=True, name="subset")
     total = 0.0
     for j in cols:
         if j == i:
@@ -211,7 +212,7 @@ def _build_partition(A) -> IndexPartition:
 
 def comparison_matrix(A) -> np.ndarray:
     """Entrywise comparison matrix: |a_ii| on the diagonal, -|a_ij| elsewhere."""
-    A = as_matrix(A)
+    A = _checked(A)
     out = -np.abs(A)
     np.fill_diagonal(out, np.abs(A.diagonal()))
     return out

@@ -16,8 +16,8 @@ import numpy as np
 
 from .certificates import FORMULA_DET_HUANG, FORMULA_DET_NEW
 from .classify import _require_sdd1
-from .core import IndexPartition, as_matrix, dominance_partition
-from .errors import HypothesisError
+from .core import IndexPartition, _checked, as_matrix, dominance_partition
+from .errors import HypothesisError, ValidationError
 from .oracle import determinant
 
 __all__ = [
@@ -46,8 +46,10 @@ class DominanceOrdering:
     s: int
 
     def apply(self, A) -> np.ndarray:
-        A = as_matrix(A)
+        A = _checked(A)
         p = list(self.permutation)
+        if A.shape[0] != len(p):
+            raise ValidationError(f"expected a matrix of order {len(p)}, got order {A.shape[0]}")
         return A[np.ix_(p, p)]
 
 

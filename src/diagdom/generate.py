@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .classify import _is_sdd1
-from .core import as_matrix, dominance_partition
+from .core import _integer, as_matrix, dominance_partition
 from .errors import GenerationError, ValidationError
 
 __all__ = ["generate_b1", "generate_sdd1"]
@@ -36,12 +36,12 @@ def generate_sdd1(n, seed, n1_fraction=0.4, positive_diagonal=False, z_pattern=F
     are mixed unless ``positive_diagonal``/``z_pattern`` restrict them.
     Retries up to a fixed budget, then raises ``GenerationError``.
     """
-    n = int(n)
+    n, seed = _integer(n, "order must be an integer"), _integer(seed, "seed must be an integer")
     if n < 2:
         raise ValidationError("order must be at least 2")
     if not 0.0 < float(n1_fraction) < 1.0:
         raise ValidationError("n1_fraction must lie strictly between 0 and 1")
-    rng = np.random.default_rng([int(seed) & (2**64 - 1), _SDD1_STREAM])
+    rng = np.random.default_rng([seed & (2**64 - 1), _SDD1_STREAM])
     k1 = min(n - 1, max(1, round(float(n1_fraction) * n)))
 
     for _ in range(RETRY_BUDGET):
@@ -111,8 +111,8 @@ def generate_b1(n, seed, n1_fraction=0.4, shift_probability=0.5):
     one off-diagonal entry pinned to zero first, so recomputing the row
     maxima on the sum returns exactly the shift that was added.
     """
-    n = int(n)
-    rng = np.random.default_rng([int(seed) & (2**64 - 1), _B1_STREAM])
+    n, seed = _integer(n, "order must be an integer"), _integer(seed, "seed must be an integer")
+    rng = np.random.default_rng([seed & (2**64 - 1), _B1_STREAM])
     for _ in range(RETRY_BUDGET):
         a = np.array(generate_sdd1(n, int(rng.integers(0, 2**31)), n1_fraction, z_pattern=True))
         r = np.zeros(n)

@@ -31,7 +31,7 @@ import numpy as np
 from ._streams import uniform_streams
 from .certificates import FORMULA_LCP_B1, BoundCertificate
 from .classify import _positive_sdd1, _s_sdd1_margins, b1_split
-from .core import as_matrix
+from .core import _checked, _integer, as_matrix
 from .errors import HypothesisError, SingularMatrixError, SizeLimitError, ValidationError
 from .mmio import matrix_digest
 from .normbounds import _pairwise_terms, _schur_tail
@@ -187,11 +187,11 @@ def run_experiment(M, sample_count, seed) -> LcpExperiment:
     P-matrices stay nonsingular), so such an error propagates with the
     sample index attached.
     """
-    M = as_matrix(M)
-    if int(sample_count) < 1:
+    M = _checked(M)
+    sample_count = _integer(sample_count, "sample_count must be an integer")
+    seed = _integer(seed, "seed must be an integer") & (2**64 - 1)
+    if sample_count < 1:
         raise ValidationError("sample_count must be at least 1")
-    sample_count = int(sample_count)
-    seed = int(seed) & (2**64 - 1)
     bound = lcp_b1_bound(M).value
     d_samples = uniform_streams(seed, np.arange(sample_count), M.shape[0])
     exact = _scaled_norms(
@@ -218,7 +218,7 @@ def corner_norms(M) -> np.ndarray:
     its corner bit for bit.  Guarded to order ``CORNER_MAX_ORDER`` (the
     sweep is exponential).
     """
-    M = as_matrix(M)
+    M = _checked(M)
     n = M.shape[0]
     if n > CORNER_MAX_ORDER:
         raise SizeLimitError(f"corner sweep is limited to order {CORNER_MAX_ORDER}, got {n}")
@@ -242,7 +242,7 @@ def scaled_matrix_sdd1_check(A, dvec) -> bool:
             "the scaling-structure checks need positive diagonal SDD1 input",
         )
     dvec = np.asarray(dvec, dtype=float)
-    if dvec.shape != (A.shape[0],) or ((dvec < 0) | (dvec > 1)).any():
+    if dvec.shape != (A.shape[0],) or not ((dvec >= 0) & (dvec <= 1)).all():
         raise ValidationError("scaling vector must lie in [0,1]^n")
     bpart = _positive_sdd1(_scaled(A, dvec))
     checks = (

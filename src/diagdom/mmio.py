@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-from .core import as_matrix
+from .core import _checked, as_matrix
 from .errors import MatrixMarketError
 
 __all__ = ["format_matrix_market", "matrix_digest", "read_matrix_market", "write_matrix_market"]
@@ -21,11 +21,9 @@ _BANNER = "%%MatrixMarket"
 
 def matrix_digest(A) -> str:
     """Content hash of a matrix: sha256 over the shape and raw entry bytes."""
-    A = as_matrix(A)
-    h = hashlib.sha256()
-    h.update(str(A.shape[0]).encode("ascii"))
-    h.update(b":")
-    h.update(A)  # as_matrix returns C-ordered arrays, hashed in place, uncopied
+    A = _checked(A)
+    h = hashlib.sha256(f"{A.shape[0]}:".encode("ascii"))
+    h.update(A)  # _checked returns C-ordered arrays, hashed in place, uncopied
     return "sha256:" + h.hexdigest()
 
 
@@ -112,7 +110,7 @@ def read_matrix_market(path) -> np.ndarray:
 
 def format_matrix_market(A, comment=None) -> str:
     """Render a matrix in array format with full round-trip precision."""
-    A = as_matrix(A)
+    A = _checked(A)
     n = A.shape[0]
     lines = [f"{_BANNER} matrix array real general"]
     if comment:

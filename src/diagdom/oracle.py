@@ -16,8 +16,9 @@ Each matrix is factored once.  ``lu_factor`` and ``determinant`` keep the
 factorization in the matrix's record in ``core``'s table of at most
 ``core.MEMO_RECORDS`` records, so factoring a matrix that is still recorded
 (``determinant(A)`` and then ``lu_factor(A)``, as an audit does) returns the
-same read-only factorization.  Singular input is never stored.  A Schur
-complement's pivot block is factored by ``_factorize`` and kept nowhere.
+same read-only factorization.  Singular input is never stored.  The oracles
+that read their matrix once (``inverse``, ``inf_norm``, ``is_p_matrix``,
+``h_scaling``) leave no record, nor does a Schur complement's pivot block.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _record, as_matrix, comparison_matrix
-from .errors import SingularMatrixError, SizeLimitError
+from .core import _checked, _record, as_matrix, comparison_matrix
+from .errors import SingularMatrixError, SizeLimitError, ValidationError
 
 __all__ = [
     "LuFactorization",
@@ -81,8 +82,7 @@ class LuFactorization:
 
 def inf_norm(A) -> float:
     """Maximum absolute row sum."""
-    A = as_matrix(A)
-    return float(np.abs(A).sum(axis=1).max())
+    return float(np.abs(_checked(A)).sum(axis=1).max())
 
 
 def lu_factor(A) -> LuFactorization:
@@ -192,6 +192,8 @@ def lu_solve(fact: LuFactorization, b) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     vector = b.ndim == 1
     n = fact.packed.shape[0]
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValidationError(f"right-hand side must have {n} rows, got shape {b.shape}")
     X = (b[:, None] if vector else b)[list(fact.perm)]  # the one copy of b
     lu = fact.packed
     for k in range(1, n):  # forward substitution, unit lower triangle
@@ -209,7 +211,7 @@ def determinant(A) -> float:
     if A.shape[0] == 1:
         return float(A[0, 0])
     try:
-        fact = lu_factor(A)  # the record just found: no second fingerprint
+        fact = lu_factor(A)  # A is its record's own matrix: found by identity, no bytes compared
     except SingularMatrixError:
         return 0.0
     return float(fact.sign * np.prod(fact.packed.diagonal()))
@@ -222,7 +224,7 @@ def inverse(A) -> np.ndarray:
     above stays the authority for pivot-level diagnostics.
     """
     try:
-        inv = np.linalg.inv(as_matrix(A))
+        inv = np.linalg.inv(_checked(A))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(str(exc)) from exc
     if not np.isfinite(inv).all():
@@ -321,7 +323,7 @@ def is_p_matrix(A) -> bool:
     The scan stops after the first chunk that holds a non-positive minor.
     Guarded to order ``P_MATRIX_MAX_ORDER`` because of the exponential cost.
     """
-    A = as_matrix(A)
+    A = _checked(A)
     n = A.shape[0]
     if n > P_MATRIX_MAX_ORDER:
         raise SizeLimitError(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import _is_sdd1, _require_sdd1
-from .core import _LOCK, IndexPartition, as_index_set, as_matrix, dominance_partition
+from .core import _LOCK, IndexPartition, _checked, as_index_set, as_matrix, dominance_partition
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
 from .oracle import _factorize, _m_matrix_witness, inf_norm, inverse, lu_solve
 
@@ -100,12 +100,13 @@ def _coupling_radii(part, alpha, bar):
 
 
 def _validate_alpha(A, alpha):
+    """A as a shared matrix, its partition, and alpha and its complement validated."""
     A = as_matrix(A)
     n = A.shape[0]
     alpha = as_index_set(alpha, n, allow_empty=True, name="alpha")
     if not alpha or len(alpha) >= n:
         raise ValidationError("alpha must be a nonempty proper subset of the row indices")
-    return A, alpha, _rest(n, alpha)
+    return A, dominance_partition(A), alpha, _rest(n, alpha)
 
 
 def _rest(n, alpha):
@@ -122,8 +123,7 @@ def schur_complement(A, alpha) -> SchurResult:
     non-finite entries.  The regime-specific certified bounds are attached
     when their hypotheses hold, otherwise left as ``None``.
     """
-    A, alpha, bar = _validate_alpha(A, alpha)
-    part = dominance_partition(A)
+    A, part, alpha, bar = _validate_alpha(A, alpha)
     comp, cpart = _analysed_complement(A, alpha, bar)
     certified, kind = _certified_dispatch(part, alpha, bar)
     return SchurResult(
@@ -220,8 +220,7 @@ def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
     uses only original entries and is sandwiched between the original margin
     |a_jt,jt| - P_jt (positive) and the exact complement margin.
     """
-    A, alpha, bar = _validate_alpha(A, alpha)
-    part = dominance_partition(A)
+    A, part, alpha, bar = _validate_alpha(A, alpha)
     _require_sdd1(part)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
@@ -246,8 +245,7 @@ def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
 
 def certified_bound_superset(A, alpha) -> dict[int, float]:
     """Certified lower bounds on |a'_tt| - R_t(A/alpha) for alpha beyond n2."""
-    A, alpha, bar = _validate_alpha(A, alpha)
-    part = dominance_partition(A)
+    A, part, alpha, bar = _validate_alpha(A, alpha)
     _require_sdd1(part)
     if not set(part.n2) < set(alpha):
         raise HypothesisError(
@@ -265,8 +263,7 @@ def tilde_set_identity_check(A, alpha) -> bool:
     differences coincide.  The relations need only the pivot block to sit
     inside the dominant set, not full SDD1 membership.
     """
-    A, alpha, bar = _validate_alpha(A, alpha)
-    part = dominance_partition(A)
+    A, part, alpha, bar = _validate_alpha(A, alpha)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
             "alpha is not a proper subset of n2",
@@ -286,7 +283,7 @@ def quotient_formula_check(A, beta, gamma) -> bool:
     the full index set.  Equality is judged at ``ENTRYWISE_RTOL`` times the
     infinity norm of A.
     """
-    A = as_matrix(A)
+    A = _checked(A)
     n = A.shape[0]
     beta = as_index_set(beta, n, name="beta")
     gamma = as_index_set(gamma, n, name="gamma")

@@ -7,6 +7,7 @@ from diagdom import (
     FORMULA_DET_HUANG,
     FORMULA_DET_NEW,
     HypothesisError,
+    ValidationError,
     bracket_nesting_check,
     determinant,
     dominance_bracket,
@@ -42,6 +43,13 @@ class TestOrdering:
         ordering = dominance_ordering(SCHUR_5X5)
         permuted = ordering.apply(SCHUR_5X5)
         assert abs(determinant(permuted)) == pytest.approx(abs(determinant(SCHUR_5X5)), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_apply_rejects_a_matrix_of_another_order(self, n):
+        # An order-6 matrix gave a 5x5 principal submatrix; an order-4 one raised IndexError.
+        ordering = dominance_ordering(SCHUR_5X5)
+        with pytest.raises(ValidationError, match="expected a matrix of order 5, got order"):
+            ordering.apply(np.eye(n))
 
     def test_sdd_guard(self):
         with pytest.raises(HypothesisError):

@@ -10,7 +10,9 @@ from diagdom import (
     is_b1,
     is_sdd,
     is_sdd1,
+    run_experiment,
 )
+from matrices import LCP_8X8
 
 
 class TestSdd1Generator:
@@ -69,3 +71,19 @@ class TestB1Generator:
     def test_mix_of_shifted_and_plain_instances(self):
         shifted = sum(b1_split(generate_b1(8, seed=s)).r.any() for s in range(20))
         assert 0 < shifted < 20
+
+
+@pytest.mark.parametrize("bad", [5.5, 5.0, np.float64(5.0), "5", None])
+def test_integer_parameters_are_not_truncated_or_parsed(bad):
+    # generate_sdd1(5.5, 1.5) built an order-5 matrix from seed 1, and "5" was parsed.
+    calls = [lambda: generate_sdd1(bad, 1), lambda: generate_sdd1(5, bad),
+             lambda: generate_b1(bad, 1), lambda: generate_b1(5, bad),
+             lambda: run_experiment(LCP_8X8, bad, 7), lambda: run_experiment(LCP_8X8, 3, bad)]
+    for call in calls:
+        with pytest.raises(ValidationError, match="must be an integer"):
+            call()
+    # numpy integers stay accepted.
+    assert np.array_equal(generate_sdd1(np.int64(5), np.int32(1)), generate_sdd1(5, 1))
+    assert np.array_equal(generate_b1(np.int64(5), np.uint8(1)), generate_b1(5, 1))
+    a, b = run_experiment(LCP_8X8, np.int64(3), np.int16(7)), run_experiment(LCP_8X8, 3, 7)
+    assert a.to_lines() == b.to_lines()

@@ -153,8 +153,11 @@ class TestScaledMatrixCheck:
 
     def test_input_validation(self):
         A = generate_sdd1(5, seed=77, positive_diagonal=True)
-        with pytest.raises(ValidationError):
-            scaled_matrix_sdd1_check(A, np.full(5, 1.5))
+        for bad in (1.5, -0.5, np.nan, np.inf, -np.inf):  # NaN once made a vacuous False
+            dvec = np.full(5, 0.5)
+            dvec[2] = bad
+            with pytest.raises(ValidationError, match=r"must lie in \[0,1\]\^n"):
+                scaled_matrix_sdd1_check(A, dvec)
         with pytest.raises(HypothesisError):
             scaled_matrix_sdd1_check(-np.eye(3), np.zeros(3))
 

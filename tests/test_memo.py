@@ -1,6 +1,7 @@
 """The memo of per-matrix records behind ``as_matrix``, the partition,
-``lu_factor`` and ``determinant``, and the lazy Schur ``delta``; Schur pivot
-blocks are factored outside it.
+``lu_factor`` and ``determinant``, and the lazy Schur ``delta``.  Only an
+analysed matrix gets a record: Schur pivot blocks are factored outside it, and
+a call that reads its matrix once validates it in place.
 
 The memo may only remove work: every public call must give the same bits
 with a warm memo as after clearing it, whatever the caller does to its own
@@ -25,6 +26,7 @@ from diagdom import (
     as_matrix,
     b1_split,
     classify,
+    comparison_matrix,
     corner_norms,
     determinant,
     dominance_bracket,
@@ -32,6 +34,7 @@ from diagdom import (
     dominance_partition,
     generate_b1,
     generate_sdd1,
+    h_scaling,
     huang_bracket,
     inf_norm,
     inverse,
@@ -39,7 +42,9 @@ from diagdom import (
     is_p_matrix,
     lcp_b1_bound,
     lu_factor,
+    matrix_digest,
     quotient_formula_check,
+    row_sum,
     run_experiment,
     s_sdd1_schur_bound,
     schur_complement,
@@ -48,6 +53,7 @@ from diagdom import (
     tilde_set_identity_check,
 )
 from diagdom import core, oracle
+from diagdom.mmio import format_matrix_market
 from diagdom.core import MEMO_RECORDS
 from test_vectorized import draw, same, schur_instance
 
@@ -201,14 +207,16 @@ def test_memo_stays_within_its_record_count(eliminations):
         assert within_bounds()
     assert memo_size() == MEMO_RECORDS
     # An order-512 audit's A keeps its record and factor while the records of its
-    # inverse, its dominance-ordered copy and its complement arrive.
+    # dominance-ordered copy and its complement arrive; its inverse leaves none.
     A = np.full((512, 512), 1.0 / 512) + np.diag(np.resize([3.0, 0.5], 512))  # odd rows in n1
     ordered = dominance_ordering(A).apply(A)
     assert not np.array_equal(ordered, A)
     del eliminations[:]
     fact = lu_factor(A)
-    for step in (lambda: inf_norm(inverse(A)), lambda: dominance_partition(ordered),
-                 lambda: schur_complement(A, [511])):
+    held = list(core._MEMO)
+    inf_norm(inverse(A))
+    assert list(core._MEMO) == held
+    for step in (lambda: dominance_partition(ordered), lambda: schur_complement(A, [511])):
         step()
         assert within_bounds()
     assert memo_size() == MEMO_RECORDS
@@ -216,18 +224,58 @@ def test_memo_stays_within_its_record_count(eliminations):
     assert eliminations == [512, 1]  # A once, then the pivot block
 
 
-def test_matching_fingerprint_with_other_bits_replaces_the_record():
-    # Equal order, diagonal and first row: the same fingerprint, told apart by the bytes.
-    clear_memo()
+def test_matrices_alike_in_diagonal_and_first_row_get_two_records():
+    # Equal order, diagonal and first row, told apart by the bytes of row 2 alone.
     plus = np.array([[2.0, 1.0, 0.0], [0.0, 3.0, 1.0], [1.0, 1.0, 4.0]])
-    minus = plus.copy()
-    minus[1, 0] = -0.0
-    a = dominance_partition(plus)
-    b = dominance_partition(minus)
-    assert a is not b and memo_size() == 1
-    assert np.signbit(as_matrix(minus)[1, 0]) and not np.signbit(as_matrix(plus)[1, 0])
-    assert dominance_partition(plus) is not a  # replaced, so built again, with the same bits
-    assert fingerprint(dominance_partition(plus)) == fingerprint(a)
+    other = plus.copy()
+    other[2, 1] = 2.0
+
+    def calls(M):
+        return [lambda: as_matrix(M), lambda: dominance_partition(M), lambda: lu_factor(M),
+                lambda: determinant(M), lambda: classify(M)]
+
+    cold = []
+    for M in (plus, other):
+        for call in calls(M):
+            clear_memo()
+            cold.append(outcome(call))
+    clear_memo()
+    parts = [dominance_partition(M) for M in (plus, other)]
+    facts = [lu_factor(M) for M in (plus, other)]
+    assert memo_size() == 2 and parts[0] is not parts[1]
+    warm = [outcome(call) for M in (plus, other) for call in calls(M)]
+    assert warm == cold
+    assert [dominance_partition(M) for M in (plus, other)] == parts  # neither replaced the other
+    assert all(lu_factor(M) is f for M, f in zip((plus, other), facts))
+
+
+def test_single_read_calls_leave_the_table_as_they_found_it():
+    M = np.array(generate_b1(6, 2))  # the caller's own array, not a record's
+    clear_memo()
+    dominance_partition(np.eye(3))
+    lcp_b1_bound(M)  # records M's shift part, whose partition run_experiment's bound reads
+    ordering = dominance_ordering(b1_split(M).a)
+    calls = {
+        "inverse": inverse, "inf_norm": inf_norm, "comparison_matrix": comparison_matrix,
+        "h_scaling": h_scaling, "is_h_matrix": is_h_matrix, "b1_split": b1_split,
+        "apply": ordering.apply, "run_experiment": lambda X: run_experiment(X, 5, 1),
+        "corner_norms": corner_norms, "is_p_matrix": is_p_matrix,
+        "quotient_formula_check": lambda X: quotient_formula_check(X, [0, 1, 2], [1]),
+        "row_sum": lambda X: row_sum(X, 0), "matrix_digest": matrix_digest,
+        "format_matrix_market": format_matrix_market,
+    }
+    nan, inf = M.copy(), M.copy()
+    nan[1, 2], inf[2, 1] = np.nan, -np.inf
+    bad = {"finite": nan, "finite ": inf, "complex": M.astype(complex), "square": M[:, :5]}
+    before = list(core._MEMO)  # the records of eye(3) and of M's shift part, in use order
+    assert len(before) == 2
+    for name, call in calls.items():
+        call(M)
+        assert list(core._MEMO) == before, name  # the same records, compared by identity
+        for match, X in bad.items():
+            with pytest.raises(ValidationError, match=match.strip()):
+                call(X)
+            assert list(core._MEMO) == before, (name, match)
 
 
 def test_delta_is_built_once_on_first_read():
@@ -356,12 +404,16 @@ def test_signed_zero_and_one_ulp_are_separate_factorizations(eliminations):
     minus[0, 1] = -0.0
     ulp = plus.copy()
     ulp[2, 2] = np.nextafter(4.0, 5.0)
-    facts = [lu_factor(M) for M in (plus, minus, ulp)]
+    mats = (plus, minus, ulp)
+    facts = [lu_factor(M) for M in mats]
     assert eliminations == [3, 3, 3]
     assert not np.signbit(facts[0].packed[0, 1]) and np.signbit(facts[1].packed[0, 1])
     assert facts[2].packed[2, 2] != facts[0].packed[2, 2]
-    assert all(lu_factor(M) is f for M, f in zip((plus, minus, ulp), facts))  # kept side by side
-    assert eliminations == [3, 3, 3] and memo_size() == 3
+    kept = len(mats) - MEMO_RECORDS  # the most recent MEMO_RECORDS are kept side by side
+    assert all(lu_factor(M) is f for M, f in zip(mats[kept:], facts[kept:]))
+    assert eliminations == [3, 3, 3] and memo_size() == MEMO_RECORDS
+    assert fingerprint(lu_factor(plus)) == fingerprint(facts[0])  # evicted, eliminated again
+    assert eliminations == [3, 3, 3, 3]
 
 
 def test_singular_input_raises_every_time_and_is_never_stored(eliminations):
@@ -390,12 +442,11 @@ def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
     alpha = list(dominance_partition(A).n2[:3])
     clear_memo()
     res = schur_complement(A, alpha)
-    held = [r.matrix for r in core._MEMO.values()]
+    held = [r.matrix for r in core._MEMO]
     assert len(held) == 2 and held[0] is as_matrix(A) and held[1] is res.complement
     clear_memo()
     quotient_formula_check(A, list(range(11)), [0])
-    held = [r.matrix for r in core._MEMO.values()]
-    assert len(held) == 1 and held[0] is as_matrix(A)
+    assert core._MEMO == []  # A is read once, so not even A has a record
     # The order ``schur`` on the command line takes: complement, then the pivot block's
     # determinant, which factors the block a second time, to the same bits.
     clear_memo()
@@ -412,9 +463,9 @@ def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
     created = []
 
     class Counted(core._Record):
-        def __init__(self, key, raw):
-            created.append(key)
-            super().__init__(key, raw)
+        def __init__(self, arr, raw):
+            created.append(arr.shape)
+            super().__init__(arr, raw)
 
     monkeypatch.setattr(core, "_Record", Counted)
     clear_memo()

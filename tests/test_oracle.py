@@ -10,6 +10,7 @@ import reference
 from diagdom import (
     SingularMatrixError,
     SizeLimitError,
+    ValidationError,
     b1_split,
     comparison_matrix,
     determinant,
@@ -90,6 +91,13 @@ class TestLu:
         # A Fortran-ordered right-hand side gets the same (C-ordered) working copy.
         assert np.array_equal(lu_solve(fact, np.asfortranarray(B)), X)
         assert x.shape == (6,) and np.allclose(x, X[:, 0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(6,), (4,), (6, 2), (4, 2), (), (5, 1, 1)])
+    def test_solve_rejects_a_right_hand_side_of_another_size(self, shape):
+        # Extra rows were dropped by the permutation gather; missing ones raised IndexError.
+        fact = lu_factor(random_sdd(5, 3))
+        with pytest.raises(ValidationError, match="must have 5 rows"):
+            lu_solve(fact, np.ones(shape))
 
 
 LU_ORDERS = (1, 31, 32, 33, 64, 97, 130)

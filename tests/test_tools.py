@@ -32,6 +32,12 @@ def test_trajectory_over_committed_bench_files():
     ensemble = lines.index("ensemble-audit throughput_ops_s (1/s, higher is better)")
     at = BENCH_FILES.index("BENCH_7.json")
     assert lines[ensemble + 1 + at].split()[5] == "10/10"  # BENCH_7's claimed gain
+    for workload in docs[0]["workloads"]:
+        at = lines.index(f"{workload} digests (seeds whose parent and change digests differ)")
+        for k, name in enumerate(BENCH_FILES):
+            # Only BENCH_11's additive ``h_scaling`` field changed the CLI's output bits.
+            differ = "10/10" if (name, workload) == ("BENCH_11.json", "cli-oneshot") else "0/10"
+            assert lines[at + 1 + k].split() == [name, "differ", "on", differ]
 
 
 def test_comparison_mode_still_needs_its_arguments():

@@ -19,7 +19,9 @@ benchmark's report line.  Standard library only.
 
 ``--trajectory`` only reads: for every workload and end-to-end metric it
 prints one line per given file (in the order given) with that file's parent
-and change medians, the change's wins out of its pairs and the median change.
+and change medians, the change's wins out of its pairs and the median change;
+then, for every workload, one line per file with the number of seeds whose
+parent and change digests differ, so a round that changed output bits shows.
 """
 
 import argparse
@@ -98,10 +100,13 @@ def trajectory(paths):
     """Lines of the trajectory view of the given output files."""
     docs = [(Path(p).name, json.loads(Path(p).read_text())) for p in paths]
     rows = {}  # (workload, metric) -> [(file, summary)], in first-seen order
+    digests = {}  # workload -> [(file, differing seeds, seeds)]
     for name, doc in docs:
         for workload, entry in doc["workloads"].items():
             for metric, summary in entry["metrics"].items():
                 rows.setdefault((workload, metric), []).append((name, summary))
+            digests.setdefault(workload, []).append(
+                (name, len(entry["digest_mismatch_seeds"]), len(entry["seeds"])))
     width = max(len(name) for name, _ in docs)
     lines = []
     for (workload, metric), entries in rows.items():
@@ -111,6 +116,10 @@ def trajectory(paths):
             lines.append(f"  {name:<{width}}  {m['parent']['median']:.4g} -> "
                          f"{m['change']['median']:.4g}  wins {m['wins']}/{m['pairs']}  "
                          f"{m['median_change']:+.1%}")
+    for workload, entries in digests.items():
+        lines.append(f"{workload} digests (seeds whose parent and change digests differ)")
+        for name, differ, seeds in entries:
+            lines.append(f"  {name:<{width}}  differ on {differ}/{seeds}")
     return lines
 
 
