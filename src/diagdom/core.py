@@ -127,7 +127,7 @@ def as_index_set(indices, n, *, allow_empty=False, name="index set") -> tuple[in
             return idx
         raise ValidationError(f"{name} must not be empty")
     if idx[0] < 0 or idx[-1] >= n:
-        raise ValidationError(f"{name} has indices outside 0..{n - 1}")
+        raise ValidationError(f"{name} has indices outside the rows of an order-{n} matrix")
     return idx
 
 

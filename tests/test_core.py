@@ -69,8 +69,10 @@ class TestIndexSet:
             as_index_set([1, 1], 5)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValidationError):
-            as_index_set([5], 5)
+        # The message names no base: the library counts from 0, the command line from 1.
+        for idx in ([5], [-1]):
+            with pytest.raises(ValidationError, match="outside the rows of an order-5 matrix"):
+                as_index_set(idx, 5)
 
     def test_empty_policy(self):
         assert as_index_set([], 5, allow_empty=True) == ()
