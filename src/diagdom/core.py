@@ -30,15 +30,12 @@ __all__ = [
     "row_sum",
 ]
 
-# The memo: a record per recently analysed matrix, holding the validated matrix
-# and, built on first request, its partition and LU factorization, so a matrix
-# seen again (criterion 7 calls ``schur_complement`` about 22 times on one A) is
-# not checked or built again.  Only a matrix whose partition or factorization is
-# read, or whose shared copy ``as_matrix`` is asked for, gets a record; a call
-# that reads its matrix once validates it with ``_checked``.  The MEMO_RECORDS
-# most recently used records are kept, each at most 24 n^2 + 24 n bytes.  Two is
-# the fewest with which a dense pass builds no partition or factor twice: A's
-# record outlasts the ordered copy's or the complement's before A is read again.
+# The memo: the MEMO_RECORDS most recently used records, each a validated matrix
+# and its partition and LU factorization, built on first request (24 n^2 + 24 n
+# bytes at most).  Only a matrix whose partition or factorization is read, or whose
+# shared copy ``as_matrix`` is asked for, gets one; single reads use ``_checked``.
+# Two is the fewest with which a dense pass builds nothing twice: A's record
+# outlasts its ordered copy's or its complement's until A is read again.
 MEMO_RECORDS = 2
 _MEMO = []  # records, least recently used first
 _LOCK = threading.RLock()  # guards _MEMO and the results built into records
@@ -76,8 +73,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def _checked(a, *, finite=True) -> np.ndarray:
-    """``a`` checked as ``as_matrix`` checks it (``finite`` included), but neither copied
-    nor recorded: a C-ordered float64 array, which may be the caller's own."""
+    """``a`` after ``as_matrix``'s checks, C-ordered float64, neither copied nor recorded."""
     arr = np.asarray(a)
     if arr.dtype.kind == "c":
         raise ValidationError("complex matrices are not supported")
@@ -90,21 +86,25 @@ def _checked(a, *, finite=True) -> np.ndarray:
 
 
 def _record(a) -> _Record:
-    """The memo's record of ``a``, validated and added if absent.
-
-    Found by the identity of its own matrix, else by equal bytes, so 0.0 and
-    -0.0 differ; only a new record is checked for finite entries.
-    """
+    """The memo's record of ``a``: found by the identity of its own matrix, else by equal
+    bytes (so 0.0 and -0.0 differ), else made from ``a`` after ``as_matrix``'s checks."""
     with _LOCK:
-        rec = next((r for r in _MEMO if r.matrix is a), None)
-        if rec is None:
+        for rec in _MEMO:
+            if rec.matrix is a:
+                break
+        else:
             arr = _checked(a, finite=False)
             raw = arr.tobytes()
-            rec = next((r for r in _MEMO if r.raw == raw), None) or _Record(_checked(arr), raw)
-        if rec in _MEMO:
+            for rec in _MEMO:
+                if rec.raw == raw:
+                    break
+            else:
+                rec = _Record(_checked(arr), raw)
+                _MEMO.append(rec)
+                del _MEMO[:-MEMO_RECORDS]
+        if rec is not _MEMO[-1]:  # a hit becomes the most recently used record
             _MEMO.remove(rec)
-        _MEMO.append(rec)
-        del _MEMO[:-MEMO_RECORDS]
+            _MEMO.append(rec)
         return rec
 
 
