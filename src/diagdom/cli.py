@@ -9,6 +9,11 @@ structurally, never as a traceback), 2 for I/O, parse, or usage errors.
 Every subcommand but ``generate`` runs one pipeline in ``main``: read and hash
 the input, call the subcommand's handler ``(A, args) -> dict`` (no I/O, no
 timing), time that call, and emit one report.
+
+Only what every subcommand uses is imported at the top; each handler imports
+its own modules where it runs, so one call loads only what it computes with.
+Handlers call through the module (``normbounds.sdd1_schur_bound``), so a
+patched module attribute is the one they call.
 """
 
 from __future__ import annotations
@@ -20,19 +25,9 @@ import time
 
 import numpy as np
 
-from . import detbounds, lcp, normbounds
-from .classify import WITNESS_SEARCH_MAX, classify
-from .errors import (
-    DenominatorError,
-    HypothesisError,
-    MatrixMarketError,
-    ToolkitError,
-    ValidationError,
-)
-from .generate import generate_b1, generate_sdd1
+from .errors import (DenominatorError, HypothesisError, MatrixMarketError, ToolkitError,
+                     ValidationError)
 from .mmio import format_matrix_market, matrix_digest, read_matrix_market, write_matrix_market
-from .oracle import determinant, h_scaling, inf_norm, inverse, is_p_matrix
-from .schur import SCALAR_RTOL, schur_complement
 
 __all__ = ["main"]
 
@@ -50,17 +45,17 @@ def _parse_index_list(text):
         raise ValidationError(f"expected a comma list of integers, got {text!r}") from None
 
 
-def _s_sdd1_schur(A, args):
+def _s_sdd1_schur(normbounds, A, args):
     if not args.s_set:
         raise ValidationError("--s-set is required for the s-sdd1-schur formula")
     return normbounds.s_sdd1_schur_bound(A, _parse_index_list(args.s_set))
 
 
-# Each norm-bound formula as a callable (A, args) -> BoundCertificate.
+# Each norm-bound formula as a callable (normbounds, A, args) -> BoundCertificate.
 _FORMULAS = {
-    "sdd-pairwise": lambda A, args: normbounds.sdd_pairwise_bound(A),
-    "sdd1-epsilon": lambda A, args: normbounds.sdd1_epsilon_bound(A, args.epsilon),
-    "sdd1-schur": lambda A, args: normbounds.sdd1_schur_bound(A),
+    "sdd-pairwise": lambda normbounds, A, args: normbounds.sdd_pairwise_bound(A),
+    "sdd1-epsilon": lambda normbounds, A, args: normbounds.sdd1_epsilon_bound(A, args.epsilon),
+    "sdd1-schur": lambda normbounds, A, args: normbounds.sdd1_schur_bound(A),
     "s-sdd1-schur": _s_sdd1_schur,
 }
 
@@ -100,11 +95,13 @@ def _emit(report, output):
 
 def _h_section(A):
     """Whether A is an H-matrix, and the scaling x that proves it (None if not)."""
+    from .oracle import h_scaling
     x = h_scaling(A)
     return x is not None, x
 
 
 def _cmd_classify(A, args):
+    from .classify import WITNESS_SEARCH_MAX, classify
     rep = classify(A)
     is_h, scaling = _h_section(A)
     witness = None if rep.s_sdd1_witness is None else _one_based(rep.s_sdd1_witness)
@@ -126,10 +123,12 @@ def _cmd_classify(A, args):
 
 
 def _cmd_schur(A, args):
+    from .oracle import _lu_determinant, determinant
+    from .schur import SCALAR_RTOL, schur_complement
     if not args.alpha:
         raise ValidationError("--alpha is required for the schur subcommand")
     res = schur_complement(A, _parse_index_list(args.alpha))
-    det_block = determinant(A[np.ix_(res.alpha, res.alpha)])  # factored again: blocks are not kept
+    det_block = _lu_determinant(res._block_factorization)
     det_full = determinant(A)
     det_comp = determinant(res.complement)
     return {"result": {
@@ -156,7 +155,8 @@ def _cmd_schur(A, args):
 
 
 def _cmd_norm_bound(A, args):
-    return {"certificates": [_cert_payload(_FORMULAS[args.formula](A, args))]}
+    from . import normbounds
+    return {"certificates": [_cert_payload(_FORMULAS[args.formula](normbounds, A, args))]}
 
 
 def _det_section(A):
@@ -165,6 +165,8 @@ def _det_section(A):
     The global-weight (Huang) bracket reports its violated hypothesis instead
     of failing; any other ``HypothesisError`` propagates.
     """
+    from . import detbounds
+    from .oracle import determinant
     ordering = detbounds.dominance_ordering(A)
     ordered = ordering.apply(A)
     result = {
@@ -193,6 +195,7 @@ def _det_section(A):
 
 def _experiment_section(A, samples, seed):
     """The lcp-bound experiment: ``samples`` seeded diagonal scalings of A."""
+    from . import lcp
     exp = lcp.run_experiment(A, samples, seed)
     return {
         "seed": exp.seed,
@@ -209,6 +212,7 @@ def _cmd_det_bound(A, args):
 
 
 def _cmd_lcp_bound(A, args):
+    from . import lcp
     report = {"certificates": [_cert_payload(lcp.lcp_b1_bound(A))]}
     if args.samples is not None:
         report["experiment"] = _experiment_section(A, args.samples, args.seed)
@@ -232,6 +236,8 @@ def _verify_det(A, tol):
 
 
 def _cmd_verify(A, args):
+    from . import normbounds
+    from .oracle import inf_norm, inverse, is_p_matrix
     tol = args.tolerance
     certs = []
     notes = []
@@ -277,6 +283,7 @@ def _cmd_verify(A, args):
 
 def _generate(args):
     """Write a generated matrix to --output (and a JSON receipt to stdout) or to stdout."""
+    from .generate import generate_b1, generate_sdd1
     t0 = time.perf_counter()
     make = generate_b1 if args.kind == "b1" else generate_sdd1
     A = make(args.order, args.seed, args.n1_fraction)

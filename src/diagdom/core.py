@@ -210,6 +210,18 @@ def _build_partition(A) -> IndexPartition:
                           p_values=P, off=off, diag=d)
 
 
+def _eliminated_margins(part, alpha, bar, m) -> np.ndarray:
+    """|a_tt| - R^{bar}_t - sum over h in alpha of |a_th| m_h / |a_hh| for each row t in bar.
+
+    With m = P it bounds |a'_tt| - R_t(A/alpha) for alpha containing n2.
+    """
+    off, d = part.off, part.diag
+    ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
+    # C-ordered gathers: each row's sum and stacked dot round as its own sum() and @.
+    coupling = ((off[ib[:, None], ia] / d[ia])[:, None, :] @ m[ia])[:, 0]
+    return d[ib] - off[ib[:, None], ib].sum(axis=1) - coupling
+
+
 def comparison_matrix(A) -> np.ndarray:
     """Entrywise comparison matrix: |a_ii| on the diagonal, -|a_ij| elsewhere."""
     A = _checked(A)

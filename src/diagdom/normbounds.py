@@ -29,10 +29,9 @@ from .certificates import (
     BoundCertificate,
 )
 from .classify import _require_sdd1, _s_sdd1_margins, _validate_witness
-from .core import dominance_partition
+from .core import _eliminated_margins, dominance_partition
 from .errors import DenominatorError, HypothesisError, ParameterError
 from .oracle import inf_norm, inverse
-from .schur import _eliminated_margins
 
 __all__ = [
     "s_sdd1_schur_bound",
@@ -247,7 +246,7 @@ def _schur_tail(part, S, margins, rs, phi, cap):
     """The eliminated-row term psi and the prefactor shared by every Schur bound.
 
     psi is the max over rows i outside ``S`` of (1 + phi R^S_i) / min(cap, e_i),
-    where e_i is ``schur._eliminated_margins`` with m = ``margins``, and
+    where e_i is ``core._eliminated_margins`` with m = ``margins``, and
     ``cap`` is 1.0 for the LCP bound and infinity (no cap) for the norm
     bounds.  Returns (prefactor, max(phi, psi), psi); psi is None when S
     covers every row.  A term that overflows raises ``DenominatorError``

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _checked, _record, as_matrix, comparison_matrix
+from .core import _checked, _record, comparison_matrix
 from .errors import SingularMatrixError, SizeLimitError, ValidationError
 
 __all__ = [
@@ -206,14 +206,23 @@ def lu_solve(fact: LuFactorization, b) -> np.ndarray:
 
 
 def determinant(A) -> float:
-    """Determinant via the pivoted LU product; singular input yields 0.0."""
-    A = as_matrix(A)
+    """Determinant via the pivoted LU product; singular input yields 0.0.
+
+    An order-1 matrix is its own determinant: it is validated in place and
+    gets no record, as it has nothing to factor.
+    """
+    A = _checked(A, finite=False)  # lu_factor runs the finite check, on a miss only
     if A.shape[0] == 1:
-        return float(A[0, 0])
+        return float(_checked(A)[0, 0])
     try:
-        fact = lu_factor(A)  # A is its record's own matrix: found by identity, no bytes compared
+        fact = lu_factor(A)
     except SingularMatrixError:
         return 0.0
+    return _lu_determinant(fact)
+
+
+def _lu_determinant(fact) -> float:
+    """det = sign * prod(diag U) of a factorization."""
     return float(fact.sign * np.prod(fact.packed.diagonal()))
 
 

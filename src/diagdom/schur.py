@@ -23,9 +23,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classify import _is_sdd1, _require_sdd1
-from .core import _LOCK, IndexPartition, _checked, as_index_set, as_matrix, dominance_partition
+from .core import (
+    _LOCK,
+    IndexPartition,
+    _checked,
+    _eliminated_margins,
+    as_index_set,
+    as_matrix,
+    dominance_partition,
+)
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
-from .oracle import _factorize, _m_matrix_witness, inf_norm, inverse, lu_solve
+from .oracle import LuFactorization, _factorize, _m_matrix_witness, inf_norm, inverse, lu_solve
 
 __all__ = [
     "SchurResult",
@@ -52,7 +60,9 @@ class SchurResult:
     expressed in original row labels.  ``delta`` is the coupling-radius
     matrix |a_{t,alpha}| <A(alpha)>^{-1} |a_{alpha,u}|, present only when the
     pivot block is an H-matrix; it is built on first read, and until then
-    the result holds the partition of A.  ``certified_lower_bounds`` maps
+    the result holds the partition of A.  The result also holds the pivot
+    block's factorization, which the ``schur`` subcommand reads its
+    determinant from.  ``certified_lower_bounds`` maps
     original row labels to certified dominance lower bounds when a regime
     applies; ``certified_kind`` says which margin is bounded ("sdd1_degree"
     for |a'_tt| - P_t, "sdd_degree" for |a'_tt| - R_t).
@@ -66,6 +76,7 @@ class SchurResult:
     certified_lower_bounds: dict[int, float] | None
     certified_kind: str | None
     _a_partition: IndexPartition | None = field(default=None, repr=False, compare=False)
+    _block_factorization: LuFactorization | None = field(default=None, repr=False, compare=False)
     _delta: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -124,7 +135,7 @@ def schur_complement(A, alpha) -> SchurResult:
     when their hypotheses hold, otherwise left as ``None``.
     """
     A, part, alpha, bar = _validate_alpha(A, alpha)
-    comp, cpart = _analysed_complement(A, alpha, bar)
+    comp, cpart, fact = _analysed_complement(A, alpha, bar)
     certified, kind = _certified_dispatch(part, alpha, bar)
     return SchurResult(
         complement=comp,
@@ -135,17 +146,21 @@ def schur_complement(A, alpha) -> SchurResult:
         certified_lower_bounds=certified,
         certified_kind=kind,
         _a_partition=part,
+        _block_factorization=fact,
     )
 
 
 def _analysed_complement(A, alpha, bar):
-    """A/alpha as a shared read-only matrix, and its partition, both left in the memo."""
-    comp = as_matrix(_complement(A, alpha, bar))
-    return comp, dominance_partition(comp)
+    """A/alpha as a shared read-only matrix and its partition, both left in the memo, and
+    the factorization of A(alpha)."""
+    comp, fact = _complement(A, alpha, bar)
+    comp = as_matrix(comp)
+    return comp, dominance_partition(comp), fact
 
 
 def _complement(A, alpha, bar):
-    """A/alpha of a validated matrix; ValidationError if not finite; nothing warns."""
+    """A/alpha of a validated matrix and the factorization of A(alpha); ValidationError if
+    A/alpha is not finite; nothing warns."""
     ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
     labels = tuple(a + 1 for a in alpha)
     with np.errstate(all="ignore"):
@@ -156,7 +171,7 @@ def _complement(A, alpha, bar):
         comp = A[ib[:, None], ib] - A[ib[:, None], ia] @ lu_solve(fact, A[ia[:, None], ib])
     if not np.isfinite(comp).all():
         raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
-    return comp
+    return comp, fact
 
 
 def _certified_dispatch(part, alpha, bar):
@@ -198,18 +213,6 @@ def _proper_subset_margins(part, alpha, bar):
     terms = np.where(o_th == 0.0, 0.0, o_th / d[ia] * (r_part + q_part))
     coupling = np.add.accumulate(terms, axis=1)[:, -1]  # sequential over h, never pairwise
     return dict(zip(bar, (base - coupling).tolist()))
-
-
-def _eliminated_margins(part, alpha, bar, m) -> np.ndarray:
-    """|a_tt| - R^{bar}_t - sum over h in alpha of |a_th| m_h / |a_hh| for each row t in bar.
-
-    With m = P it bounds |a'_tt| - R_t(A/alpha) for alpha containing n2.
-    """
-    off, d = part.off, part.diag
-    ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
-    # C-ordered gathers: each row's sum and stacked dot round as its own sum() and @.
-    coupling = ((off[ib[:, None], ia] / d[ia])[:, None, :] @ m[ia])[:, 0]
-    return d[ib] - off[ib[:, None], ib].sum(axis=1) - coupling
 
 
 def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
@@ -291,11 +294,12 @@ def quotient_formula_check(A, beta, gamma) -> bool:
     if not set(gamma) < beta_set or len(beta) >= n:
         raise ValidationError("need gamma strictly inside beta strictly inside the index set")
 
-    direct = _complement(A, beta, _rest(n, beta))
+    direct = _complement(A, beta, _rest(n, beta))[0]
     # A(beta)/gamma sits at the positions of beta \ gamma inside A/gamma.
     remaining = _rest(n, gamma)
     inner = tuple(t for t, j in enumerate(remaining) if j in beta_set)
-    nested = _complement(_complement(A, gamma, remaining), inner, _rest(len(remaining), inner))
+    outer = _complement(A, gamma, remaining)[0]
+    nested = _complement(outer, inner, _rest(len(remaining), inner))[0]
 
     tol = ENTRYWISE_RTOL * inf_norm(A)
     return bool(np.abs(direct - nested).max() <= tol)

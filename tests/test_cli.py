@@ -303,16 +303,28 @@ class TestTiming:
         ["verify", "--all", "--seed", "5", "--input", "tests/fixtures/lcp_8x8.mtx"],
     ], ids=["classify", "verify"])
     def test_module_entry_point(self, argv):
-        # ``python -m diagdom.cli`` in a child process, run from the repository root.
-        src = str(pathlib.Path(diagdom.__file__).parent.parent)
+        # ``python -m diagdom.cli`` in a child process, run from the repository root,
+        # loads only the modules its subcommand computes with.
+        package = pathlib.Path(diagdom.__file__).parent
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "diagdom.cli", *argv], cwd=REPO_ROOT,
-                              env=env, capture_output=True, text=True, timeout=120)
+            p for p in (str(package.parent), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "diagdom.cli", *argv],
+                              cwd=REPO_ROOT, env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["command"] == argv[0]
         assert list(report["timing"]) == [argv[0]]
+        # Each ``import time:`` line ends in "| <indent><module>"; cli itself runs as __main__.
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        loaded = {name for name in loaded if name.split(".")[0] == "diagdom"}
+        modules = {f"diagdom.{p.stem}" for p in package.glob("*.py") if p.stem != "__init__"}
+        expected = {
+            "classify": {"diagdom.core", "diagdom.errors", "diagdom.classify", "diagdom.oracle",
+                         "diagdom.mmio"},
+            "verify": modules - {"diagdom.cli", "diagdom.schur", "diagdom.generate"},
+        }[argv[0]]
+        assert loaded == {"diagdom"} | expected
 
 
 class TestGenerate:

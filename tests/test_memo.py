@@ -8,6 +8,7 @@ with a warm memo as after clearing it, whatever the caller does to its own
 arrays between calls.
 """
 
+import argparse
 import dataclasses
 import itertools
 import sys
@@ -52,7 +53,7 @@ from diagdom import (
     sdd1_schur_bound,
     tilde_set_identity_check,
 )
-from diagdom import core, oracle
+from diagdom import cli, core, oracle
 from diagdom.core import MEMO_RECORDS
 from diagdom.mmio import format_matrix_market
 from test_vectorized import draw, same, schur_instance
@@ -276,6 +277,15 @@ def test_single_read_calls_leave_the_table_as_they_found_it():
             with pytest.raises(ValidationError, match=match):
                 call(X)
             assert list(core._MEMO) == before, (name, match)
+    # An order-1 matrix is its own determinant, so ``determinant`` reads it once.
+    assert determinant(np.array([[-2.5]])).hex() == (-2.5).hex()
+    assert list(core._MEMO) == before
+    one = [("finite", [[np.nan]]), ("finite", [[-np.inf]]), ("complex", [[1j]]),
+           ("square", [[1.0, 2.0]])]
+    for match, X in one:
+        with pytest.raises(ValidationError, match=match):
+            determinant(X)
+        assert list(core._MEMO) == before, match
 
 
 def test_delta_is_built_once_on_first_read():
@@ -447,13 +457,15 @@ def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
     clear_memo()
     quotient_formula_check(A, list(range(11)), [0])
     assert core._MEMO == []  # A is read once, so not even A has a record
-    # The order ``schur`` on the command line takes: complement, then the pivot block's
-    # determinant, which factors the block a second time, to the same bits.
+    # The ``schur`` subcommand reads the pivot block's determinant from the
+    # factorization its complement was eliminated with, then factors A and A/alpha.
     clear_memo()
     del eliminations[:]
-    schur_complement(A, alpha)
+    cli._cmd_schur(A, argparse.Namespace(alpha=",".join(str(i + 1) for i in alpha)))
+    assert eliminations == [len(alpha), 12, 12 - len(alpha)]  # the block once, then A and A/alpha
+    fact = schur_complement(A, alpha)._block_factorization
+    assert oracle._lu_determinant(fact).hex() == "0x1.62fee80000000p+10"
     assert determinant(A[np.ix_(alpha, alpha)]).hex() == "0x1.62fee80000000p+10"
-    assert eliminations == [len(alpha)] * 2
     # Criterion 7's sweep of an order-8 matrix, complements and their partitions,
     # records A and one complement per alpha (reading a ``delta`` would add its
     # comparison block's inverse).

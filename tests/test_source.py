@@ -1,8 +1,12 @@
-"""Checks on the library's source text."""
+"""Checks on the library's source text and on its package namespace."""
 
 import ast
 import inspect
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 
 import diagdom
 
@@ -45,8 +49,48 @@ def test_no_public_function_takes_a_partition():
     # passed in beside the matrix was never checked against it, so
     # is_sdd1(B, dominance_partition(A)) answered for A.  ClassReport's
     # ``partition`` field is a result, not an input, and is not a function.
-    functions = {name: obj for name, obj in vars(diagdom).items()
-                 if not name.startswith("_") and inspect.isfunction(obj)}
+    functions = {name: obj for name, obj in ((n, getattr(diagdom, n)) for n in diagdom.__all__)
+                 if inspect.isfunction(obj)}
     found = [name for name, fn in functions.items()
              if "partition" in inspect.signature(fn).parameters]
     assert "is_sdd1" in functions and not found, found
+
+
+# Run in a fresh interpreter, where no public name but ``classify`` is loaded yet.
+LAZY_EXPORTS_SCRIPT = textwrap.dedent("""
+    import sys
+
+    import diagdom.cli
+    import diagdom.classify
+
+    # The submodule import did not rebind the package's ``classify``.
+    assert diagdom.classify is sys.modules["diagdom.classify"].classify, diagdom.classify
+    early = [name for name in diagdom.__all__ if name in vars(diagdom)]
+    assert early == ["classify"], early
+    assert set(diagdom.__all__) <= set(dir(diagdom)), "dir() misses an export"
+    assert "__all__" in dir(diagdom)
+    try:
+        diagdom.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc), exc
+    else:
+        raise AssertionError("an unknown name resolved")
+
+    exports = {name: getattr(diagdom, name) for name in diagdom.__all__}
+    for name, obj in exports.items():
+        if isinstance(obj, str):  # a formula id: the one module that lists it in __all__
+            (home,) = [module for key, module in sys.modules.items()
+                       if key.startswith("diagdom.") and name in getattr(module, "__all__", ())]
+        else:  # a class or function: the module that defines it
+            home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("diagdom.") and obj is getattr(home, name), name
+        assert vars(diagdom)[name] is obj, name  # kept after its first access
+""")
+
+
+def test_exports_load_lazily_and_are_their_modules_objects():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SOURCE_DIR.parent), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", LAZY_EXPORTS_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
