@@ -15,8 +15,6 @@ All Python-level indices are 0-based; the command line speaks 1-based.
 (PEP 562), so a program pays only for the modules it uses.
 """
 
-import importlib
-
 # Eager, because every CLI subcommand needs this module anyway, and because a
 # later ``import diagdom.classify`` would otherwise bind ``diagdom.classify`` to
 # the module: the submodule's name is also the name of its main function.
@@ -59,7 +57,8 @@ def __getattr__(name):
     """Import a public name's module on first access and keep the name here."""
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    # ``__import__``, unlike ``importlib.import_module``, shows in -X importtime.
+    value = getattr(__import__(f"{__name__}.{_HOME[name]}", fromlist=[name]), name)
     globals()[name] = value
     return value
 

@@ -206,13 +206,9 @@ def lu_solve(fact: LuFactorization, b) -> np.ndarray:
 
 
 def determinant(A) -> float:
-    """Determinant via the pivoted LU product; singular input yields 0.0.
-
-    An order-1 matrix is its own determinant: it is validated in place and
-    gets no record, as it has nothing to factor.
-    """
+    """Determinant via the pivoted LU product; singular input yields 0.0."""
     A = _checked(A, finite=False)  # lu_factor runs the finite check, on a miss only
-    if A.shape[0] == 1:
+    if A.shape[0] == 1:  # its own determinant: nothing to factor, so checked in place, no record
         return float(_checked(A)[0, 0])
     try:
         fact = lu_factor(A)
