@@ -2,8 +2,8 @@
 """Compare the certified upper bounds on ||A^{-1}||_inf against the oracle.
 
 The elimination-based bound needs no tuning parameter; the epsilon bound is
-shown both at a hand-picked epsilon and with the automatic grid-and-refine
-choice.  Every certificate must sit above the exact value.
+shown both at a hand-picked epsilon and at the epsilon that minimizes it
+exactly.  Every certificate must sit above the exact value.
 """
 
 import numpy as np

@@ -5,7 +5,7 @@ Four routes, each returned as a ``BoundCertificate``:
 - ``sdd_pairwise_bound``: the classical pairwise bound for strictly
   diagonally dominant matrices;
 - ``sdd1_epsilon_bound``: the epsilon-parameterized bound for SDD1 matrices,
-  with an optional automatic choice of epsilon;
+  at a given epsilon or minimized exactly over it;
 - ``sdd1_schur_bound``: the elimination-based SDD1 bound built from the
   dominant-block pairwise bound (phi) and the certified dominance of the
   eliminated complement (psi);
@@ -40,14 +40,6 @@ __all__ = [
     "sdd_pairwise_bound",
     "with_exact_norm",
 ]
-
-EPSILON_GRID_POINTS = 256
-EPSILON_GRID_MARGIN = 1e-6   # relative margin keeping the grid inside the open interval
-EPSILON_REFINE_WIDTH = 1e-10  # golden-section stopping width
-EPSILON_SCALAR_MAX = 128      # largest order refined on Python floats (measured crossover:
-                              # one probe costs about 15 us either way at order 128, 2-CPU VM)
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def with_exact_norm(cert: BoundCertificate, A) -> BoundCertificate:
@@ -127,16 +119,6 @@ def _epsilon_value(pieces, eps):
     return np.maximum(1.0, max_ratio + eps) / den
 
 
-def _epsilon_value_floats(pieces, eps):
-    """``_epsilon_value`` at one point on Python floats, with the same IEEE operations."""
-    h0, rs1, g, q0, max_ratio, _ = pieces
-    den = min(min([h - eps * r for h, r in zip(h0, rs1)]),
-              min([eps * gi + qi for gi, qi in zip(g, q0)]))
-    if not den > 0.0:
-        raise _epsilon_denominator_error(pieces, eps)
-    return max(1.0, max_ratio + eps) / den
-
-
 def _epsilon_denominator_error(pieces, eps):
     """The ``DenominatorError`` naming every row whose epsilon term is not positive at ``eps``.
 
@@ -145,40 +127,62 @@ def _epsilon_denominator_error(pieces, eps):
     """
     h0, rs1, g, q0, _, (n1, n2) = pieces
     eps = np.atleast_1d(eps)[:, None]
-    bad1 = ~(np.asarray(h0) - eps * np.asarray(rs1) > 0.0).all(axis=0)
-    bad2 = ~(eps * np.asarray(g) + np.asarray(q0) > 0.0).all(axis=0)
+    bad1 = ~(h0 - eps * rs1 > 0.0).all(axis=0)
+    bad2 = ~(eps * g + q0 > 0.0).all(axis=0)
     rows = [i for i, bad in zip(n1, bad1) if bad] + [j for j, bad in zip(n2, bad2) if bad]
     return DenominatorError("epsilon denominator", rows)
 
 
-def _golden_min(f, a, b, width):
-    c = b - _INV_PHI * (b - a)
-    d_ = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d_)
-    while b - a > width:
-        if fc < fd:
-            b, d_, fd = d_, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d_, fd
-            d_ = a + _INV_PHI * (b - a)
-            fd = f(d_)
-    return (a + b) / 2.0
+def _envelope_breakpoints(b, s):
+    """Every eps > 0 where the lower envelope of the lines b + eps * s changes line.
+
+    A line can be lowest at some eps >= 0 only if its intercept is below that
+    of every line with a smaller slope.  The lines kept have strictly rising
+    slopes and falling intercepts, and one monotone-chain pass over them,
+    from the line lowest at 0, keeps those on the envelope.
+    """
+    order = np.lexsort((b, s))
+    b, s = b[order], s[order]
+    keep = np.ones(len(b), dtype=bool)
+    keep[1:] = b[1:] < np.minimum.accumulate(b)[:-1]
+
+    def takeover(p, q):  # where line q = (intercept, slope) takes over from line p
+        return (q[0] - p[0]) / (p[1] - q[1])
+
+    hull = []
+    for line in zip(b[keep][::-1].tolist(), s[keep][::-1].tolist()):
+        while len(hull) > 1 and takeover(hull[-1], line) <= takeover(hull[-2], hull[-1]):
+            hull.pop()
+        hull.append(line)
+    return [takeover(p, q) for p, q in zip(hull, hull[1:])]
 
 
 def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
     """Epsilon-parameterized SDD1 bound.
 
-    With ``epsilon`` given, evaluates the bound at that value after checking
-    it sits strictly inside the admissible open interval.  Without it, a
-    256-point grid over the interval (with a tiny relative margin) followed
-    by golden-section refinement picks a minimizer; the bound is continuous
-    in epsilon but not guaranteed unimodal, so grid-then-refine is the robust
-    route.  Up to order ``EPSILON_SCALAR_MAX`` the refinement evaluates the
-    bound on Python floats, with the IEEE operations of the array evaluator,
-    so the result is the same bit for bit.  The chosen epsilon and the
-    interval supremum are recorded in the certificate parameters.
+    With ``epsilon`` given, evaluates the bound there after checking it
+    sits strictly inside the admissible open interval (0, sup).  Without
+    it, minimizes the bound exactly over that interval.
+
+    The bound is N/D with N(eps) = max(1, m + eps), convex, and D(eps) the
+    minimum of the lines h0_i - eps * rs_i (i in n1) and eps * g_j + q0_j
+    (j in n2), concave and positive.  So it is quasiconvex (Boyd and
+    Vandenberghe, *Convex Optimization*, 2004, section 3.4), and between
+    the breakpoints of D and the kink eps = 1 - m it is linear-fractional,
+    hence monotone.  The candidates are the breakpoints of D's lower
+    envelope in (0, sup), the kink, and the floats next to each end; the
+    smallest value wins, and ``minimizer`` records which kind:
+    ``"breakpoint"``, ``"kink"``, ``"interval_start"`` or ``"interval_end"``.
+
+    An end counts only where the bound stays finite.  As eps -> 0+ it tends
+    to max(1, m) / min(min h0, min q0), so the start needs every q0_j > 0.
+    h0_i - sup * rs_i >= 0 is an equality when P_j = R_j on row i's n2
+    columns, so next to sup an n1 term can round to zero: then no end.
+
+    sup is finite: a row i in n1 has |a_ii| <= R_i and |a_ii| > P_i, so
+    R_i - P_i = sum_{j in n2} |a_ij| (1 - R_j / |a_jj|) > 0 and rs_i > 0.
+    Should rounding alone admit an n1 row without n2 mass, the bound grows
+    without limit in eps, and again there is no end.
     """
     part = dominance_partition(A)
     _require_sdd1(part)
@@ -187,16 +191,10 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
             "n1 or n2 is empty",
             "the epsilon bound mixes terms over both partition sides",
         )
-    d, P, n2 = part.diag, part.p_values, list(part.n2)
-    rs = part.off[:, n2].sum(axis=1)
+    rs = part.off[:, list(part.n2)].sum(axis=1)
     pieces = _epsilon_pieces(part, rs)
-
-    sup = _epsilon_sup(d, P, rs)
-    finite_sup = sup
-    if not math.isfinite(finite_sup):
-        # No row constrains epsilon; cap the search where the numerator's
-        # max{1, .} branch has clearly switched to growth.
-        finite_sup = max(1.0, 2.0 * (1.0 - (P[n2] / d[n2]).max()))
+    h0, rs1, g, q0, max_ratio, _ = pieces
+    sup = float(_epsilon_sup(part.diag, part.p_values, rs))
 
     if epsilon is not None:
         eps = float(epsilon)
@@ -205,26 +203,26 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
                 f"epsilon {eps} outside the admissible open interval (0, {sup})"
             )
         value = _epsilon_value(pieces, eps)
-        params = {"epsilon": eps, "interval_sup": float(sup), "auto": False}
+        params = {"epsilon": eps, "interval_sup": sup, "auto": False}
         return BoundCertificate(FORMULA_SDD1_EPSILON, float(value), params)
 
-    lo = finite_sup * EPSILON_GRID_MARGIN
-    hi = finite_sup * (1.0 - EPSILON_GRID_MARGIN)
-    grid = np.linspace(lo, hi, EPSILON_GRID_POINTS)
-    values = _epsilon_value(pieces, grid)
+    lines = np.concatenate([h0, q0]), np.concatenate([-rs1, g])
+    candidates = [(e, "breakpoint") for e in _envelope_breakpoints(*lines) if e < sup]
+    if 1.0 - max_ratio < sup:
+        candidates.append((1.0 - max_ratio, "kink"))
+    if q0.min() > 0.0:
+        candidates.append((math.nextafter(0.0, 1.0), "interval_start"))
+    end = math.nextafter(sup, 0.0)
+    if sup < math.inf and (h0 - end * rs1).min() > 0.0:
+        candidates.append((end, "interval_end"))
+    if not candidates:  # only rounding at a dominance tie drops every candidate
+        raise _epsilon_denominator_error(pieces, end)
+    eps = np.array([e for e, _ in candidates])
+    values = _epsilon_value(pieces, eps)
     k = int(np.argmin(values))
-    a = grid[max(0, k - 1)]
-    b = grid[min(len(grid) - 1, k + 1)]
-    evaluate, at = _epsilon_value, pieces
-    if part.n <= EPSILON_SCALAR_MAX:
-        evaluate, at = _epsilon_value_floats, (*(p.tolist() for p in pieces[:4]), *pieces[4:])
-        a, b = float(a), float(b)
-    eps = _golden_min(lambda e: evaluate(at, e), a, b, EPSILON_REFINE_WIDTH)
-    refined = evaluate(at, eps)
-    if refined > values[k]:
-        eps, refined = float(grid[k]), values[k]
-    params = {"epsilon": float(eps), "interval_sup": float(sup), "auto": True}
-    return BoundCertificate(FORMULA_SDD1_EPSILON, float(refined), params)
+    params = {"epsilon": float(eps[k]), "interval_sup": sup, "auto": True,
+              "minimizer": candidates[k][1]}
+    return BoundCertificate(FORMULA_SDD1_EPSILON, float(values[k]), params)
 
 
 def _restricted_schur_value(part, S, margins):

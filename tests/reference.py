@@ -5,13 +5,16 @@ one NumPy call per step, the per-element Python loops the library used
 before its hot paths became whole-array NumPy work, the one-matrix-at-a-time
 oracle scans that became stacked NumPy calls, the H-matrix test that
 inverted the comparison matrix before it became one solve, and
-``schur_complement`` as each call built it before it validated once.  (The
-per-sample ``default_rng`` loop is in ``sampled_norms``.)  The library's LU
-must agree with ``lu_factor_unblocked`` exactly up to its block width and
-with ``lu_factor_blocked`` at every order; ``is_h_matrix`` must give the
-library's answer on input kept away from singularity; every other function
-here must agree with its library counterpart bit for bit (``==``, not
-``allclose``).
+``schur_complement`` as each call built it before it validated once, and
+the grid-and-refine epsilon search the library ran before it minimized the
+epsilon bound exactly.  (The per-sample ``default_rng`` loop is in
+``sampled_norms``.)  The library's LU must agree with
+``lu_factor_unblocked`` exactly up to its block width and with
+``lu_factor_blocked`` at every order; ``is_h_matrix`` must give the
+library's answer on input kept away from singularity; the library's
+automatic epsilon bound must be at most ``sdd1_epsilon_bound``'s value, up
+to rounding; every other function here must agree with its library
+counterpart bit for bit (``==``, not ``allclose``).
 """
 
 import itertools
@@ -34,14 +37,16 @@ from diagdom.certificates import FORMULA_LCP_B1, FORMULA_SDD1_EPSILON, BoundCert
 from diagdom.classify import b1_split
 from diagdom.core import as_matrix, dominance_partition
 from diagdom.lcp import VIOLATION_TOL
-from diagdom.normbounds import (
-    EPSILON_GRID_MARGIN,
-    EPSILON_GRID_POINTS,
-    EPSILON_REFINE_WIDTH,
-    _golden_min,
-)
 from diagdom.oracle import LU_BLOCK, SINGULAR_PIVOT_RTOL, LuFactorization
 from diagdom.schur import ENTRYWISE_RTOL
+
+# The grid-and-refine epsilon search the library ran before it minimized the
+# bound exactly: a grid kept a relative margin inside the open interval, then
+# golden section refined around the grid's best point.
+EPSILON_GRID_POINTS = 256
+EPSILON_GRID_MARGIN = 1e-6
+EPSILON_REFINE_WIDTH = 1e-10
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Entrywise slack of the inverse-based M-matrix test below.  The library tests
 # with ``h_scaling``'s witness instead, so the constant lives only here.
@@ -180,8 +185,27 @@ def epsilon_sup(d, P, rs):
     return sup
 
 
+def _golden_min(f, a, b, width):
+    c = b - _INV_PHI * (b - a)
+    d_ = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d_)
+    while b - a > width:
+        if fc < fd:
+            b, d_, fd = d_, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d_, fd
+            d_ = a + _INV_PHI * (b - a)
+            fd = f(d_)
+    return (a + b) / 2.0
+
+
 def sdd1_epsilon_bound(A):
-    """The automatic-epsilon SDD1 bound, grid evaluated one point at a time."""
+    """The automatic-epsilon SDD1 bound by grid and golden section, one point at a time.
+
+    The library's exact minimum must be at most this value, up to rounding.
+    """
     A = as_matrix(A)
     part = dominance_partition(A)
     _, off, d = abs_off(A)

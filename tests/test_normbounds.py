@@ -32,7 +32,6 @@ from diagdom import (
 from diagdom.normbounds import (
     _epsilon_pieces,
     _epsilon_value,
-    _epsilon_value_floats,
     _restricted_schur_value,
 )
 from matrices import NORM_8X8, SINGLE_N2
@@ -86,10 +85,57 @@ class TestEpsilonBound:
         assert cert.parameters["auto"]
 
     def test_auto_no_worse_than_midpoint(self):
+        # The midpoint and 100 more points inside (0, sup), with rounding slack only.
         cert = sdd1_epsilon_bound(NORM_8X8)
         sup = cert.parameters["interval_sup"]
-        mid = sdd1_epsilon_bound(NORM_8X8, sup / 2.0)
-        assert cert.value <= mid.value + 1e-12
+        for t in np.linspace(0.0, 1.0, 103)[1:-1]:
+            fixed = sdd1_epsilon_bound(NORM_8X8, t * sup)
+            assert cert.value <= fixed.value * (1 + 4 * 2**-53)
+
+    @staticmethod
+    def auto_without_warnings(A):
+        """``sdd1_epsilon_bound(A)``, checked against the fixed path at its epsilon and the oracle."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = sdd1_epsilon_bound(A)
+        assert cert.value == sdd1_epsilon_bound(A, cert.parameters["epsilon"]).value
+        assert cert.value >= exact_norm(A)
+        return cert
+
+    def test_minimum_at_interval_start(self):
+        # The grid and golden section stopped at 1.658616487754962, eps = 5.27e-7.
+        cert = self.auto_without_warnings(generate_sdd1(3, 34, n1_fraction=0.2))
+        assert cert.parameters["minimizer"] == "interval_start"
+        assert cert.parameters["epsilon"] == math.nextafter(0.0, 1.0)
+        assert cert.value == 1.6586152198981583
+
+    def test_minimum_at_interval_end_with_a_zero_q0(self):
+        # With q0_j = 0 the start is no candidate: at its adjacent float the
+        # denominator eps * g_j is subnormal and its reciprocal overflows.
+        A = generate_sdd1(3, 1, n1_fraction=0.2)
+        part = dominance_partition(A)
+        assert _epsilon_pieces(part, part.off[:, list(part.n2)].sum(axis=1))[3].min() == 0.0
+        cert = self.auto_without_warnings(A)
+        assert cert.parameters["minimizer"] == "interval_end"
+        assert cert.parameters["epsilon"] == math.nextafter(cert.parameters["interval_sup"], 0.0)
+
+    def test_interval_end_dropped_where_its_term_rounds_to_zero(self):
+        # Here h0_i = |a_ii| - P_i, so h0_i - eps * rs_i is 0.0 at the float
+        # below sup: the bound has no finite value there, and a breakpoint wins.
+        A = generate_sdd1(3, 11, n1_fraction=0.2)
+        part = dominance_partition(A)
+        h0, rs1 = _epsilon_pieces(part, part.off[:, list(part.n2)].sum(axis=1))[:2]
+        sup = sdd1_epsilon_bound(A).parameters["interval_sup"]
+        assert (h0 - math.nextafter(sup, 0.0) * rs1).min() == 0.0
+        assert self.auto_without_warnings(A).parameters["minimizer"] == "breakpoint"
+
+    def test_minimum_at_the_kink(self):
+        # N(eps) = max(1, m + eps) turns at eps = 1 - m = 13/21 inside (0, 6/7).
+        A = [[7.0, 2.0, 2.0, 0.0], [1.0, 4.0, 3.0, 0.0], [0.0, 0.0, 4.0, 0.0], [2.0, 0.0, 0.0, 3.0]]
+        cert = self.auto_without_warnings(A)
+        assert cert.parameters["minimizer"] == "kink"
+        assert cert.parameters["epsilon"] == 1.0 - 8.0 / 21.0
+        assert cert.value == 0.84
 
     def test_guards(self):
         with pytest.raises(HypothesisError):
@@ -249,10 +295,8 @@ class TestDenominatorErrors:
         part = dominance_partition(NORM_8X8)
         pieces = _epsilon_pieces(part, part.off[:, list(part.n2)].sum(axis=1))
         eps = 10 * sdd1_epsilon_bound(NORM_8X8).parameters["interval_sup"]
-        floats = (*(p.tolist() for p in pieces[:4]), *pieces[4:])
         for call in (lambda: _epsilon_value(pieces, eps),
-                     lambda: _epsilon_value(pieces, np.array([eps / 100, eps])),
-                     lambda: _epsilon_value_floats(floats, eps)):
+                     lambda: _epsilon_value(pieces, np.array([eps / 100, eps]))):
             with pytest.raises(DenominatorError) as info:
                 call()
             assert info.value.rows and set(info.value.rows) <= set(part.n1)
