@@ -176,13 +176,15 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
 
     An end counts only where the bound stays finite.  As eps -> 0+ it tends
     to max(1, m) / min(min h0, min q0), so the start needs every q0_j > 0.
-    h0_i - sup * rs_i >= 0 is an equality when P_j = R_j on row i's n2
-    columns, so next to sup an n1 term can round to zero: then no end.
+    For the row i setting sup, h0_i - sup * rs_i >= 0 is an equality when
+    P_j = R_j on its n2 columns, so next to sup its term can round to zero:
+    then there is no end candidate.
 
-    sup is finite: a row i in n1 has |a_ii| <= R_i and |a_ii| > P_i, so
-    R_i - P_i = sum_{j in n2} |a_ij| (1 - R_j / |a_jj|) > 0 and rs_i > 0.
-    Should rounding alone admit an n1 row without n2 mass, the bound grows
-    without limit in eps, and again there is no end.
+    In exact arithmetic sup is finite: a row i in n1 has |a_ii| <= R_i and
+    |a_ii| > P_i, so R_i - P_i = sum_{j in n2} |a_ij| (1 - R_j / |a_jj|) > 0
+    and rs_i > 0.  Only rounding admits an n1 row without n2 mass; when
+    every n1 row is one, sup is infinite, the bound grows without limit in
+    eps, and again there is no end candidate.
     """
     part = dominance_partition(A)
     _require_sdd1(part)
@@ -215,8 +217,6 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
     end = math.nextafter(sup, 0.0)
     if sup < math.inf and (h0 - end * rs1).min() > 0.0:
         candidates.append((end, "interval_end"))
-    if not candidates:  # only rounding at a dominance tie drops every candidate
-        raise _epsilon_denominator_error(pieces, end)
     eps = np.array([e for e, _ in candidates])
     values = _epsilon_value(pieces, eps)
     k = int(np.argmin(values))

@@ -129,6 +129,22 @@ class TestEpsilonBound:
         assert (h0 - math.nextafter(sup, 0.0) * rs1).min() == 0.0
         assert self.auto_without_warnings(A).parameters["minimizer"] == "breakpoint"
 
+    def test_infinite_sup_from_rounding_has_no_interval_end(self):
+        # Rows of n1 without n2 mass pass the SDD1 test only by rounding:
+        # |a_ii| = R_i, while P_i, summed over fewer columns, rounds below it.
+        # sup is then infinite and the bound grows without limit in eps; at
+        # the largest float, eps * g_j would overflow.
+        u = 2.0**-53
+        n1 = [0, 1, 2, 4, 5, 6, 8, 9, 10, 11]
+        A = np.zeros((12, 12))
+        for i in n1:
+            A[i, [j for j in n1 if j != i]] = [3 * u, 1.5, 0.75, 5 * u, 5 * u, 1.5, 3 * u, 3 * u, 1.0]
+        A[[3, 7], [3, 7]], A[[3, 7], 0] = 4.0, 1.0
+        A[n1, n1] = np.abs(A).sum(axis=1)[n1]
+        cert = self.auto_without_warnings(A)
+        assert cert.parameters["interval_sup"] == math.inf
+        assert cert.parameters["minimizer"] == "breakpoint"
+
     def test_minimum_at_the_kink(self):
         # N(eps) = max(1, m + eps) turns at eps = 1 - m = 13/21 inside (0, 6/7).
         A = [[7.0, 2.0, 2.0, 0.0], [1.0, 4.0, 3.0, 0.0], [0.0, 0.0, 4.0, 0.0], [2.0, 0.0, 0.0, 3.0]]
