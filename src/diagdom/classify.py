@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import IndexPartition, _checked, as_index_set, dominance_partition
+from .core import IndexPartition, _checked, _frozen, as_index_set, dominance_partition
 from .errors import HypothesisError, SizeLimitError, ValidationError, WitnessError
 
 __all__ = [
@@ -33,13 +33,19 @@ WITNESS_SEARCH_MAX = 15  # exhaustive subset search guard on |n2|
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Summary of every classification for one matrix."""
+    """Summary of every classification for one matrix.
+
+    ``s_sdd1_witness`` is None both when no witness exists and when the
+    witness search was skipped because |n2| exceeds ``WITNESS_SEARCH_MAX``;
+    ``witness_skipped`` says which.
+    """
 
     is_sdd: bool
     is_sdd1: bool
     s_sdd1_witness: tuple[int, ...] | None
     dominance_degrees: np.ndarray
     partition: IndexPartition
+    witness_skipped: bool
 
     def __post_init__(self):
         self.dominance_degrees.setflags(write=False)
@@ -50,7 +56,9 @@ class B1Split:
     """Decomposition M = a + c with constant-row shift part c.
 
     ``r[i]`` is max{0, max of row i's off-diagonal entries}; row i of ``c``
-    is constant equal to ``r[i]`` and ``a = M - c`` entrywise.
+    is constant equal to ``r[i]`` and ``a = M - c`` entrywise.  ``a`` is a
+    view of its own ``bytes`` and can never be made writable, so passing it
+    on to the bounds finds its record by identity.
     """
 
     a: np.ndarray
@@ -93,6 +101,8 @@ def _require_sdd1(part):
 def _s_sdd1_margins(part, S) -> np.ndarray:
     """Margins |a_ii| - R^{Sbar}_i - Q^S_i for all rows; S must be validated."""
     off, d = part.off, part.diag
+    if tuple(S) == part.n2:  # the partition's own sums, the same gathers summed
+        return d - part.r_n1 - part.q_n2
     S = list(S)
     Sset = set(S)
     sbar = [j for j in range(part.n) if j not in Sset]
@@ -149,13 +159,14 @@ def _find_witness(part) -> tuple[int, ...] | None:
 def classify(A) -> ClassReport:
     """Assemble the full class report for one matrix."""
     part = dominance_partition(A)
-    witness = _find_witness(part) if len(part.n2) <= WITNESS_SEARCH_MAX else None
+    skipped = len(part.n2) > WITNESS_SEARCH_MAX
     return ClassReport(
         is_sdd=len(part.n1) == 0,
         is_sdd1=_is_sdd1(part),
-        s_sdd1_witness=witness,
+        s_sdd1_witness=None if skipped else _find_witness(part),
         dominance_degrees=part.diag - part.p_values,
         partition=part,
+        witness_skipped=skipped,
     )
 
 
@@ -163,7 +174,8 @@ def b1_split(M) -> B1Split:
     """Exact shift decomposition M = a + c; asserts nothing about class membership.
 
     Raises ``ValidationError`` when ``a = M - c`` overflows, which a finite M
-    holding large entries of both signs in one row can do.
+    holding large entries of both signs in one row can do.  ``a`` views its
+    own ``bytes``, so the memo adopts it uncopied when it is analysed.
     """
     M = _checked(M)
     masked = np.array(M)
@@ -174,7 +186,7 @@ def b1_split(M) -> B1Split:
         a = M - c
     if not np.isfinite(a).all():
         raise ValidationError("the shift part M - c overflows")
-    return B1Split(a=a, c=c, r=r)
+    return B1Split(a=_frozen(a), c=c, r=r)
 
 
 def _positive_sdd1(A) -> IndexPartition | None:

@@ -106,7 +106,7 @@ def _cmd_classify(A, args):
     rep = classify(A)
     is_h, scaling = _h_section(A)
     witness = None if rep.s_sdd1_witness is None else _one_based(rep.s_sdd1_witness)
-    if len(rep.partition.n2) > WITNESS_SEARCH_MAX:  # the search did not run
+    if rep.witness_skipped:
         witness = {"skipped": "size guard", "limit": WITNESS_SEARCH_MAX}
     return {"result": {
         "order": int(A.shape[0]),

@@ -31,24 +31,25 @@ __all__ = [
 ]
 
 # The memo: the MEMO_RECORDS most recently used records, each a validated matrix
-# and its partition and LU factorization, built on first request (24 n^2 + 24 n
-# bytes at most).  Only a matrix whose partition or factorization is read, or whose
-# shared copy ``as_matrix`` is asked for, gets one; single reads use ``_checked``.
-# Two is the fewest with which a dense pass builds nothing twice: A's record
-# outlasts its ordered copy's or its complement's until A is read again.
+# and its partition and LU factorization, built on first request (24 n^2 + 48 n
+# bytes at most, 16 n^2 + 48 n when the matrix is the caller's own immutable one).
+# Only a matrix whose partition or factorization is read, or whose shared copy
+# ``as_matrix`` is asked for, gets one; single reads use ``_checked``.  Two is the
+# fewest with which a dense pass builds nothing twice: A's record outlasts its
+# ordered copy's or its complement's until A is read again.
 MEMO_RECORDS = 2
 _MEMO = []  # records, least recently used first
 _LOCK = threading.RLock()  # guards _MEMO and the results built into records
 
 
 class _Record:
-    """A validated read-only matrix and the results built from it, each on first request."""
+    """A validated read-only matrix, the ``bytes`` it views, and the results built from it,
+    each on first request."""
 
     __slots__ = ("raw", "matrix", "partition", "factorization")
 
-    def __init__(self, arr, raw):
-        self.raw = raw
-        self.matrix = np.frombuffer(raw, dtype=np.float64).reshape(arr.shape)
+    def __init__(self, matrix, raw):
+        self.raw, self.matrix = raw, matrix
         self.partition = self.factorization = None
 
     def result(self, name, build):
@@ -66,8 +67,11 @@ def as_matrix(a) -> np.ndarray:
     shapes, and non-finite entries.  Returns the read-only matrix of ``a``'s
     record in the memo, so results that hold it stay immutable, and input with
     exactly the bytes of a recently analysed matrix gets that matrix back,
-    unchecked and uncopied.  Asking for it makes a record, so the library's
-    calls that read their input once validate it with ``_checked`` instead.
+    unchecked and uncopied.  An immutable ``a`` (a C-ordered float64 view of
+    a whole ``bytes`` object, as every matrix diagdom hands out) is recorded
+    as it is and returned itself; any other input is copied once into its
+    record.  Asking for it makes a record, so the library's calls that read
+    their input once validate it with ``_checked`` instead.
     """
     return _record(a).matrix
 
@@ -85,21 +89,44 @@ def _checked(a, *, finite=True) -> np.ndarray:
     return arr
 
 
+def _frozen(arr) -> np.ndarray:
+    """A copy of the C-ordered float64 ``arr`` viewing its own ``bytes``: never writable."""
+    return np.frombuffer(arr.tobytes(), dtype=np.float64).reshape(arr.shape)
+
+
+def _immutable_bytes(a):
+    """The ``bytes`` object that ``a`` views whole, if ``a`` is a C-ordered native float64
+    square ndarray with one; else None.  numpy can never make such an array writable."""
+    if not (type(a) is np.ndarray and a.dtype == np.float64 and a.flags.c_contiguous
+            and a.ndim == 2 and a.shape[0] == a.shape[1] > 0):
+        return None
+    base = a.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base if type(base) is bytes and len(base) == a.nbytes else None
+
+
 def _record(a) -> _Record:
     """The memo's record of ``a``: found by the identity of its own matrix, else by equal
-    bytes (so 0.0 and -0.0 differ), else made from ``a`` after ``as_matrix``'s checks."""
+    bytes (so 0.0 and -0.0 differ), else made from ``a`` after ``as_matrix``'s checks.
+
+    Immutable input is compared by the ``bytes`` it views and adopted as the new
+    record's matrix; other input is copied with ``tobytes`` to compare and to keep.
+    """
     with _LOCK:
         for rec in _MEMO:
             if rec.matrix is a:
                 break
         else:
-            arr = _checked(a, finite=False)
-            raw = arr.tobytes()
+            matrix, raw = a, _immutable_bytes(a)
+            if raw is None:  # any other input is compared and kept as an immutable copy
+                matrix = _frozen(_checked(a, finite=False))
+                raw = _immutable_bytes(matrix)
             for rec in _MEMO:
                 if rec.raw == raw:
                     break
             else:
-                rec = _Record(_checked(arr), raw)
+                rec = _Record(_checked(matrix), raw)
                 _MEMO.append(rec)
                 del _MEMO[:-MEMO_RECORDS]
         if rec is not _MEMO[-1]:  # a hit becomes the most recently used record
@@ -137,12 +164,15 @@ class IndexPartition:
 
     This is the one analysis of a matrix that every bound reads from.
     ``off`` holds the moduli |a_ij| with a zeroed diagonal and ``diag`` the
-    moduli |a_ii|; all four arrays are read-only.  ``row_sums[i]`` is R_i,
+    moduli |a_ii|; all seven arrays are read-only.  ``row_sums[i]`` is R_i,
     the full off-diagonal absolute row sum, and ``p_values[i]`` is
     P_i = R^{n1}_i + Q^{n2}_i: full weight for columns in the non-dominant
-    set, damped weight R_j/|a_jj| for columns in the dominant set.
-    Membership is decided by the exact comparison |a_ii| <= R_i, with no
-    tolerance.
+    set, damped weight R_j/|a_jj| for columns in the dominant set.  Its
+    pieces are kept for every row: ``r_n1`` is R^{n1}, ``r_n2`` is R^{n2}
+    and ``q_n2`` is Q^{n2}, each the sum (or ``@``) of the C-ordered column
+    gather ``off[:, n1]`` or ``off[:, n2]``, so a bound that reads them
+    gets the bits of summing those columns itself.  Membership is decided
+    by the exact comparison |a_ii| <= R_i, with no tolerance.
     """
 
     n1: tuple[int, ...]
@@ -151,6 +181,9 @@ class IndexPartition:
     p_values: np.ndarray
     off: np.ndarray
     diag: np.ndarray
+    r_n1: np.ndarray
+    r_n2: np.ndarray
+    q_n2: np.ndarray
 
     @property
     def n(self) -> int:
@@ -201,13 +234,14 @@ def _build_partition(A) -> IndexPartition:
         R = off.sum(axis=1)
         n2_mask = d > R
         (i1,), (i2,) = (~n2_mask).nonzero(), n2_mask.nonzero()
-        w = np.zeros(A.shape[0])
-        w[i2] = R[i2] / d[i2]
-        P = off[:, i1].sum(axis=1) + off[:, i2] @ w[i2]  # an empty set adds exact zeros
-    for arr in (R, P, off, d):
+        w = R[i2] / d[i2]
+        off_n2 = off[:, i2]
+        r_n1, r_n2, q_n2 = off[:, i1].sum(axis=1), off_n2.sum(axis=1), off_n2 @ w
+        P = r_n1 + q_n2  # an empty set adds exact zeros
+    for arr in (R, P, off, d, r_n1, r_n2, q_n2):
         arr.setflags(write=False)
     return IndexPartition(n1=tuple(i1.tolist()), n2=tuple(i2.tolist()), row_sums=R,
-                          p_values=P, off=off, diag=d)
+                          p_values=P, off=off, diag=d, r_n1=r_n1, r_n2=r_n2, q_n2=q_n2)
 
 
 def _eliminated_margins(part, alpha, bar, m) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import FORMULA_DET_HUANG, FORMULA_DET_NEW
 from .classify import _require_sdd1
-from .core import IndexPartition, _checked, as_matrix, dominance_partition
+from .core import IndexPartition, _checked, _frozen, as_matrix, dominance_partition
 from .errors import HypothesisError, ValidationError
 from .oracle import determinant
 
@@ -46,11 +46,16 @@ class DominanceOrdering:
     s: int
 
     def apply(self, A) -> np.ndarray:
+        """``A`` with rows and columns permuted, as a view of its own ``bytes``.
+
+        It can never be made writable, so the brackets that read it next find
+        its record by identity; applying it records nothing.
+        """
         A = _checked(A)
         p = list(self.permutation)
         if A.shape[0] != len(p):
             raise ValidationError(f"expected a matrix of order {len(p)}, got order {A.shape[0]}")
-        return A[np.ix_(p, p)]
+        return _frozen(A[np.ix_(p, p)])
 
 
 @dataclass(frozen=True)
@@ -132,20 +137,20 @@ def huang_bracket(A) -> DetBracket:
     """
     part = _ordered_partition(A)
     d, R, P = part.diag, part.row_sums, part.p_values
-    n2 = list(part.n2)
-    rs = part.off[:, n2].sum(axis=1)
-    candidates = [(d[j] - P[j]) / rs[j] for j in part.n1 if rs[j] > 0.0]
-    if not candidates:
+    s = len(part.n1)  # the non-dominant rows lead
+    rs = part.r_n2[:s]
+    coupled = rs > 0.0
+    if not coupled.any():
         raise HypothesisError(
             "theta undefined",
             "every non-dominant row decouples from the dominant columns, "
             "so the global weight has no finite definition",
         )
     _require_sdd1(part)
-    theta = min(candidates)
+    theta = float(((d[:s] - P[:s])[coupled] / rs[coupled]).min())
     x = np.ones(part.n)
-    x[n2] = theta + R[n2] / d[n2]
-    return _sequential_bracket(part, x, x, FORMULA_DET_HUANG, float(theta))
+    x[s:] = theta + R[s:] / d[s:]
+    return _sequential_bracket(part, x, x, FORMULA_DET_HUANG, theta)
 
 
 def dominance_bracket(A) -> DetBracket:

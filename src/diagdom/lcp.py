@@ -141,16 +141,15 @@ def lcp_b1_bound(M) -> BoundCertificate:
             "matrix is not B1",
             "the shift part of the split must be SDD1 with positive diagonal",
         )
-    d = part.diag
+    d, rs = part.diag, part.r_n2
     n2 = np.asarray(part.n2, dtype=np.intp)
-    rs = part.off[:, n2].sum(axis=1)
 
     if len(n2) == 1:
         phi = max(1.0, 1.0 / d[n2[0]])
     else:
-        di, dj, ri, den = _pairwise_terms(d, rs, n2, 1.0)
-        den = np.minimum(np.minimum(di, dj), den)
-        phi = np.max((np.maximum(1.0, dj) + ri) / den, initial=0.0)
+        d_S, rs_S, den, pairs = _pairwise_terms(d, rs, n2, 1.0)
+        den = np.minimum(np.minimum(d_S[:, None], d_S), den)  # the diagonal stays masked
+        phi = np.max((np.maximum(1.0, d_S) + rs_S[:, None]) / den, initial=0.0, where=pairs)
     # P_i is R^{n1}_i + Q^{n2}_i; the scaling caps every psi denominator at 1.
     prefactor, best, psi = _schur_tail(part, n2, part.p_values, rs, phi, 1.0)
 

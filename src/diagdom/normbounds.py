@@ -48,28 +48,32 @@ def with_exact_norm(cert: BoundCertificate, A) -> BoundCertificate:
 
 
 def _pairwise_terms(d, rs, rows, cap=math.inf):
-    """Flattened ordered pairs i != j in ``rows``: (d_i, d_j, rs_i, min(cap, d_i d_j - rs_i rs_j)).
+    """Over ``rows`` S: d_S, rs_S, the |S| x |S| grid of min(cap, d_i d_j - rs_i rs_j) and
+    the mask of its pairs i != j, the only entries a caller may read.
 
     ``cap`` is 1.0 for the LCP bound and infinity (no cap) for the norm
     bounds.  Each capped denominator must be positive and finite: a product
-    d_i d_j that overflows to inf would make an uncapped term vanish.
+    d_i d_j that overflows to inf would make an uncapped term vanish.  The
+    grid's diagonal is set to inf, so quotients over it stay quiet.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    i, j = np.nonzero(~np.eye(len(rows), dtype=bool))
-    di, dj, ri = d[rows[i]], d[rows[j]], rs[rows[i]]
+    d_S, rs_S = d[rows], rs[rows]
+    pairs = ~np.eye(len(rows), dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        den = np.minimum(cap, di * dj - ri * rs[rows[j]])
-    bad = ~((den > 0.0) & (den < math.inf))  # NaN included
+        den = np.minimum(cap, d_S[:, None] * d_S - rs_S[:, None] * rs_S)
+    bad = pairs & ~((den > 0.0) & (den < math.inf))  # NaN included
     if bad.any():
+        i, j = bad.nonzero()
         raise DenominatorError("pairwise denominator |a_ii||a_jj| - R_i R_j",
-                               np.concatenate([rows[i][bad], rows[j][bad]]))
-    return di, dj, ri, den
+                               np.concatenate([rows[i], rows[j]]))
+    np.fill_diagonal(den, math.inf)
+    return d_S, rs_S, den, pairs
 
 
 def _pairwise_max(d, rs, rows):
     """max over ordered pairs i != j in ``rows`` of (d_j + rs_i) / (d_i d_j - rs_i rs_j)."""
-    _, dj, ri, den = _pairwise_terms(d, rs, rows)
-    return np.max((dj + ri) / den, initial=0.0)
+    d_S, rs_S, den, pairs = _pairwise_terms(d, rs, rows)
+    return np.max((d_S + rs_S[:, None]) / den, initial=0.0, where=pairs)
 
 
 def sdd_pairwise_bound(A) -> BoundCertificate:
@@ -116,7 +120,8 @@ def _epsilon_value(pieces, eps):
                      (np.multiply.outer(eps, g) + q0).min(axis=-1))
     if not (den > 0.0).all():
         raise _epsilon_denominator_error(pieces, eps)
-    return np.maximum(1.0, max_ratio + eps) / den
+    with np.errstate(over="ignore"):  # an overflowing point is inf; see _epsilon_overflow_error
+        return np.maximum(1.0, max_ratio + eps) / den
 
 
 def _epsilon_denominator_error(pieces, eps):
@@ -131,6 +136,16 @@ def _epsilon_denominator_error(pieces, eps):
     bad2 = ~(eps * g + q0 > 0.0).all(axis=0)
     rows = [i for i, bad in zip(n1, bad1) if bad] + [j for j, bad in zip(n2, bad2) if bad]
     return DenominatorError("epsilon denominator", rows)
+
+
+def _epsilon_overflow_error(pieces, eps):
+    """The ``DenominatorError`` for a bound that overflowed at ``eps``, naming every row
+    whose term is the least, the denominator D the quotient overflowed on."""
+    h0, rs1, g, q0, _, (n1, n2) = pieces
+    t1, t2 = h0 - eps * rs1, eps * g + q0
+    least = min(t1.min(), t2.min())
+    rows = [i for i, t in zip(n1, t1) if t == least] + [j for j, t in zip(n2, t2) if t == least]
+    return DenominatorError("epsilon bound max(1, m + eps) / D over its least term D", rows)
 
 
 def _envelope_breakpoints(b, s):
@@ -174,6 +189,9 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
     smallest value wins, and ``minimizer`` records which kind:
     ``"breakpoint"``, ``"kink"``, ``"interval_start"`` or ``"interval_end"``.
 
+    A value that overflows to inf (at the chosen or the given eps) raises
+    ``DenominatorError`` naming the rows whose term is the least there.
+
     An end counts only where the bound stays finite.  As eps -> 0+ it tends
     to max(1, m) / min(min h0, min q0), so the start needs every q0_j > 0.
     For the row i setting sup, h0_i - sup * rs_i >= 0 is an equality when
@@ -193,7 +211,7 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
             "n1 or n2 is empty",
             "the epsilon bound mixes terms over both partition sides",
         )
-    rs = part.off[:, list(part.n2)].sum(axis=1)
+    rs = part.r_n2
     pieces = _epsilon_pieces(part, rs)
     h0, rs1, g, q0, max_ratio, _ = pieces
     sup = float(_epsilon_sup(part.diag, part.p_values, rs))
@@ -204,9 +222,11 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
             raise ParameterError(
                 f"epsilon {eps} outside the admissible open interval (0, {sup})"
             )
-        value = _epsilon_value(pieces, eps)
+        value = float(_epsilon_value(pieces, eps))
+        if value == math.inf:
+            raise _epsilon_overflow_error(pieces, eps)
         params = {"epsilon": eps, "interval_sup": sup, "auto": False}
-        return BoundCertificate(FORMULA_SDD1_EPSILON, float(value), params)
+        return BoundCertificate(FORMULA_SDD1_EPSILON, value, params)
 
     lines = np.concatenate([h0, q0]), np.concatenate([-rs1, g])
     candidates = [(e, "breakpoint") for e in _envelope_breakpoints(*lines) if e < sup]
@@ -219,7 +239,9 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
         candidates.append((end, "interval_end"))
     eps = np.array([e for e, _ in candidates])
     values = _epsilon_value(pieces, eps)
-    k = int(np.argmin(values))
+    k = int(np.argmin(values))  # a losing candidate may have overflowed
+    if values[k] == math.inf:
+        raise _epsilon_overflow_error(pieces, float(eps[k]))
     params = {"epsilon": float(eps[k]), "interval_sup": sup, "auto": True,
               "minimizer": candidates[k][1]}
     return BoundCertificate(FORMULA_SDD1_EPSILON, float(values[k]), params)
@@ -233,8 +255,8 @@ def _restricted_schur_value(part, S, margins):
     Returns (value, phi, psi); psi is None when S covers every row.
     """
     d = part.diag
+    rs = part.r_n2 if tuple(S) == part.n2 else part.off[:, S].sum(axis=1)
     S = np.asarray(S, dtype=np.intp)
-    rs = part.off[:, S].sum(axis=1)
     phi = 1.0 / d[S[0]] if len(S) == 1 else _pairwise_max(d, rs, S)
     prefactor, best, psi = _schur_tail(part, S, margins, rs, phi, math.inf)
     return prefactor * best, phi, psi

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _checked, _record, comparison_matrix
+from .core import _checked, _frozen, _record, comparison_matrix
 from .errors import SingularMatrixError, SizeLimitError, ValidationError
 
 __all__ = [
@@ -122,7 +122,7 @@ def _factorize(A) -> LuFactorization:
     n = A.shape[0]
     thresh = SINGULAR_PIVOT_RTOL * float(np.abs(A).sum(axis=1).max())
     lu, perm, sign = (_lu_scalar if n <= LU_SCALAR_MAX else _lu_blocked)(A, thresh)
-    packed = np.frombuffer(lu.tobytes(), dtype=np.float64).reshape(n, n)
+    packed = _frozen(lu)
     return LuFactorization(packed=packed, perm=tuple(perm), sign=sign)
 
 

@@ -193,15 +193,13 @@ def _proper_subset_margins(part, alpha, bar):
     Whole-array over the rows t; the coupling is accumulated over h in alpha
     in order, and C-ordered gathers make each row round as its own ``@``.
     """
-    off, d = part.off, part.diag
+    off, d, rn1, qn2 = part.off, part.diag, part.r_n1, part.q_n2  # R^{n1}, Q^{n2}, every row
     n1, n2 = list(part.n1), list(part.n2)
     w = np.zeros(part.n)
     w[n2] = part.row_sums[n2] / d[n2]
     alpha_set = set(alpha)
     n2_rest = np.array([j for j in n2 if j not in alpha_set], dtype=np.intp)
     ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
-    rn1 = off[:, n1].sum(axis=1)       # R^{n1}_h for every row
-    qn2 = off[:, n2] @ w[n2]           # Q^{n2}_h for every row
     in_n1 = np.zeros(part.n, dtype=bool)
     in_n1[n1] = True
 

@@ -3,7 +3,8 @@
 These are the column-by-column LU factorization and the blocked one with
 one NumPy call per step, the per-element Python loops the library used
 before its hot paths became whole-array NumPy work, the one-matrix-at-a-time
-oracle scans that became stacked NumPy calls, the H-matrix test that
+oracle scans that became stacked NumPy calls, the flattened pairwise
+terms that became one broadcast grid, the H-matrix test that
 inverted the comparison matrix before it became one solve, and
 ``schur_complement`` as each call built it before it validated once, and
 the grid-and-refine epsilon search the library ran before it minimized the
@@ -23,6 +24,7 @@ import math
 import numpy as np
 
 from diagdom import (
+    DenominatorError,
     SingularBlockError,
     SingularMatrixError,
     ValidationError,
@@ -117,6 +119,25 @@ def positive(den, what):
     if not den > 0.0:
         raise ValueError(f"reference {what} is not positive: {den!r}")
     return den
+
+
+def pairwise_terms(d, rs, rows, cap=math.inf):
+    """The library's pairwise terms before they became one broadcast grid.
+
+    Flattened ordered pairs i != j in ``rows``, row-major, as (d_i, d_j,
+    rs_i, min(cap, d_i d_j - rs_i rs_j)); a denominator that is not positive
+    and finite raises ``DenominatorError`` naming both rows of its pair.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    i, j = np.nonzero(~np.eye(len(rows), dtype=bool))
+    di, dj, ri = d[rows[i]], d[rows[j]], rs[rows[i]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = np.minimum(cap, di * dj - ri * rs[rows[j]])
+    bad = ~((den > 0.0) & (den < math.inf))  # NaN included
+    if bad.any():
+        raise DenominatorError("pairwise denominator |a_ii||a_jj| - R_i R_j",
+                               np.concatenate([rows[i][bad], rows[j][bad]]))
+    return di, dj, ri, den
 
 
 def pairwise_max(d, rs, rows):

@@ -175,3 +175,13 @@ class TestClassReport:
     def test_sdd_implies_sdd1_flag(self):
         rep = classify(random_sdd(5, 12))
         assert rep.is_sdd and rep.is_sdd1
+
+    def test_witness_skipped_says_why_the_witness_is_none(self):
+        searched = classify(SCHUR_6X6)
+        assert not searched.witness_skipped and searched.s_sdd1_witness is not None
+        none_found = classify(np.array([[1.0, 8.0], [0.5, 2.0]]))  # n2 = {1}, no witness
+        assert not none_found.witness_skipped and none_found.s_sdd1_witness is None
+        n = WITNESS_SEARCH_MAX + 1
+        guarded = classify(np.eye(n) * 2.0 + 1.0 / n)
+        assert len(guarded.partition.n2) == n
+        assert guarded.witness_skipped and guarded.s_sdd1_witness is None

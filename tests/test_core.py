@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +19,7 @@ from diagdom import (
     tilde_set_identity_check,
 )
 from matrices import SCHUR_5X5, NORM_8X8
+from test_vectorized import same
 
 
 def small_matrices(n=4):
@@ -183,6 +184,27 @@ class TestPartition:
                 assert i in part.n1
             else:
                 assert i in part.n2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(min_value=1, max_value=12).flatmap(small_matrices),
+           st.sampled_from(("as drawn", "dominant", "half dominant")),
+           st.sampled_from((0, 600, -600)))
+    @example(np.eye(3), "as drawn", 0)  # n1 empty
+    @example(np.ones((3, 3)), "as drawn", -600)  # n2 empty
+    def test_kept_sums_are_their_gathers_summed(self, M, shape, exponent):
+        # R^{n1}, R^{n2} and Q^{n2} equal the sums a bound would gather, bit for bit.
+        M = np.array(M)
+        if shape != "as drawn":  # lift a diagonal over its row: every row, or the even ones
+            rows = np.arange(0, len(M), 1 if shape == "dominant" else 2)
+            M[rows, rows] = np.abs(M[rows]).sum(axis=1) + 1.0
+        part = dominance_partition(np.ldexp(M, exponent))
+        off, n1, n2 = part.off, list(part.n1), list(part.n2)
+        w = part.row_sums[n2] / part.diag[n2]
+        assert same(part.r_n1, off[:, n1].sum(axis=1))
+        assert same(part.r_n2, off[:, n2].sum(axis=1))
+        assert same(part.q_n2, off[:, n2] @ w)
+        assert same(part.p_values, part.r_n1 + part.q_n2)
+        assert not any(a.flags.writeable for a in (part.r_n1, part.r_n2, part.q_n2))
 
     @settings(max_examples=50, deadline=None)
     @given(small_matrices())

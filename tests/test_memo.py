@@ -199,6 +199,86 @@ def test_shared_matrix_cannot_be_unlocked():
         M.setflags(write=True)
 
 
+def test_evicted_immutable_matrix_is_recorded_again_by_identity(monkeypatch):
+    A = generate_sdd1(9, 4, n1_fraction=0.5)  # a view of bytes, as every matrix diagdom hands out
+    raw = core._immutable_bytes(A)
+    assert raw is not None and as_matrix(A) is A
+    for k in range(MEMO_RECORDS):  # evict A's record
+        dominance_partition(np.eye(k + 2))
+    assert all(rec.matrix is not A for rec in core._MEMO)
+    created = []
+
+    class Counted(core._Record):
+        def __init__(self, matrix, raw):
+            created.append(matrix)
+            super().__init__(matrix, raw)
+
+    monkeypatch.setattr(core, "_Record", Counted)
+    assert as_matrix(A) is A  # adopted, not copied
+    part, fact = dominance_partition(A), lu_factor(A)
+    assert as_matrix(A) is A and dominance_partition(A) is part and lu_factor(A) is fact
+    assert len(created) == 1 and created[0] is A
+    assert core._record(A).raw is raw  # compared by the bytes A views, never copied
+    # Equal bytes in another bytes object find the same record.
+    twin = np.frombuffer(A.tobytes(), dtype=np.float64).reshape(A.shape)
+    assert as_matrix(twin) is A and len(created) == 1
+
+
+def copied_inputs(A):
+    """Inputs holding A's values (or a part of them) that the memo must not adopt."""
+    n, raw = A.shape[0], A.tobytes()
+    return {
+        "writable": np.array(A),
+        "transpose": A.T,
+        "column view": A[:, :n - 1],
+        "square part of a buffer": np.frombuffer(raw, count=(n - 1) ** 2).reshape(n - 1, n - 1),
+        "offset": np.frombuffer(bytes(8) + raw, offset=8).reshape(n, n),
+        "big-endian": np.frombuffer(A.astype(">f8").tobytes(), dtype=">f8").reshape(n, n),
+        "bytearray": np.frombuffer(bytearray(raw)).reshape(n, n),
+    }
+
+
+@pytest.mark.parametrize("name", list(copied_inputs(np.eye(2))))
+def test_other_input_is_copied_into_its_record(name):
+    A = generate_sdd1(6, 2, n1_fraction=0.5)
+    X = copied_inputs(A)[name]
+    assert core._immutable_bytes(X) is None
+    clear_memo()
+    if X.shape[0] != X.shape[1]:
+        with pytest.raises(ValidationError, match="square"):
+            as_matrix(X)
+        assert memo_size() == 0
+        return
+    M = as_matrix(X)
+    assert M is not X and not np.shares_memory(M, X)
+    assert np.array_equal(M, X) and not M.flags.writeable
+    if X.flags.writeable:  # a mutable buffer: the record keeps what it held
+        X[0, 0] += 1.0
+        assert M[0, 0] != X[0, 0] and as_matrix(X)[0, 0] == X[0, 0]
+
+
+def test_immutable_input_holding_nan_leaves_no_record():
+    raw = np.array([[2.0, np.nan], [1.0, 3.0]]).tobytes()
+    X = np.frombuffer(raw).reshape(2, 2)
+    assert core._immutable_bytes(X) is raw
+    clear_memo()
+    for call in (as_matrix, dominance_partition, lu_factor):
+        with pytest.raises(ValidationError, match="finite"):
+            call(X)
+        assert memo_size() == 0
+
+
+def test_split_and_ordered_copies_are_immutable():
+    M = generate_b1(8, 3, n1_fraction=0.45)
+    a = b1_split(M).a
+    ordered = dominance_ordering(a).apply(a)
+    for X in (a, ordered):
+        assert core._immutable_bytes(X) is not None
+        with pytest.raises(ValueError):
+            X.setflags(write=True)
+        assert as_matrix(X) is X  # so a bound that reads it next finds it by identity
+
+
 def test_memo_stays_within_its_record_count(eliminations):
     for n in [2, 3, 32, 33, 300, 512, 64, *range(4, 4 + 2 * MEMO_RECORDS)]:
         A = np.eye(n) * 2.0 + 1.0 / n  # strictly dominant: a complement of each order below

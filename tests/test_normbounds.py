@@ -317,6 +317,30 @@ class TestDenominatorErrors:
                 call()
             assert info.value.rows and set(info.value.rows) <= set(part.n1)
 
+    def test_overflowing_epsilon_bound_raises(self):
+        # At 2^-1040 the entries are subnormal: every epsilon term stays positive,
+        # but max(1, m + eps) / D overflows, on the automatic and the fixed path.
+        A = generate_sdd1(8, 3, n1_fraction=0.5)
+        unscaled = sdd1_epsilon_bound(A).parameters
+        B = np.ldexp(A, -1040)
+        part = dominance_partition(B)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for eps in (None, unscaled["epsilon"], unscaled["interval_sup"] / 2):
+                with pytest.raises(DenominatorError) as info:
+                    sdd1_epsilon_bound(B, eps)
+                assert info.value.what.startswith("epsilon bound")
+                assert info.value.rows and set(info.value.rows) <= set(range(8))
+        # The rows named are those whose term is the least: the D overflowed on.
+        pieces = _epsilon_pieces(part, part.r_n2)
+        h0, rs1, g, q0, _, _ = pieces
+        eps = unscaled["epsilon"]
+        terms = dict(zip(part.n1 + part.n2, np.concatenate([h0 - eps * rs1, eps * g + q0])))
+        with pytest.raises(DenominatorError) as info:
+            sdd1_epsilon_bound(B, eps)
+        assert info.value.rows == tuple(sorted(i for i, t in terms.items()
+                                               if t == min(terms.values())))
+
     def test_restricted_margin_names_eliminated_rows(self):
         part = dominance_partition(NORM_8X8)
         with pytest.raises(DenominatorError) as info:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import reference
 from reference import abs_off
 from diagdom import (
+    DenominatorError,
     GenerationError,
     SingularBlockError,
     b1_split,
@@ -41,6 +42,7 @@ from diagdom.normbounds import (
     _epsilon_pieces,
     _epsilon_value,
     _pairwise_max,
+    _pairwise_terms,
     _restricted_schur_value,
 )
 
@@ -81,6 +83,61 @@ def test_pairwise_max(n, seed, grid):
 
 # One row's rounding moves psi only when that row is the maximum, so about
 # one scaled example in ten shows a change of summation order: hence 200.
+def pairwise_cases(sdd1_ensemble, b1_ensemble):
+    """(matrix, cap) pairs whose dominant rows the pairwise terms run over: the
+    ensembles, ``test_overflowing_diagonal_product``'s matrices at 2^510, 2^515
+    and 2^600, generated matrices at 2^-600 and 2^600, and the LCP's capped case."""
+    tie = 2.0**-10
+    for exponent in (510, 515, 600):
+        yield np.ldexp([[1.0, 1.0, 1.0], [tie, 1.0, tie], [tie, tie, 1.0]], exponent), math.inf
+        yield np.ldexp([[1.0, tie], [tie, 1.0]], exponent), math.inf
+    for exponent in (-600, 600):
+        yield np.ldexp(generate_sdd1(6, 3, 0.5), exponent), math.inf
+        yield b1_split(np.ldexp(generate_b1(6, 3, 0.45), exponent)).a, 1.0
+    lcp = np.ldexp([[1.0, -1.0, -1.0], [-tie, 1.0, -tie], [-tie, -tie, 1.0]], 515)
+    yield b1_split(lcp).a, 1.0
+    lcp[0] = [1.0, -1.0, -1.0]  # the capped denominator of test_lcp_caps_...
+    yield b1_split(lcp).a, 1.0
+    yield from ((A, math.inf) for A in sdd1_ensemble)
+    yield from ((b1_split(M).a, 1.0) for M in b1_ensemble)
+
+
+def test_pairwise_grid_matches_flattened_terms(sdd1_ensemble, b1_ensemble):
+    # The broadcast grid holds the flattened reference's terms, pair for pair in
+    # row-major order, and fails on the same rows; the maxima read only i != j.
+    outcomes = set()
+    for A, cap in pairwise_cases(sdd1_ensemble, b1_ensemble):
+        part = dominance_partition(A)
+        d, rs, rows = part.diag, part.r_n2, part.n2
+        try:
+            di, dj, ri, flat = reference.pairwise_terms(d, rs, rows, cap)
+        except DenominatorError as exc:
+            with pytest.raises(DenominatorError) as info:
+                _pairwise_terms(d, rs, rows, cap)
+            assert (info.value.what, info.value.rows) == (exc.what, exc.rows)
+            outcomes.add("raises")
+            continue
+        d_S, rs_S, den, pairs = _pairwise_terms(d, rs, rows, cap)
+        grid = den.shape
+        assert same(den[pairs], flat)
+        assert same(np.broadcast_to(d_S[:, None], grid)[pairs], di)
+        assert same(np.broadcast_to(d_S, grid)[pairs], dj)
+        assert same(np.broadcast_to(rs_S[:, None], grid)[pairs], ri)
+        if cap == math.inf:
+            want = np.max((dj + ri) / flat, initial=0.0)
+            assert _pairwise_max(d, rs, rows) == want
+        elif len(rows) > 1:  # the LCP's phi, its min(d_i, d_j) clamp kept off the diagonal
+            want = np.max((np.maximum(1.0, dj) + ri) / np.minimum(np.minimum(di, dj), flat),
+                          initial=0.0)
+            try:
+                got = lcp_b1_bound(A).parameters["phi"]
+            except DenominatorError:  # an eliminated-row term, after phi
+                continue
+            assert got == want
+        outcomes.add("terms")
+    assert outcomes == {"raises", "terms"}
+
+
 @settings(max_examples=200, deadline=None)
 @given(orders, seeds, grids)
 def test_restricted_schur_value(n, seed, grid):
