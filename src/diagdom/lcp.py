@@ -148,7 +148,7 @@ def lcp_b1_bound(M) -> BoundCertificate:
         phi = max(1.0, 1.0 / d[n2[0]])
     else:
         d_S, rs_S, den, pairs = _pairwise_terms(d, rs, n2, 1.0)
-        den = np.minimum(np.minimum(d_S[:, None], d_S), den)  # the diagonal stays masked
+        den = np.minimum(np.minimum(d_S[:, None], d_S), den)  # refills the diagonal; where= leaves it out
         phi = np.max((np.maximum(1.0, d_S) + rs_S[:, None]) / den, initial=0.0, where=pairs)
     # P_i is R^{n1}_i + Q^{n2}_i; the scaling caps every psi denominator at 1.
     prefactor, best, psi = _schur_tail(part, n2, part.p_values, rs, phi, 1.0)
