@@ -96,7 +96,7 @@ def _epsilon_sup(d, P, rs):
     return np.min((d[pos] - P[pos]) / rs[pos], initial=math.inf)
 
 
-def _epsilon_pieces(part, rs):
+def _epsilon_pieces(part):
     """Precompute the epsilon-independent pieces; the bound is rational in eps.
 
     For non-dominant rows the denominator term is ``h0 - eps * rs``; for
@@ -104,7 +104,7 @@ def _epsilon_pieces(part, rs):
     makes the j != i exclusions automatic.  The last piece holds the rows of
     n1 and n2, which the terms follow, to name them if a term fails.
     """
-    off, d, R, P = part.off, part.diag, part.row_sums, part.p_values
+    off, d, R, P, rs = part.off, part.diag, part.row_sums, part.p_values, part.r_n2
     n1, n2 = list(part.n1), list(part.n2)
     ratio = P[n2] / d[n2]
     h0 = d[n1] - off[np.ix_(n1, n1)].sum(axis=1) - off[np.ix_(n1, n2)] @ ratio
@@ -211,10 +211,9 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
             "n1 or n2 is empty",
             "the epsilon bound mixes terms over both partition sides",
         )
-    rs = part.r_n2
-    pieces = _epsilon_pieces(part, rs)
+    pieces = _epsilon_pieces(part)
     h0, rs1, g, q0, max_ratio, _ = pieces
-    sup = float(_epsilon_sup(part.diag, part.p_values, rs))
+    sup = float(_epsilon_sup(part.diag, part.p_values, part.r_n2))
 
     if epsilon is not None:
         eps = float(epsilon)

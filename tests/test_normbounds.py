@@ -114,7 +114,7 @@ class TestEpsilonBound:
         # denominator eps * g_j is subnormal and its reciprocal overflows.
         A = generate_sdd1(3, 1, n1_fraction=0.2)
         part = dominance_partition(A)
-        assert _epsilon_pieces(part, part.off[:, list(part.n2)].sum(axis=1))[3].min() == 0.0
+        assert _epsilon_pieces(part)[3].min() == 0.0
         cert = self.auto_without_warnings(A)
         assert cert.parameters["minimizer"] == "interval_end"
         assert cert.parameters["epsilon"] == math.nextafter(cert.parameters["interval_sup"], 0.0)
@@ -124,7 +124,7 @@ class TestEpsilonBound:
         # below sup: the bound has no finite value there, and a breakpoint wins.
         A = generate_sdd1(3, 11, n1_fraction=0.2)
         part = dominance_partition(A)
-        h0, rs1 = _epsilon_pieces(part, part.off[:, list(part.n2)].sum(axis=1))[:2]
+        h0, rs1 = _epsilon_pieces(part)[:2]
         sup = sdd1_epsilon_bound(A).parameters["interval_sup"]
         assert (h0 - math.nextafter(sup, 0.0) * rs1).min() == 0.0
         assert self.auto_without_warnings(A).parameters["minimizer"] == "breakpoint"
@@ -309,7 +309,7 @@ class TestDenominatorErrors:
     def test_epsilon_denominator_names_non_dominant_rows(self):
         # Past the interval's supremum a non-dominant row's term h0 - eps * rs turns negative.
         part = dominance_partition(NORM_8X8)
-        pieces = _epsilon_pieces(part, part.off[:, list(part.n2)].sum(axis=1))
+        pieces = _epsilon_pieces(part)
         eps = 10 * sdd1_epsilon_bound(NORM_8X8).parameters["interval_sup"]
         for call in (lambda: _epsilon_value(pieces, eps),
                      lambda: _epsilon_value(pieces, np.array([eps / 100, eps]))):
@@ -332,7 +332,7 @@ class TestDenominatorErrors:
                 assert info.value.what.startswith("epsilon bound")
                 assert info.value.rows and set(info.value.rows) <= set(range(8))
         # The rows named are those whose term is the least: the D overflowed on.
-        pieces = _epsilon_pieces(part, part.r_n2)
+        pieces = _epsilon_pieces(part)
         h0, rs1, g, q0, _, _ = pieces
         eps = unscaled["epsilon"]
         terms = dict(zip(part.n1 + part.n2, np.concatenate([h0 - eps * rs1, eps * g + q0])))

@@ -168,7 +168,7 @@ def test_sdd1_epsilon_grid_and_certificate(n, seed, grid):
     _, off, d = abs_off(A)
     n1, n2 = list(part.n1), list(part.n2)
     rs = off[:, n2].sum(axis=1)
-    pieces = _epsilon_pieces(part, rs)
+    pieces = _epsilon_pieces(part)
     want = reference.epsilon_pieces(off, d, part, rs)
     assert all(np.array_equal(x, y) for x, y in zip(pieces[:5], want, strict=True))
     assert pieces[5] == (part.n1, part.n2)
