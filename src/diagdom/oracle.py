@@ -243,7 +243,10 @@ def _chunk_length(order) -> int:
     ``STACK_CHUNK_ENTRIES // order**2``, at least one: 1337 matrices of
     order 7, 1024 of order 8, 163 of order 20.  Every stacked oracle works
     through its matrices in chunks of this length, so its memory stays
-    bounded however many matrices it visits.
+    bounded however many matrices it visits.  In ``is_p_matrix`` a chunk's
+    largest arrays hold at most ``STACK_CHUNK_ENTRIES`` entries each (512
+    KiB): the flat indices of its minors, their (m, s, s) gather, and the
+    (s, s, m) copy and update temporary of ``_stack_pivots``.
     """
     return max(1, STACK_CHUNK_ENTRIES // (order * order))
 
@@ -256,35 +259,44 @@ def _stack_pivots(stack) -> tuple[np.ndarray, np.ndarray]:
     ``lu_factor``: the first pivot of largest modulus, the same division and
     outer-product update, and each matrix's own ``SINGULAR_PIVOT_RTOL`` times
     infinity-norm threshold.  Each row of pivots therefore equals
-    ``lu_factor(S).packed.diagonal()`` bit for bit; a matrix that meets a
-    singular pivot gets a row of zeros and leaves the stack.  Only the
+    ``lu_factor(S).packed.diagonal()`` bit for bit while one panel of
+    ``LU_BLOCK`` columns covers S, that is for s <= LU_BLOCK; a matrix that
+    meets a singular pivot gets a row of zeros and leaves the stack.  Only the
     columns from the pivot on are swapped and updated, because U's diagonal
     never reads the multipliers of earlier columns.  A sign is the
     permutation sign times the pivots' signs, 0.0 if singular: no product of
     pivots is formed, so it cannot underflow or overflow.
+
+    The elimination runs on an (s, s, m) copy, the matrix index last, so the
+    pivot search, the scaling and the rank-1 update work on contiguous
+    vectors over the matrices, and a row swap touches only the matrices whose
+    pivot moved.  That copy, the (m, s, s) input and one update temporary of
+    at most (s-1)^2 m entries are the largest arrays it holds.
     """
     m, s, _ = stack.shape
-    lu = np.array(stack)
     thresh = SINGULAR_PIVOT_RTOL * np.abs(stack).sum(axis=2).max(axis=1)
+    lu = stack.transpose(1, 2, 0).copy()  # lu[i, j] holds entry (i, j) of every live matrix
     sign = np.ones(m)
     live = np.arange(m)  # position in ``stack`` of each matrix still in ``lu``
     pivots, signs = np.zeros((m, s)), np.zeros(m)
     for k in range(s):
-        p = k + np.abs(lu[:, k:, k]).argmax(axis=1)
-        at = np.arange(len(live))
-        singular = np.abs(lu[at, p, k]) <= thresh
+        col = np.abs(lu[k:, k])
+        p = k + col.argmax(axis=0)
+        singular = col.max(axis=0) <= thresh  # the modulus at p: the largest, or NaN
         if singular.any():
             keep = ~singular
-            lu, p, thresh, sign, live = lu[keep], p[keep], thresh[keep], sign[keep], live[keep]
-            at = at[:len(live)]
-        row_k = lu[at, k, k:]
-        lu[at, k, k:] = lu[at, p, k:]
-        lu[at, p, k:] = row_k
-        sign[p != k] *= -1.0
+            lu, p, thresh, sign, live = lu[:, :, keep], p[keep], thresh[keep], sign[keep], live[keep]
+        moved = (p != k).nonzero()[0]
+        if moved.size:
+            to = p[moved]
+            row_k = lu[k, k:, moved]
+            lu[k, k:, moved] = lu[to, k:, moved]
+            lu[to, k:, moved] = row_k
+            sign[moved] *= -1.0
         if k + 1 < s:
-            mult = lu[:, k + 1:, k] / lu[:, k, k, None]
-            lu[:, k + 1:, k + 1:] -= mult[:, :, None] * lu[:, k, None, k + 1:]
-    pivots[live] = np.diagonal(lu, axis1=1, axis2=2)
+            mult = lu[k + 1:, k] / lu[k, k]
+            lu[k + 1:, k + 1:] -= mult[:, None] * lu[k, k + 1:]
+    pivots[live] = np.diagonal(lu, axis1=0, axis2=1)
     signs[live] = sign * np.prod(np.sign(pivots[live]), axis=1)
     return pivots, signs
 
@@ -319,14 +331,16 @@ def is_p_matrix(A) -> bool:
     """True iff every principal minor is strictly positive.
 
     Scans all 2^n - 1 principal submatrices in order of increasing size.  The
-    submatrices of one size are stacked in chunks of ``_chunk_length(size)``
-    and eliminated together by the rule of ``lu_factor``.  Each minor's
-    sign is the permutation sign times the signs of its pivots, and no
-    product of pivots is formed, so input scaled by 1e-200 or 2^600 gets the
-    same answer as unscaled input; a pivot under the singular threshold
-    counts as a zero minor.
-    The scan stops after the first chunk that holds a non-positive minor.
-    Guarded to order ``P_MATRIX_MAX_ORDER`` because of the exponential cost.
+    submatrices of one size are stacked in chunks of ``_chunk_length(size)``,
+    in ``itertools.combinations`` order: ``np.fromiter`` reads a chunk's index
+    sets, one take from the flattened matrix gathers its minors, and
+    ``_stack_pivots`` eliminates them together by the rule of ``lu_factor``.
+    Each minor's sign is the permutation sign times the signs of its pivots,
+    and no product of pivots is formed, so input scaled by 1e-200 or 2^600
+    gets the same answer as unscaled input; a pivot under the singular
+    threshold counts as a zero minor.  The scan stops after the first chunk
+    that holds a non-positive minor.  Guarded to order ``P_MATRIX_MAX_ORDER``
+    because of the exponential cost.
     """
     A = _checked(A)
     n = A.shape[0]
@@ -336,12 +350,13 @@ def is_p_matrix(A) -> bool:
         )
     if (A.diagonal() <= 0).any():
         return False
+    flat = A.ravel()
     for size in range(2, n + 1):
         combos = itertools.combinations(range(n), size)
         step = _chunk_length(size)
-        while batch := list(itertools.islice(combos, step)):
-            rows = np.array(batch, dtype=np.intp)
-            if (_stack_pivots(A[rows[:, :, None], rows[:, None, :]])[1] <= 0.0).any():
+        while (rows := np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, step)),
+                                   dtype=np.intp).reshape(-1, size)).size:
+            if (_stack_pivots(flat[rows[:, :, None] * n + rows[:, None, :]])[1] <= 0.0).any():
                 return False
     return True
 

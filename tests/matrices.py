@@ -1,4 +1,5 @@
-"""Regression matrices and their recorded reference values.
+"""Regression matrices and their recorded reference values, and two
+generators of adversarial pivoting input shared by the LU and minor tests.
 
 Tolerances follow the precision each reference value was recorded at:
 four decimals -> 5e-4 absolute, one decimal -> 0.05 absolute.
@@ -109,3 +110,26 @@ SINGLE_N2_B1 = np.array([
     [1.0, -2.0],
     [-0.5, 3.0],
 ])
+
+
+def tied_moduli(n, seed):
+    """Entries in {-2, ..., 2}: equal-modulus pivot candidates and exact zeros."""
+    return np.random.default_rng(seed).integers(-2, 3, size=(n, n)).astype(float)
+
+
+def overflowing(n, seed):
+    """Wilkinson's growth matrix at the top of the float range.
+
+    Unit diagonal, -1 below it and up to three trailing columns of constant
+    random sign, all times c = 1.7e308 / (n + 3): the row sums stay finite
+    and every pivot passes the threshold, but each column step doubles the
+    trailing entries until they overflow to +-inf.  The last row is zero
+    before the trailing columns, so its multipliers are 0 and 0 * inf makes
+    its trailing entries NaN, below infinite ones: the pivot search must
+    take the first NaN, as ``np.argmax`` does.
+    """
+    A = np.eye(n) - np.tril(np.ones((n, n)), -1)
+    m = min(3, n - 1)
+    A[:, n - m:] = np.random.default_rng(seed).choice([-1.0, 1.0], size=m)
+    A[-1, :n - m] = 0.0
+    return A * (1.7e308 / (n + 3))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -34,6 +35,8 @@ from matrices import (
     LCP_8X8,
     NORM_8X8,
     TOL4,
+    overflowing,
+    tied_moduli,
 )
 from reference import lu_factor_blocked, lu_factor_unblocked
 
@@ -106,29 +109,6 @@ LU_ORDERS = (1, 31, 32, 33, 64, 97, 130)
 def random_pivoting(n, seed):
     """Non-dominant Gaussian matrix; partial pivoting swaps rows at almost every step."""
     return np.random.default_rng(seed).normal(size=(n, n))
-
-
-def tied_moduli(n, seed):
-    """Entries in {-2, ..., 2}: equal-modulus pivot candidates and exact zeros."""
-    return np.random.default_rng(seed).integers(-2, 3, size=(n, n)).astype(float)
-
-
-def overflowing(n, seed):
-    """Wilkinson's growth matrix at the top of the float range.
-
-    Unit diagonal, -1 below it and up to three trailing columns of constant
-    random sign, all times c = 1.7e308 / (n + 3): the row sums stay finite
-    and every pivot passes the threshold, but each column step doubles the
-    trailing entries until they overflow to +-inf.  The last row is zero
-    before the trailing columns, so its multipliers are 0 and 0 * inf makes
-    its trailing entries NaN, below infinite ones: the pivot search must
-    take the first NaN, as ``np.argmax`` does.
-    """
-    A = np.eye(n) - np.tril(np.ones((n, n)), -1)
-    m = min(3, n - 1)
-    A[:, n - m:] = np.random.default_rng(seed).choice([-1.0, 1.0], size=m)
-    A[-1, :n - m] = 0.0
-    return A * (1.7e308 / (n + 3))
 
 
 def same(a, b):
@@ -326,18 +306,35 @@ class TestPMatrix:
                 warnings.simplefilter("error")  # no product of pivots to overflow
                 assert is_p_matrix(2.0**e * np.asarray(A)) == is_p
 
+    def test_scan_orders_fit_one_lu_panel(self):
+        # The stacked pivots equal lu_factor's only while one panel covers the minor.
+        assert oracle.P_MATRIX_MAX_ORDER <= LU_BLOCK
+
     @staticmethod
     def _scanned_chunks(monkeypatch, A):
-        """Run is_p_matrix and return (size, count) for every chunk of minors it computed."""
-        chunks = []
+        """Run is_p_matrix and return its answer and (size, count) for every chunk of
+        minors it computed, after checking that each chunk is the gather of the next
+        ``_chunk_length(size)`` index sets in ``itertools.combinations`` order."""
+        stacks = []
         stack_pivots = oracle._stack_pivots
 
         def spy(stack):
-            chunks.append((stack.shape[1], stack.shape[0]))
+            stacks.append(stack.copy())
             return stack_pivots(stack)
 
         monkeypatch.setattr(oracle, "_stack_pivots", spy)
-        return is_p_matrix(A), chunks
+        is_p = is_p_matrix(A)
+        n = len(A)
+        expected = []
+        for size in range(2, n + 1):
+            combos, step = list(itertools.combinations(range(n), size)), oracle._chunk_length(size)
+            expected += [combos[i:i + step] for i in range(0, len(combos), step)]
+        assert len(stacks) <= len(expected)
+        for stack, chunk in zip(stacks, expected):
+            rows = np.array(chunk)
+            assert stack.flags.c_contiguous
+            assert same(stack, A[rows[:, :, None], rows[:, None, :]])
+        return is_p, [(stack.shape[1], stack.shape[0]) for stack in stacks]
 
     def test_chunk_boundary(self, monkeypatch):
         # Identity plus a 7x7 block b*J + (1-b)*I on the last seven indices:
@@ -347,6 +344,7 @@ class TestPMatrix:
         assert per_chunk < math.comb(n, size)  # the order-7 minors take several chunks
         block = slice(n - size, n)
         A = np.eye(n)
+        A[0, 1:] = 0.5  # block triangular: the same minors, but a transposed gather shows
         A[block, block] = 1.1 * np.eye(size) - 0.1  # SDD with positive diagonal
         is_p, chunks = self._scanned_chunks(monkeypatch, A)
         assert is_p

@@ -4,6 +4,17 @@
 small matrices, one NumPy call per chunk.  Each must return exactly what the
 loops in ``reference.py`` return (``==``, not ``allclose``), including on
 non-P input, near-singular minors and input scaled by 10^+-200.
+
+``_stack_pivots`` eliminates a whole stack at once with the matrix index
+last, swapping rows only in the matrices whose pivot moved and dropping a
+matrix at its singular pivot.  Its pivots and signs must equal
+``lu_factor``'s and ``reference.minor_sign``'s member by member: on every
+principal minor up to order 12 (the ensembles' largest), including tied
+moduli and Wilkinson growth that overflows to inf and NaN; on random stacks
+of orders ``LU_SCALAR_MAX``, ``LU_SCALAR_MAX + 1`` and
+``P_MATRIX_MAX_ORDER``, on both sides of ``lu_factor``'s kernel switch; and
+on a fixed stack whose members swap at different columns while one of them
+drops out.
 """
 
 import itertools
@@ -23,10 +34,18 @@ from diagdom import (
     lu_factor,
     run_experiment,
 )
-from diagdom.oracle import _chunk_length, _inverse_inf_norms, _stack_pivots
+from diagdom.oracle import (
+    LU_SCALAR_MAX,
+    P_MATRIX_MAX_ORDER,
+    _chunk_length,
+    _inverse_inf_norms,
+    _stack_pivots,
+)
+from matrices import overflowing, tied_moduli
 
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
 KINDS = ("random", "dominant", "near_singular", "scaled_up", "scaled_down", "b1")
+PIVOT_KINDS = (*KINDS, "tied_moduli", "overflowing")
 
 
 def b1(n, seed):
@@ -42,6 +61,10 @@ def instance(kind, n, seed):
     A = rng.standard_normal((n, n))
     if kind == "random":
         return A
+    if kind == "tied_moduli":
+        return tied_moduli(n, seed)
+    if kind == "overflowing":
+        return overflowing(n, seed)
     if kind == "b1":
         assume(n >= 2)
         return b1(n, seed)
@@ -81,15 +104,35 @@ def lu_pivots(S):
         return np.zeros(len(S))
 
 
+def assert_pivots_equal_lu_factor(stack):
+    """``_stack_pivots`` of a stack equals ``lu_factor`` and ``minor_sign`` member by member."""
+    with np.errstate(all="ignore"):  # overflowing members grow to inf and NaN
+        pivots, signs = _stack_pivots(stack)
+        assert same(pivots, [lu_pivots(S) for S in stack])
+        assert same(signs, [reference.minor_sign(S) for S in stack])
+    return pivots
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(KINDS), st.integers(min_value=2, max_value=7), seeds)
+@given(st.sampled_from(PIVOT_KINDS), st.integers(min_value=2, max_value=12), seeds)
 def test_every_minor_pivots_equal_lu_factor(kind, n, seed):
     A = instance(kind, n, seed)
     for size in range(2, n + 1):
         rows = np.array(list(itertools.combinations(range(n), size)))
-        pivots, signs = _stack_pivots(A[rows[:, :, None], rows[:, None, :]])
-        assert same(pivots, [lu_pivots(A[np.ix_(r, r)]) for r in rows])
-        assert same(signs, [reference.minor_sign(A[np.ix_(r, r)]) for r in rows])
+        assert_pivots_equal_lu_factor(A[rows[:, :, None], rows[:, None, :]])
+
+
+STACK_KINDS = ("random", "dominant", "near_singular", "scaled_down", "tied_moduli", "overflowing")
+
+
+@pytest.mark.parametrize("s", [LU_SCALAR_MAX, LU_SCALAR_MAX + 1, P_MATRIX_MAX_ORDER])
+def test_random_stack_pivots_equal_lu_factor(s):
+    # lu_factor eliminates on Python floats up to LU_SCALAR_MAX and in one
+    # transposed panel above it; the stacked pivots must match both.
+    stack = np.array([instance(kind, s, 100 * s + k) for k in range(4) for kind in STACK_KINDS])
+    stack[::5, -1] = 3.0 * stack[::5, 0]  # rank-deficient members meet a singular pivot
+    pivots = assert_pivots_equal_lu_factor(stack)
+    assert 0 < pivots.any(axis=1).sum() < len(stack)  # some members drop out, not all
 
 
 def test_pivot_at_singular_threshold():
@@ -100,6 +143,41 @@ def test_pivot_at_singular_threshold():
     assert same(pivots, [lu_pivots(S) for S in stack])
     assert pivots.any(axis=1).tolist() == [False, False, True, False, False] * 2
     assert signs.tolist() == [0.0, 0.0, 1.0, 0.0, 0.0] * 2
+
+
+def test_swaps_at_different_columns_around_a_dropped_member():
+    # (L U)[order] with |l_ij| <= 1/2: column k's pivot is the row holding
+    # U's row k, so each order fixes the columns at which its member swaps.
+    # Member 3 swaps at column 1 and meets a zero pivot at column 3 (u_33 = 0);
+    # members 4 and 5 swap at that same column, after it has left the stack.
+    # Member 4 is scaled by 2^-60, so every pivot of it is singular under
+    # another member's threshold: the thresholds must follow their members.
+    orders = [(0, 1, 2, 3, 4),  # no swap
+              (3, 1, 2, 0, 4),  # column 0
+              (0, 1, 4, 3, 2),  # column 2
+              (0, 2, 1, 3, 4),  # column 1, then singular at column 3
+              (0, 2, 1, 4, 3),  # columns 1 and 3
+              (1, 2, 3, 4, 0)]  # every column
+    rng = np.random.default_rng(5)
+    stack = []
+    for member, order in enumerate(orders):
+        L = np.eye(5) + np.tril(rng.uniform(-0.5, 0.5, (5, 5)), -1)
+        U = np.triu(rng.uniform(-1.0, 1.0, (5, 5))) + np.diag(rng.choice([-2.0, 2.0], 5))
+        if member == 3:
+            U[3, 3] = 0.0
+        stack.append((L @ U)[list(order)] * (2.0**-60 if member == 4 else 1.0))
+    stack = np.array(stack)
+    perms = [(0, 1, 2, 3, 4), (3, 1, 2, 0, 4), (0, 1, 4, 3, 2), None,
+             (0, 2, 1, 4, 3), (4, 0, 1, 2, 3)]
+    for S, perm in zip(stack, perms):
+        if perm is None:
+            with pytest.raises(SingularMatrixError) as err:
+                lu_factor(S)
+            assert err.value.column == 3
+        else:
+            assert lu_factor(S).perm == perm
+    pivots = assert_pivots_equal_lu_factor(stack)
+    assert pivots.any(axis=1).tolist() == [True, True, True, False, True, True]
 
 
 @settings(max_examples=40, deadline=None)
