@@ -319,6 +319,7 @@ class TestPMatrix:
         stack_pivots = oracle._stack_pivots
 
         def spy(stack):
+            assert stack.flags.c_contiguous
             stacks.append(stack.copy())
             return stack_pivots(stack)
 
@@ -332,7 +333,6 @@ class TestPMatrix:
         assert len(stacks) <= len(expected)
         for stack, chunk in zip(stacks, expected):
             rows = np.array(chunk)
-            assert stack.flags.c_contiguous
             assert same(stack, A[rows[:, :, None], rows[:, None, :]])
         return is_p, [(stack.shape[1], stack.shape[0]) for stack in stacks]
 

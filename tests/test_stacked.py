@@ -56,7 +56,7 @@ def b1(n, seed):
 
 
 def instance(kind, n, seed):
-    """One input of order n: non-P, P, near-singular, badly scaled or B1."""
+    """One input of order n: non-P, P, near-singular, badly scaled, B1, tied or overflowing."""
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, n))
     if kind == "random":
