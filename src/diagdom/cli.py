@@ -169,14 +169,13 @@ def _det_section(A):
     from . import detbounds
     from .oracle import determinant
     ordering = detbounds.dominance_ordering(A)
-    ordered = ordering.apply(A)
     result = {
         "permutation": _one_based(ordering.permutation),
         "n1_size": ordering.s,
         "oracle_abs_det": abs(determinant(A)),
     }
     try:
-        broad = detbounds.huang_bracket(ordered)
+        broad = detbounds.huang_bracket(A)
         result["huang"] = {
             "lower": broad.lower,
             "upper": broad.upper,
@@ -185,7 +184,7 @@ def _det_section(A):
         }
     except HypothesisError as exc:
         result["huang"] = {"unavailable": str(exc), "hypothesis": exc.hypothesis}
-    tight = detbounds.dominance_bracket(ordered)
+    tight = detbounds.dominance_bracket(A)
     result["dominance_ratio"] = {
         "lower": tight.lower,
         "upper": tight.upper,

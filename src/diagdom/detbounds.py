@@ -1,10 +1,10 @@
-"""Determinant bracketing for SDD1 matrices under the dominance ordering.
+"""Determinant bracketing for SDD1 matrices in the dominance ordering.
 
-Both brackets are sequential-elimination products defined on a matrix whose
-non-dominant rows come first (``dominance_ordering`` builds the stable
-permutation).  ``huang_bracket`` uses one global scaling weight per dominance
-class; ``dominance_bracket`` weighs each trailing column by its own dominance
-ratio, which keeps every lower factor strictly positive.
+Both brackets are sequential-elimination products over A's rows in dominance
+order, non-dominant rows first (``dominance_ordering``'s stable permutation),
+built from A's own partition, so A may come in any row order.  ``huang_bracket``
+uses one global scaling weight per dominance class; ``dominance_bracket`` weighs
+each later column by its own dominance ratio, which keeps every lower factor > 0.
 """
 
 from __future__ import annotations
@@ -48,8 +48,9 @@ class DominanceOrdering:
     def apply(self, A) -> np.ndarray:
         """``A`` with rows and columns permuted, as a view of its own ``bytes``.
 
-        It can never be made writable, so the brackets that read it next find
-        its record by identity; applying it records nothing.
+        It can never be made writable, so a call that reads it next finds its
+        record by identity; applying it records nothing.  The brackets take A
+        itself: the copy's sums run over permuted columns and can round otherwise.
         """
         A = _checked(A)
         p = list(self.permutation)
@@ -62,11 +63,12 @@ class DominanceOrdering:
 class DetBracket:
     """Lower/upper determinant bracket with its per-row factors.
 
-    ``factors[i]`` is the (lower, upper) pair for row i.  ``lower`` is the
-    product of the lower factors, clamped to zero only when some factor is
-    negative (a negative lower bound on |det| is vacuous); the raw factors
-    stay available.  ``weights`` is the column-weight vector the factors were
-    built with, and ``theta`` the global scaling weight where one exists.
+    ``factors[t]`` is the (lower, upper) pair of the row at position t of the
+    dominance ordering, row ``permutation[t]`` of A.  ``lower`` is the product
+    of the lower factors, clamped to zero only when some factor is negative (a
+    negative lower bound on |det| is vacuous); the raw factors stay available.
+    ``weights`` is the column-weight vector the factors were built with, in
+    the same order, and ``theta`` the global scaling weight where one exists.
     """
 
     lower: float
@@ -83,39 +85,32 @@ class DetBracket:
 
 def dominance_ordering(A) -> DominanceOrdering:
     """Stable reordering with the non-dominant rows leading; needs both classes."""
+    part = _two_class_partition(A)
+    return DominanceOrdering(permutation=part.n1 + part.n2, s=len(part.n1))
+
+
+def _two_class_partition(A) -> IndexPartition:
+    """The partition of ``A`` after checking that both row classes occur."""
     part = dominance_partition(A)
     if not part.n1 or not part.n2:
         raise HypothesisError(
             "n1 or n2 is empty",
             "the dominance ordering is defined only when both row classes occur",
         )
-    return DominanceOrdering(permutation=part.n1 + part.n2, s=len(part.n1))
-
-
-def _ordered_partition(A) -> IndexPartition:
-    """Partition of ``A`` after checking both classes occur, non-dominant rows first."""
-    part = dominance_partition(A)
-    s = len(part.n1)
-    if s == 0 or s == part.n:
-        raise HypothesisError(
-            "n1 or n2 is empty",
-            "brackets are defined with both row classes present",
-        )
-    if part.n1 != tuple(range(s)):
-        raise HypothesisError(
-            "matrix is not in dominance ordering",
-            "apply dominance_ordering first: non-dominant rows must lead",
-        )
     return part
 
 
 def _sequential_bracket(part, weights, divisor, formula_id, theta=None) -> DetBracket:
-    """Factors |a_ii| -/+ sum_{j>i} |a_ij| weights_j / divisor_i and their products."""
-    off = part.off
+    """Factors |a_ii| -/+ sum_{j after i} |a_ij| weights_j / divisor_i and their products
+    over the rows i of n1 + n2; ``weights`` and ``divisor`` are indexed by A's rows."""
+    off, diag = part.off, part.diag
+    if part.n1[-1] != len(part.n1) - 1:  # n1 increases, so it leads iff it ends at s - 1
+        p = np.array(part.n1 + part.n2)  # gather once into dominance order
+        off, diag, weights, divisor = off[np.ix_(p, p)], diag[p], weights[p], divisor[p]
     spill = np.array([
-        (off[i, i + 1:] * weights[i + 1:]).sum() / divisor[i] for i in range(part.n)
+        (off[t, t + 1:] * weights[t + 1:]).sum() / divisor[t] for t in range(part.n)
     ])
-    lower_f, upper_f = part.diag - spill, part.diag + spill
+    lower_f, upper_f = diag - spill, diag + spill
     return DetBracket(
         lower=float(np.prod(lower_f)) if (lower_f >= 0).all() else 0.0,
         upper=float(np.prod(upper_f)),
@@ -129,16 +124,15 @@ def _sequential_bracket(part, weights, divisor, formula_id, theta=None) -> DetBr
 def huang_bracket(A) -> DetBracket:
     """Sequential bracket with one global weight theta on the dominant class.
 
-    theta is the minimum over non-dominant rows of (|a_ii| - P_i) / R^{n2}_i,
-    skipping rows with no dominant-column mass; if every row is skipped the
-    bracket is unavailable and a ``HypothesisError`` is raised rather than
-    extrapolating with an infinite weight.  Row i's sum is divided by its
-    weight x_i.
+    ``A`` may come in any row order.  theta is the minimum over non-dominant
+    rows of (|a_ii| - P_i) / R^{n2}_i, skipping rows with no dominant-column
+    mass; if every row is skipped the bracket is unavailable and a
+    ``HypothesisError`` is raised rather than extrapolating with an infinite
+    weight.  Row i's sum is divided by its weight x_i.
     """
-    part = _ordered_partition(A)
-    d, R, P = part.diag, part.row_sums, part.p_values
-    s = len(part.n1)  # the non-dominant rows lead
-    rs = part.r_n2[:s]
+    part = _two_class_partition(A)
+    d, n1, n2 = part.diag, np.array(part.n1), np.array(part.n2)
+    rs = part.r_n2[n1]
     coupled = rs > 0.0
     if not coupled.any():
         raise HypothesisError(
@@ -147,24 +141,24 @@ def huang_bracket(A) -> DetBracket:
             "so the global weight has no finite definition",
         )
     _require_sdd1(part)
-    theta = float(((d[:s] - P[:s])[coupled] / rs[coupled]).min())
+    theta = float(((d[n1] - part.p_values[n1])[coupled] / rs[coupled]).min())
     x = np.ones(part.n)
-    x[s:] = theta + R[s:] / d[s:]
+    x[n2] = theta + part.row_sums[n2] / d[n2]
     return _sequential_bracket(part, x, x, FORMULA_DET_HUANG, theta)
 
 
 def dominance_bracket(A) -> DetBracket:
     """Sequential bracket weighing each column by its own dominance ratio.
 
-    Column weights are P_i/|a_ii| on the leading non-dominant rows and
-    R_i/|a_ii| on the trailing dominant rows.  Every lower factor satisfies
-    f_i >= |a_ii| - P_i > 0, so the lower endpoint is strictly positive.
+    ``A`` may come in any row order.  Column weights are P_i/|a_ii| on the
+    non-dominant rows and R_i/|a_ii| on the dominant rows.  Every lower factor
+    satisfies f_i >= |a_ii| - P_i > 0, so the lower endpoint is strictly positive.
     """
-    part = _ordered_partition(A)
+    part = _two_class_partition(A)
     _require_sdd1(part)
     d = part.diag
     y = np.empty(part.n)
-    n1, n2 = list(part.n1), list(part.n2)
+    n1, n2 = np.array(part.n1), np.array(part.n2)
     y[n1] = part.p_values[n1] / d[n1]
     y[n2] = part.row_sums[n2] / d[n2]
     return _sequential_bracket(part, y, np.ones(part.n), FORMULA_DET_NEW)

@@ -99,6 +99,26 @@ DET_6X6_SECOND_HUANG = (0.0, 1311.3)
 DET_6X6_SECOND_RATIO = (66.7, 816.7)
 DET_6X6_SECOND_DET = 240.0
 
+# Dominance ties that rounding decides.  The tie row's moduli 1, 1e-16, 1e-16
+# sum to 1 in its own column order, below its |a_ii| = 1 + 2^-52, so A puts it
+# in n2; in the dominance-ordered copy, whose columns run n1 first, they sum to
+# 1 + 2^-52, so the copy puts it in n1.  Both have n1 = rows 2 and 3 (0-based),
+# permutation (2, 3, 0, 1).  In TIE_T2 the tie row is row 1, so the copy's n1
+# does not lead; in TIE_T1 it is row 0, so the copy's n1 leads with three rows.
+_TIE = 1.0 + 2.0 ** -52
+TIE_T2 = np.array([
+    [4, 0.1, 0.5, 0.5],
+    [1, _TIE, 1e-16, 1e-16],
+    [0.3, 0.3, 1, 0.5],
+    [0.3, 0.3, 0.5, 1],
+])
+TIE_T1 = np.array([
+    [_TIE, 1, 1e-16, 1e-16],
+    [0.1, 4, 0.5, 0.5],
+    [0.3, 0.3, 1, 0.5],
+    [0.3, 0.3, 0.5, 1],
+])
+
 # Small SDD1-but-not-SDD instance with a single dominant row.
 SINGLE_N2 = np.array([
     [1.0, 2.0],

@@ -405,39 +405,44 @@ def quotient_formula_check(A, beta, gamma):
 
 
 def huang_bracket(A):
-    """Huang's bracket as two per-row loops over |A|: (lower, upper, factors, x, theta).
+    """Huang's bracket as two loops over the positions of A's n1 + n2: (lower, upper,
+    factors, x, theta), with ``factors`` and ``x`` in that dominance order.
 
-    ``A`` must already be in dominance ordering, SDD1, with theta defined.
+    ``A`` may come in any row order; it must be SDD1, with theta defined.
     """
     A = as_matrix(A)
     n = A.shape[0]
     part = dominance_partition(A)
     absA, off, d = abs_off(A)
     R, P = part.row_sums, part.p_values
-    n2 = list(part.n2)
+    n2, p = list(part.n2), list(part.n1 + part.n2)
     rs = off[:, n2].sum(axis=1)
     theta = min((d[j] - P[j]) / rs[j] for j in part.n1 if rs[j] > 0.0)
     x = np.ones(n)
     x[n2] = theta + R[n2] / d[n2]
-    lower_f = np.array([d[i] - (absA[i, i + 1:] * x[i + 1:]).sum() / x[i] for i in range(n)])
-    upper_f = np.array([d[i] + (absA[i, i + 1:] * x[i + 1:]).sum() / x[i] for i in range(n)])
+    lower_f = np.array([d[i] - (absA[i, p[t + 1:]] * x[p[t + 1:]]).sum() / x[i]
+                        for t, i in enumerate(p)])
+    upper_f = np.array([d[i] + (absA[i, p[t + 1:]] * x[p[t + 1:]]).sum() / x[i]
+                        for t, i in enumerate(p)])
     lower = float(np.prod(lower_f)) if (lower_f >= 0).all() else 0.0
-    return lower, float(np.prod(upper_f)), np.column_stack([lower_f, upper_f]), x, float(theta)
+    return lower, float(np.prod(upper_f)), np.column_stack([lower_f, upper_f]), x[p], float(theta)
 
 
 def dominance_bracket(A):
-    """The dominance-ratio bracket as two per-row loops over |A|: (lower, upper, factors, y)."""
+    """The dominance-ratio bracket as two loops over the positions of A's n1 + n2:
+    (lower, upper, factors, y), with ``factors`` and ``y`` in that dominance order."""
     A = as_matrix(A)
     n = A.shape[0]
     part = dominance_partition(A)
     absA, _, d = abs_off(A)
     y = np.empty(n)
     n1, n2 = list(part.n1), list(part.n2)
+    p = n1 + n2
     y[n1] = part.p_values[n1] / d[n1]
     y[n2] = part.row_sums[n2] / d[n2]
-    lower_f = np.array([d[i] - (absA[i, i + 1:] * y[i + 1:]).sum() for i in range(n)])
-    upper_f = np.array([d[i] + (absA[i, i + 1:] * y[i + 1:]).sum() for i in range(n)])
-    return float(np.prod(lower_f)), float(np.prod(upper_f)), np.column_stack([lower_f, upper_f]), y
+    lower_f = np.array([d[i] - (absA[i, p[t + 1:]] * y[p[t + 1:]]).sum() for t, i in enumerate(p)])
+    upper_f = np.array([d[i] + (absA[i, p[t + 1:]] * y[p[t + 1:]]).sum() for t, i in enumerate(p)])
+    return float(np.prod(lower_f)), float(np.prod(upper_f)), np.column_stack([lower_f, upper_f]), y[p]
 
 
 def minor_sign(A):

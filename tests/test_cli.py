@@ -13,7 +13,8 @@ from diagdom import detbounds, normbounds, read_matrix_market
 from diagdom.certificates import FORMULA_SDD1_SCHUR, BoundCertificate
 from diagdom.classify import WITNESS_SEARCH_MAX
 from diagdom.cli import VERIFY_P_MATRIX_MAX_ORDER, main
-from matrices import LCP_8X8_BOUND, TOL4
+from matrices import LCP_8X8_BOUND, TIE_T1, TIE_T2, TOL4
+from test_detbounds import theta_of
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -143,6 +144,26 @@ class TestDetBound:
         assert result["huang"]["lower"] <= result["oracle_abs_det"] <= result["huang"]["upper"]
         tight = result["dominance_ratio"]
         assert tight["lower"] <= result["oracle_abs_det"] <= tight["upper"]
+
+    @pytest.mark.parametrize("A", [TIE_T1, TIE_T2], ids=["T1", "T2"])
+    def test_tie_rows_keep_the_partition_of_A(self, capsys, tmp_path, A):
+        # An ordered copy splits the tie row otherwise (see matrices.py): T2 failed
+        # with "not in dominance ordering" and T1 reported theta of the copy's split.
+        path = tmp_path / "tie.mtx"
+        diagdom.write_matrix_market(path, A)
+        assert read_matrix_market(path).tobytes() == A.tobytes()
+        code, report = run_json(capsys, "det-bound", "--input", str(path))
+        assert code == 0
+        result = report["result"]
+        assert result["n1_size"] == 2 and result["permutation"] == [3, 4, 1, 2]
+        assert result["huang"]["theta"] == theta_of(A)
+        exact = result["oracle_abs_det"]
+        for name in ("huang", "dominance_ratio"):
+            assert result[name]["lower"] <= exact <= result[name]["upper"]
+        code, report = run_json(capsys, "verify", "--input", str(path), "--samples", "10")
+        assert code == 0
+        brackets = report["result"]["det"]["brackets"]
+        assert [brackets[name]["contains_det"] for name in ("huang", "dominance_ratio")] == [True, True]
 
     def test_guard_for_sdd_input(self, capsys, tmp_path):
         from diagdom import write_matrix_market

@@ -12,6 +12,7 @@ from diagdom import (
     determinant,
     dominance_bracket,
     dominance_ordering,
+    dominance_partition,
     generate_sdd1,
     huang_bracket,
 )
@@ -21,7 +22,10 @@ from matrices import (
     DET_6X6_SECOND,
     DET_6X6_SECOND_RATIO,
     SCHUR_5X5,
+    SCHUR_6X6,
     SINGLE_N2,
+    TIE_T1,
+    TIE_T2,
     TOL1,
     TOL4,
 )
@@ -100,9 +104,20 @@ class TestHuangBracket:
             huang_bracket(M)
         assert err.value.hypothesis == "theta undefined"
 
-    def test_ordering_guard(self):
-        with pytest.raises(HypothesisError):
-            huang_bracket(SCHUR_5X5)  # not in dominance order
+    @pytest.mark.parametrize("M", [DET_6X6_FIRST, DET_6X6_SECOND])
+    def test_any_row_order(self, M):
+        # Interleaving the classes, each in its own order, keeps the dominance
+        # order, so the bracket is M's up to the rounding of sums over permuted columns.
+        assert dominance_partition(M).n1 == (0, 1, 2)
+        q = [3, 0, 4, 1, 5, 2]
+        shuffled = M[np.ix_(q, q)]
+        assert dominance_ordering(shuffled).permutation == (1, 3, 5, 0, 2, 4)
+        for bracket in (huang_bracket, dominance_bracket):
+            br, ref = bracket(shuffled), bracket(M)
+            np.testing.assert_allclose(br.factors, ref.factors, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(br.weights, ref.weights, rtol=1e-14)
+            assert br.upper == pytest.approx(ref.upper, rel=1e-13)
+        assert huang_bracket(shuffled).theta == pytest.approx(huang_bracket(M).theta, rel=1e-14)
 
 
 class TestDominanceBracket:
@@ -131,6 +146,28 @@ class TestDominanceBracket:
         assert exact <= br.upper + 1e-12
 
 
+def theta_of(A):
+    """Huang's theta from A's own partition, as the bracket computes it."""
+    part = dominance_partition(A)
+    return min((part.diag[i] - part.p_values[i]) / part.r_n2[i]
+               for i in part.n1 if part.r_n2[i] > 0.0)
+
+
+@pytest.mark.parametrize("A", [TIE_T1, TIE_T2], ids=["T1", "T2"])
+def test_tie_rows_keep_the_partition_of_A(A):
+    # An ordered copy splits the tie row otherwise (see matrices.py): it made
+    # T2 fail the old ordering precondition and gave T1 a theta of the copy's
+    # three-row n1.  The brackets read A's own partition instead.
+    ordering = dominance_ordering(A)
+    assert (ordering.permutation, ordering.s) == ((2, 3, 0, 1), 2)
+    assert len(dominance_partition(ordering.apply(A)).n1) == 3  # the copy's split
+    broad, tight = huang_bracket(A), dominance_bracket(A)
+    assert broad.theta == theta_of(A)
+    exact = abs(determinant(A))
+    for br in (broad, tight):
+        assert br.lower <= exact <= br.upper
+
+
 @pytest.mark.parametrize("bracket", [huang_bracket, dominance_bracket])
 def test_brackets_need_both_row_classes(bracket):
     # Strictly dominant input has an empty n1, where neither bracket is defined.
@@ -143,11 +180,17 @@ class TestNesting:
     def test_fixtures(self):
         assert bracket_nesting_check(DET_6X6_FIRST)
         assert bracket_nesting_check(DET_6X6_SECOND)
+        assert dominance_partition(SCHUR_6X6).n1 == (3, 4, 5)  # not in dominance order
+        assert bracket_nesting_check(SCHUR_6X6)
 
     def test_ensemble(self, sdd1_ensemble):
+        unordered = 0
         for A in sdd1_ensemble[:60]:
-            ordered = dominance_ordering(A).apply(A)
-            assert bracket_nesting_check(ordered)
+            ordering = dominance_ordering(A)
+            unordered += ordering.permutation != tuple(range(A.shape[0]))
+            assert bracket_nesting_check(A)
+            assert bracket_nesting_check(ordering.apply(A))
+        assert unordered > 50
 
     # ROADMAP item 2: the float products overflow at order 256, and np.prod
     # warns on the way; the assertions below pin the structured error.

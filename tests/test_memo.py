@@ -115,6 +115,8 @@ def public_calls(M, kind):
         lambda: sdd1_schur_bound(A),
         lambda: sdd1_epsilon_bound(A),
         lambda: s_sdd1_schur_bound(A, n2),
+        lambda: dominance_bracket(A),
+        lambda: huang_bracket(A),
         lambda: dominance_bracket(dominance_ordering(A).apply(A)),
         lambda: huang_bracket(dominance_ordering(A).apply(A)),
         lambda: quotient_formula_check(A, list(range(n - 1)), [0]),
@@ -587,6 +589,29 @@ def test_order_300_audit_partitions_and_eliminates_a_once(eliminations, monkeypa
     dominance_partition(schur_complement(A, n2).complement)
     assert partitioned.count(A.tobytes()) == 1
     assert eliminations.count(300) == 1
+
+
+@pytest.mark.parametrize("command", ["det-bound", "verify"])
+def test_det_sections_record_and_partition_a_once(monkeypatch, tmp_path, capsys, command):
+    # The brackets read A's own partition in any row order, so no ordered copy is made.
+    A = generate_sdd1(8, 3, n1_fraction=0.5)
+    assert dominance_partition(A).n1 == (0, 3, 6, 7)  # not in dominance order
+    path = tmp_path / "a.mtx"
+    path.write_text(format_matrix_market(A))
+    created, partitioned = [], []
+
+    class Counted(core._Record):
+        def __init__(self, matrix, raw):
+            created.append(matrix.tobytes())
+            super().__init__(matrix, raw)
+
+    build = core._build_partition
+    monkeypatch.setattr(core, "_Record", Counted)
+    monkeypatch.setattr(core, "_build_partition", lambda M: partitioned.append(M.tobytes()) or build(M))
+    clear_memo()
+    assert cli.main([command, "--input", str(path)]) == 0
+    capsys.readouterr()
+    assert created == partitioned == [A.tobytes()]
 
 
 def test_factorizations_stay_within_the_record_count(eliminations):

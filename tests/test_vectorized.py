@@ -214,20 +214,21 @@ def test_certified_schur_margins(n, seed):
 @settings(max_examples=40, deadline=None)
 @given(orders, seeds, grids)
 def test_brackets(n, seed, grid):
-    A = draw(generate_sdd1, n, seed, grid)
-    A = dominance_ordering(A).apply(A)
-    tight = dominance_bracket(A)
-    lower, upper, factors, weights = reference.dominance_bracket(A)
-    assert (tight.lower, tight.upper, tight.theta) == (lower, upper, None)
-    assert tight.factors.tolist() == factors.tolist()
-    assert tight.weights.tolist() == weights.tolist()
-    part = dominance_partition(A)
-    assume(any(part.off[i, list(part.n2)].sum() > 0.0 for i in part.n1))  # theta defined
-    broad = huang_bracket(A)
-    lower, upper, factors, weights, theta = reference.huang_bracket(A)
-    assert (broad.lower, broad.upper, broad.theta) == (lower, upper, theta)
-    assert broad.factors.tolist() == factors.tolist()
-    assert broad.weights.tolist() == weights.tolist()
+    drawn = draw(generate_sdd1, n, seed, grid)
+    for A in (drawn, dominance_ordering(drawn).apply(drawn)):  # any row order, then dominance order
+        tight = dominance_bracket(A)
+        lower, upper, factors, weights = reference.dominance_bracket(A)
+        assert (tight.lower, tight.upper, tight.theta) == (lower, upper, None)
+        assert tight.factors.tolist() == factors.tolist()
+        assert tight.weights.tolist() == weights.tolist()
+        part = dominance_partition(A)
+        if not any(part.off[i, list(part.n2)].sum() > 0.0 for i in part.n1):
+            continue  # theta undefined
+        broad = huang_bracket(A)
+        lower, upper, factors, weights, theta = reference.huang_bracket(A)
+        assert (broad.lower, broad.upper, broad.theta) == (lower, upper, theta)
+        assert broad.factors.tolist() == factors.tolist()
+        assert broad.weights.tolist() == weights.tolist()
 
 
 def schur_instance(kind, n, seed):
