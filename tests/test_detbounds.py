@@ -104,7 +104,7 @@ class TestHuangBracket:
             huang_bracket(M)
         assert err.value.hypothesis == "theta undefined"
 
-    @pytest.mark.parametrize("M", [DET_6X6_FIRST, DET_6X6_SECOND])
+    @pytest.mark.parametrize("M", [DET_6X6_FIRST, DET_6X6_SECOND], ids=["first", "second"])
     def test_any_row_order(self, M):
         # Interleaving the classes, each in its own order, keeps the dominance
         # order, so the bracket is M's up to the rounding of sums over permuted columns.
