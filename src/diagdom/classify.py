@@ -56,9 +56,10 @@ class B1Split:
     """Decomposition M = a + c with constant-row shift part c.
 
     ``r[i]`` is max{0, max of row i's off-diagonal entries}; row i of ``c``
-    is constant equal to ``r[i]`` and ``a = M - c`` entrywise.  ``a`` is a
-    view of its own ``bytes`` and can never be made writable, so passing it
-    on to the bounds finds its record by identity.
+    is constant equal to ``r[i]`` and ``a = M - c`` entrywise.  ``c`` is a
+    read-only broadcast of ``r`` down the rows and holds no memory of its
+    own.  ``a`` is a view of its own ``bytes`` and can never be made
+    writable, so passing it on to the bounds finds its record by identity.
     """
 
     a: np.ndarray
@@ -178,15 +179,14 @@ def b1_split(M) -> B1Split:
     own ``bytes``, so the memo adopts it uncopied when it is analysed.
     """
     M = _checked(M)
-    masked = np.array(M)
-    np.fill_diagonal(masked, -np.inf)
-    r = np.maximum(0.0, masked.max(axis=1))
-    c = np.tile(r[:, None], (1, M.shape[0]))
+    a = np.array(M)  # M with its diagonal masked out finds r, then holds M - c
+    np.fill_diagonal(a, -np.inf)
+    r = np.maximum(0.0, a.max(axis=1))
     with np.errstate(over="ignore"):
-        a = M - c
+        np.subtract(M, r[:, None], out=a)
     if not np.isfinite(a).all():
         raise ValidationError("the shift part M - c overflows")
-    return B1Split(a=_frozen(a), c=c, r=r)
+    return B1Split(a=_frozen(a), c=np.broadcast_to(r[:, None], M.shape), r=r)
 
 
 def _positive_sdd1(A) -> IndexPartition | None:

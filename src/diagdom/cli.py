@@ -74,19 +74,8 @@ def _cert_payload(cert):
     }
 
 
-def _numpy_default(obj):
-    """``json.dumps`` hook for the numpy values that reports carry."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _emit(report, output):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_numpy_default) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=np.ndarray.tolist) + "\n"
     if output:
         with open(output, "w", encoding="ascii") as fh:
             fh.write(text)

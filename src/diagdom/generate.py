@@ -52,11 +52,7 @@ def generate_sdd1(n, seed, n1_fraction=0.4, positive_diagonal=False, z_pattern=F
 
         mag = rng.integers(1, 65, size=(n, n)) / 16.0
         mag[rng.random((n, n)) >= 0.7] = 0.0
-        if z_pattern:
-            sign = -np.ones((n, n))
-        else:
-            sign = np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
-        A = mag * sign
+        A = -mag if z_pattern else np.where(rng.random((n, n)) < 0.5, -mag, mag)
         np.fill_diagonal(A, 0.0)
         # Light couplings inside the non-dominant block keep the windows
         # (P_i, R_i) open; snap back onto the dyadic grid after scaling.

@@ -96,14 +96,14 @@ class LcpExperiment:
 def _scaled(M, d):
     """Form I - D + D M for a diagonal vector d, or one such matrix per row of d.
 
-    The diagonal 1 - d is written into zeros and d_i M_ij added on top, the
-    same two operations as ``np.diag(1 - d) + d[:, None] * M``.
+    The product d_i M_ij is formed once and 1 - d_i added on its diagonal, so
+    each diagonal entry is ``np.diag(1 - d) + d[:, None] * M``'s to the bit.
+    An off-diagonal zero keeps the sign of its product (-0.0 where the
+    reference's sum gives +0.0), which no norm of the matrix reads.
     """
-    n = M.shape[0]
-    out = np.zeros(d.shape + (n,))
-    diag = np.arange(n)
-    out[..., diag, diag] = 1.0 - d
-    out += d[..., :, None] * M
+    out = d[..., :, None] * M
+    diag = np.arange(M.shape[0])
+    out[..., diag, diag] += 1.0 - d
     return out
 
 

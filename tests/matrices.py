@@ -119,6 +119,22 @@ TIE_T1 = np.array([
     [0.3, 0.3, 0.5, 1],
 ])
 
+
+def _sdd1_by_rounding():
+    """12x12, SDD1 only by rounding: rows of n1 without n2 mass have |a_ii| = R_i,
+    while P_i, summed over fewer columns, rounds below it."""
+    u = 2.0**-53
+    n1 = [0, 1, 2, 4, 5, 6, 8, 9, 10, 11]
+    A = np.zeros((12, 12))
+    for i in n1:
+        A[i, [j for j in n1 if j != i]] = [3 * u, 1.5, 0.75, 5 * u, 5 * u, 1.5, 3 * u, 3 * u, 1.0]
+    A[[3, 7], [3, 7]], A[[3, 7], 0] = 4.0, 1.0
+    A[n1, n1] = np.abs(A).sum(axis=1)[n1]
+    return A
+
+
+SDD1_BY_ROUNDING = _sdd1_by_rounding()
+
 # Small SDD1-but-not-SDD instance with a single dominant row.
 SINGLE_N2 = np.array([
     [1.0, 2.0],

@@ -8,14 +8,16 @@ terms that became one broadcast grid, the H-matrix test that
 inverted the comparison matrix before it became one solve, and
 ``schur_complement`` as each call built it before it validated once, and
 the grid-and-refine epsilon search the library ran before it minimized the
-epsilon bound exactly.  (The per-sample ``default_rng`` loop is in
+epsilon bound exactly, and ``b1_split`` as it built the shift part c as a
+tiled n x n copy.  (The per-sample ``default_rng`` loop is in
 ``sampled_norms``.)  The library's LU must agree with
 ``lu_factor_unblocked`` exactly up to its block width and with
 ``lu_factor_blocked`` at every order; ``is_h_matrix`` must give the
 library's answer on input kept away from singularity; the library's
 automatic epsilon bound must be at most ``sdd1_epsilon_bound``'s value, up
 to rounding; every other function here must agree with its library
-counterpart bit for bit (``==``, not ``allclose``).
+counterpart bit for bit (``==``, not ``allclose``); ``b1_split``'s ``a`` and
+``r`` byte for byte.
 """
 
 import itertools
@@ -36,8 +38,8 @@ from diagdom import (
     lu_solve,
 )
 from diagdom.certificates import FORMULA_LCP_B1, FORMULA_SDD1_EPSILON, BoundCertificate
-from diagdom.classify import b1_split
-from diagdom.core import as_matrix, dominance_partition
+from diagdom.classify import B1Split
+from diagdom.core import _checked, _frozen, as_matrix, dominance_partition
 from diagdom.lcp import VIOLATION_TOL
 from diagdom.oracle import LU_BLOCK, SINGULAR_PIVOT_RTOL, LuFactorization
 from diagdom.schur import ENTRYWISE_RTOL
@@ -250,6 +252,19 @@ def sdd1_epsilon_bound(A):
         eps, refined = float(grid[k]), values[k]
     params = {"epsilon": float(eps), "interval_sup": float(sup), "auto": True}
     return BoundCertificate(FORMULA_SDD1_EPSILON, float(refined), params)
+
+
+def b1_split(M):
+    M = _checked(M)
+    masked = np.array(M)
+    np.fill_diagonal(masked, -np.inf)
+    r = np.maximum(0.0, masked.max(axis=1))
+    c = np.tile(r[:, None], (1, M.shape[0]))
+    with np.errstate(over="ignore"):
+        a = M - c
+    if not np.isfinite(a).all():
+        raise ValidationError("the shift part M - c overflows")
+    return B1Split(a=_frozen(a), c=c, r=r)
 
 
 def lcp_b1_bound(M):

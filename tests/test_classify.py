@@ -19,6 +19,7 @@ from diagdom import (
     is_sdd,
     is_sdd1,
 )
+import reference
 from diagdom.classify import WITNESS_SEARCH_MAX
 from matrices import DET_6X6_SECOND, LCP_8X8, NORM_8X8, SCHUR_5X5, SCHUR_6X6
 from test_oracle import random_sdd
@@ -131,6 +132,24 @@ class TestB1Split:
         masked = np.array(M)
         np.fill_diagonal(masked, -np.inf)
         assert np.array_equal(split.r, np.maximum(0.0, masked.max(axis=1)))
+
+    def test_same_split_as_the_tiled_reference(self, sdd1_ensemble, b1_ensemble):
+        # a and r byte for byte (zero signs included), c by value; c is a
+        # read-only broadcast of r and holds no memory of its own.
+        signed_zero_maxima = [[1.0, -0.0, -2.0], [-0.0, 2.0, -0.0], [0.0, -1.0, 3.0]]
+        cases = [*sdd1_ensemble, *b1_ensemble, LCP_8X8, [[5.0]], [[-0.0]],
+                 signed_zero_maxima, np.negative(signed_zero_maxima)]
+        for M in cases:
+            got, want = b1_split(M), reference.b1_split(M)
+            assert got.a.tobytes() == want.a.tobytes()
+            assert got.r.tobytes() == want.r.tobytes()
+            assert np.array_equal(got.c, want.c)
+            assert not got.c.flags.writeable and np.shares_memory(got.c, got.r)
+        overflowing = np.eye(4) * 4.0 + 0.1
+        overflowing[0, :3] = [1.79e308, 1.7e308, -1.7e308]
+        for split in (b1_split, reference.b1_split):
+            with pytest.raises(ValidationError, match="shift part M - c overflows"):
+                split(overflowing)
 
     def test_reconstruction_exact_on_ensemble(self, b1_ensemble):
         for M in b1_ensemble:

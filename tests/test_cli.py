@@ -12,8 +12,8 @@ import diagdom
 from diagdom import detbounds, normbounds, read_matrix_market
 from diagdom.certificates import FORMULA_SDD1_SCHUR, BoundCertificate
 from diagdom.classify import WITNESS_SEARCH_MAX
-from diagdom.cli import VERIFY_P_MATRIX_MAX_ORDER, main
-from matrices import LCP_8X8_BOUND, TIE_T1, TIE_T2, TOL4
+from diagdom.cli import VERIFY_P_MATRIX_MAX_ORDER, _emit, main
+from matrices import LCP_8X8_BOUND, SDD1_BY_ROUNDING, TIE_T1, TIE_T2, TOL4
 from test_detbounds import theta_of
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
@@ -225,6 +225,21 @@ class TestVerify:
         }
         assert VERIFY_P_MATRIX_MAX_ORDER == 12
 
+    def test_unavailable_huang_bracket_is_reported(self, capsys, tmp_path):
+        # theta is undefined on a matrix that is SDD1 only by rounding: verify
+        # reports the Huang bracket unavailable and checks the other one.
+        path = tmp_path / "rounding.mtx"
+        diagdom.write_matrix_market(path, SDD1_BY_ROUNDING)
+        assert read_matrix_market(path).tobytes() == SDD1_BY_ROUNDING.tobytes()
+        code, report = run_json(capsys, "verify", "--input", str(path))
+        assert code == 0
+        result = report["result"]
+        brackets = result["det"]["brackets"]
+        assert brackets["huang"] == {"unavailable": "theta undefined"}
+        ratio, exact = brackets["dominance_ratio"], result["det"]["oracle_abs_det"]
+        assert ratio["contains_det"] and ratio["lower"] <= exact <= ratio["upper"]
+        assert result["all_sound"] is True
+
     def test_soundness_error_keeps_result(self, capsys, fixture_path, monkeypatch):
         argv = ["verify", "--input", fixture_path("lcp_8x8.mtx"), "--samples", "20"]
         _, sound = run_json(capsys, *argv)
@@ -406,6 +421,15 @@ class TestReportOutput:
         assert code == 1 and out == ""
         assert json.loads(path.read_text()) == expected
         assert expected["error"]["kind"] == "hypothesis"
+
+
+    @pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), {1, 2}])
+    def test_only_arrays_beyond_json_are_serialized(self, capsys, value):
+        _emit({"x": np.array([[1.0, 2.0]])}, None)
+        assert json.loads(capsys.readouterr().out) == {"x": [[1.0, 2.0]]}
+        with pytest.raises(TypeError):
+            _emit({"x": value}, None)
+        assert capsys.readouterr().out == ""
 
 
 class TestErrors:

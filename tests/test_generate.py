@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,19 @@ class TestB1Generator:
     def test_mix_of_shifted_and_plain_instances(self):
         shifted = sum(b1_split(generate_b1(8, seed=s)).r.any() for s in range(20))
         assert 0 < shifted < 20
+
+
+def test_generated_bytes_are_pinned():
+    # One digest over both generators' output, generate_sdd1 in all three sign
+    # modes: any change to the draws, their order or the arithmetic on them
+    # (a zero's sign included) moves it.
+    digest = hashlib.sha256()
+    for n in (2, 3, 4, 7, 12, 16, 64, 256):
+        for seed in (0, 1, 29, 2**40 + 3):
+            for mode in ({}, {"positive_diagonal": True}, {"z_pattern": True}):
+                digest.update(generate_sdd1(n, seed, **mode).tobytes())
+            digest.update(generate_b1(n, seed).tobytes())
+    assert digest.hexdigest() == "6128c3d4e864582afb6f43b89440201a09d52e8241b7314419f387811b7af473"
 
 
 @pytest.mark.parametrize("bad", [5.5, 5.0, np.float64(5.0), "5", None])

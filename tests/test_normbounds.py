@@ -13,6 +13,7 @@ from diagdom import (
     WitnessError,
     b1_split,
     comparison_matrix,
+    determinant,
     dominance_bracket,
     dominance_ordering,
     dominance_partition,
@@ -34,9 +35,23 @@ from diagdom.normbounds import (
     _epsilon_value,
     _restricted_schur_value,
 )
-from matrices import NORM_8X8, SINGLE_N2
+from matrices import (
+    DET_6X6_FIRST,
+    DET_6X6_SECOND,
+    LCP_8X8,
+    NORM_8X8,
+    SCHUR_6X6,
+    SDD1_BY_ROUNDING,
+    SINGLE_N2,
+    TIE_T1,
+    TIE_T2,
+)
 from test_memo import outcome
 from test_oracle import random_sdd
+
+
+# The fixtures that every SDD1 bound and both brackets accept.
+SDD1_FIXTURES = [NORM_8X8, LCP_8X8, SCHUR_6X6, DET_6X6_FIRST, DET_6X6_SECOND, TIE_T1, TIE_T2]
 
 
 def exact_norm(A):
@@ -130,18 +145,10 @@ class TestEpsilonBound:
         assert self.auto_without_warnings(A).parameters["minimizer"] == "breakpoint"
 
     def test_infinite_sup_from_rounding_has_no_interval_end(self):
-        # Rows of n1 without n2 mass pass the SDD1 test only by rounding:
-        # |a_ii| = R_i, while P_i, summed over fewer columns, rounds below it.
-        # sup is then infinite and the bound grows without limit in eps; at
-        # the largest float, eps * g_j would overflow.
-        u = 2.0**-53
-        n1 = [0, 1, 2, 4, 5, 6, 8, 9, 10, 11]
-        A = np.zeros((12, 12))
-        for i in n1:
-            A[i, [j for j in n1 if j != i]] = [3 * u, 1.5, 0.75, 5 * u, 5 * u, 1.5, 3 * u, 3 * u, 1.0]
-        A[[3, 7], [3, 7]], A[[3, 7], 0] = 4.0, 1.0
-        A[n1, n1] = np.abs(A).sum(axis=1)[n1]
-        cert = self.auto_without_warnings(A)
+        # Rows of n1 without n2 mass pass the SDD1 test only by rounding, so
+        # sup is infinite and the bound grows without limit in eps; at the
+        # largest float, eps * g_j would overflow.
+        cert = self.auto_without_warnings(SDD1_BY_ROUNDING)
         assert cert.parameters["interval_sup"] == math.inf
         assert cert.parameters["minimizer"] == "breakpoint"
 
@@ -206,6 +213,16 @@ class TestWitnessBound:
             full = sdd1_schur_bound(A)
             restricted = s_sdd1_schur_bound(A, part.n2)
             assert restricted.value == full.value
+
+    def test_full_n2_agrees_within_rounding(self, sdd1_ensemble, b1_ensemble):
+        # The witness bound recovers its prefactor ingredient as d - (d - P),
+        # so with S = n2 it may differ from sdd1_schur_bound in the last bits:
+        # on 10 ensemble members and on DET_6X6_FIRST, LCP_8X8 and SCHUR_6X6,
+        # by at most 4.2u relative.
+        for A in [*sdd1_ensemble, *(b1_split(M).a for M in b1_ensemble), *SDD1_FIXTURES]:
+            full = sdd1_schur_bound(A).value
+            restricted = s_sdd1_schur_bound(A, dominance_partition(A).n2).value
+            assert abs(restricted - full) <= 8 * 2.0**-53 * full
 
     def test_cardinality_guard(self):
         with pytest.raises(HypothesisError):
@@ -365,3 +382,18 @@ def test_moduli_only_outputs_are_the_same_on_the_comparison_matrix(sdd1_ensemble
             got = outcome(lambda: f(M))
             assert got == outcome(lambda: f(comparison_matrix(M)))
             assert got[0] != "raises" or M is A and f is sdd_pairwise_bound
+
+
+def test_moduli_only_outputs_hold_for_the_comparison_matrix(sdd1_ensemble, b1_ensemble):
+    # For an H-matrix ||A^-1|| <= ||<A>^-1|| and det<A> <= |det A|, so a bound
+    # that reads only the moduli must also bound the oracles of <A> itself:
+    # each norm certificate under verify's slack rule, each bracket within
+    # 1e-9 relative.  The B1 members enter through their SDD1 shift parts.
+    for A in [*sdd1_ensemble, *(b1_split(M).a for M in b1_ensemble), *SDD1_FIXTURES]:
+        C = comparison_matrix(A)
+        exact, det = inf_norm(inverse(C)), determinant(C)
+        n2 = list(dominance_partition(A).n2)
+        for cert in (sdd1_schur_bound(A), sdd1_epsilon_bound(A), s_sdd1_schur_bound(A, n2)):
+            assert cert.value - exact >= -1e-9 * min(1.0, exact)
+        for bracket in (huang_bracket(A), dominance_bracket(A)):
+            assert bracket.lower <= det * (1 + 1e-9) and det <= bracket.upper * (1 + 1e-9)

@@ -30,6 +30,7 @@ from diagdom import (
     SingularMatrixError,
     corner_norms,
     generate_b1,
+    generate_sdd1,
     is_p_matrix,
     lu_factor,
     run_experiment,
@@ -212,6 +213,20 @@ def test_corner_norms_across_chunks():
     M = b1(12, 8)
     assert _chunk_length(12) < 2**12
     assert same(corner_norms(M), reference.corner_norms(M))
+
+
+def test_signed_zero_entries():
+    # A z-pattern SDD1 matrix with positive diagonal is B1 with a zero shift,
+    # and its zero off-diagonal entries are -0.0.  The scaled matrices keep
+    # those signs where the reference's sum gives +0.0; no norm may move.
+    M = generate_sdd1(9, 4, n1_fraction=0.5, z_pattern=True)
+    assert ((M == 0.0) & np.signbit(M)).any()
+    assert same(corner_norms(M), reference.corner_norms(M))
+    exp = run_experiment(M, 40, 6)
+    d_samples, exact, violations = reference.sampled_norms(M, 40, 6, exp.analytic_bound)
+    assert same(exp.d_samples, d_samples)
+    assert same(exp.exact_norms, exact)
+    assert exp.violations == violations
 
 
 class TestInverseNorms:
