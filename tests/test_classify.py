@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference
 from diagdom import (
     SizeLimitError,
     ValidationError,
@@ -19,7 +20,6 @@ from diagdom import (
     is_sdd,
     is_sdd1,
 )
-import reference
 from diagdom.classify import WITNESS_SEARCH_MAX
 from matrices import DET_6X6_SECOND, LCP_8X8, NORM_8X8, SCHUR_5X5, SCHUR_6X6
 from test_oracle import random_sdd

@@ -422,7 +422,6 @@ class TestReportOutput:
         assert json.loads(path.read_text()) == expected
         assert expected["error"]["kind"] == "hypothesis"
 
-
     @pytest.mark.parametrize("value", [np.bool_(True), np.int64(3), {1, 2}])
     def test_only_arrays_beyond_json_are_serialized(self, capsys, value):
         _emit({"x": np.array([[1.0, 2.0]])}, None)
