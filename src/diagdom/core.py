@@ -32,7 +32,10 @@ __all__ = [
 
 # The memo: the MEMO_RECORDS most recently used records, each a validated matrix
 # and its partition and LU factorization, built on first request (24 n^2 + 48 n
-# bytes at most, 16 n^2 + 48 n when the matrix is the caller's own immutable one).
+# bytes at most, 16 n^2 + 48 n when the matrix is the caller's own immutable one),
+# and the last family of Schur complements swept from it: its complements and pivot
+# factors, each stack at most oracle.STACK_CHUNK_ENTRIES float64 (512 KiB), and
+# its certified margins, fewer entries again.
 # Only a matrix whose partition or factorization is read, or whose shared copy
 # ``as_matrix`` is asked for, gets one; single reads use ``_checked``.  Two is the
 # fewest with which a dense pass builds nothing twice: A's record outlasts its
@@ -44,13 +47,13 @@ _LOCK = threading.RLock()  # guards _MEMO and the results built into records
 
 class _Record:
     """A validated read-only matrix, the ``bytes`` it views, and the results built from it,
-    each on first request."""
+    each on first request; ``family`` is kept by ``schur`` and replaced there."""
 
-    __slots__ = ("raw", "matrix", "partition", "factorization")
+    __slots__ = ("raw", "matrix", "partition", "factorization", "family")
 
     def __init__(self, matrix, raw):
         self.raw, self.matrix = raw, matrix
-        self.partition = self.factorization = None
+        self.partition = self.factorization = self.family = None
 
     def result(self, name, build):
         """The result ``name``, ``build(matrix)``; kept, unless it raised, while the record is."""
@@ -247,13 +250,15 @@ def _build_partition(A) -> IndexPartition:
 def _eliminated_margins(part, alpha, bar, m) -> np.ndarray:
     """|a_tt| - R^{bar}_t - sum over h in alpha of |a_th| m_h / |a_hh| for each row t in bar.
 
-    With m = P it bounds |a'_tt| - R_t(A/alpha) for alpha containing n2.
+    With m = P it bounds |a'_tt| - R_t(A/alpha) for alpha containing n2.  ``alpha`` and
+    ``bar`` may carry a leading family axis, (m, |alpha|) and (m, |bar|), giving (m, |bar|).
     """
     off, d = part.off, part.diag
     ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
     # C-ordered gathers: each row's sum and stacked dot round as its own sum() and @.
-    coupling = ((off[ib[:, None], ia] / d[ia])[:, None, :] @ m[ia])[:, 0]
-    return d[ib] - off[ib[:, None], ib].sum(axis=1) - coupling
+    scaled = off[ib[..., :, None], ia[..., None, :]] / d[ia][..., None, :]
+    coupling = (scaled[..., None, :] @ m[ia][..., None, :, None])[..., 0, 0]
+    return d[ib] - off[ib[..., :, None], ib[..., None, :]].sum(axis=-1) - coupling
 
 
 def comparison_matrix(A) -> np.ndarray:

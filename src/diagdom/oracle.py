@@ -251,7 +251,7 @@ def _chunk_length(order) -> int:
     return max(1, STACK_CHUNK_ENTRIES // (order * order))
 
 
-def _stack_pivots(stack) -> tuple[np.ndarray, np.ndarray]:
+def _stack_pivots(stack, factors=False):
     """U's diagonal for every matrix in a C-ordered (m, s, s) stack, 2 <= s <= LU_BLOCK,
     and the sign of each determinant, decided from the pivots.
 
@@ -267,6 +267,13 @@ def _stack_pivots(stack) -> tuple[np.ndarray, np.ndarray]:
     permutation sign times the pivots' signs, 0.0 if singular: no product of
     pivots is formed, so it cannot underflow or overflow.
 
+    With ``factors`` it keeps what ``lu_factor`` keeps, for 1 <= s <= LU_BLOCK:
+    swaps move whole rows and each multiplier is stored under the diagonal.
+    It returns instead the (m, s, s) packed factors, the (m, s) row
+    permutations, the permutation signs and, for each matrix, the column of
+    its singular pivot (-1 if none); each nonsingular matrix's packed, perm
+    and sign equal ``lu_factor``'s bit for bit, and a singular one's are zeros.
+
     The elimination runs on an (s, s, m) copy, the matrix index last, so the
     pivot search, the scaling and the rank-1 update work on contiguous
     vectors over the matrices, and a row swap touches only the matrices whose
@@ -278,24 +285,37 @@ def _stack_pivots(stack) -> tuple[np.ndarray, np.ndarray]:
     lu = stack.transpose(1, 2, 0).copy()  # lu[i, j] holds entry (i, j) of every live matrix
     sign = np.ones(m)
     live = np.arange(m)  # position in ``stack`` of each matrix still in ``lu``
-    pivots, signs = np.zeros((m, s)), np.zeros(m)
+    perm = np.repeat(np.arange(s)[:, None], m, axis=1) if factors else None  # perm[i] over matrices
+    failed = np.full(m, -1)
     for k in range(s):
         col = np.abs(lu[k:, k])
         p = k + col.argmax(axis=0)
         singular = col.max(axis=0) <= thresh  # the modulus at p: the largest, or NaN
         if singular.any():
             keep = ~singular
+            failed[live[singular]] = k
             lu, p, thresh, sign, live = lu[:, :, keep], p[keep], thresh[keep], sign[keep], live[keep]
+            if factors:
+                perm = perm[:, keep]
         moved = (p != k).nonzero()[0]
         if moved.size:
-            to = p[moved]
-            row_k = lu[k, k:, moved]
-            lu[k, k:, moved] = lu[to, k:, moved]
-            lu[to, k:, moved] = row_k
+            to, first = p[moved], 0 if factors else k
+            row_k = lu[k, first:, moved]
+            lu[k, first:, moved] = lu[to, first:, moved]
+            lu[to, first:, moved] = row_k
             sign[moved] *= -1.0
+            if factors:
+                perm[k, moved], perm[to, moved] = perm[to, moved], perm[k, moved]
         if k + 1 < s:
             mult = lu[k + 1:, k] / lu[k, k]
+            if factors:
+                lu[k + 1:, k] = mult
             lu[k + 1:, k + 1:] -= mult[:, None] * lu[k, k + 1:]
+    if factors:
+        packed, perms, signs = np.zeros((m, s, s)), np.zeros((m, s), dtype=np.intp), np.zeros(m)
+        packed[live], perms[live], signs[live] = lu.transpose(2, 0, 1), perm.T, sign
+        return packed, perms, signs, failed
+    pivots, signs = np.zeros((m, s)), np.zeros(m)
     pivots[live] = np.diagonal(lu, axis1=0, axis2=1)
     signs[live] = sign * np.prod(np.sign(pivots[live]), axis=1)
     return pivots, signs

@@ -18,6 +18,8 @@ All per-row outputs are dictionaries keyed by original row index.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,14 +28,26 @@ from .classify import _is_sdd1, _require_sdd1
 from .core import (
     _LOCK,
     IndexPartition,
+    _build_partition,
     _checked,
     _eliminated_margins,
+    _frozen,
+    _record,
     as_index_set,
-    as_matrix,
     dominance_partition,
 )
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
-from .oracle import LuFactorization, _factorize, _m_matrix_witness, inf_norm, inverse, lu_solve
+from .oracle import (
+    LU_BLOCK,
+    LuFactorization,
+    _chunk_length,
+    _factorize,
+    _m_matrix_witness,
+    _stack_pivots,
+    inf_norm,
+    inverse,
+    lu_solve,
+)
 
 __all__ = [
     "SchurResult",
@@ -61,8 +75,11 @@ class SchurResult:
     matrix |a_{t,alpha}| <A(alpha)>^{-1} |a_{alpha,u}|, present only when the
     pivot block is an H-matrix; it is built on first read, and until then
     the result holds the partition of A.  The result also holds the pivot
-    block's factorization, which the ``schur`` subcommand reads its
-    determinant from.  ``certified_lower_bounds`` maps
+    block's read-only factorization, which the ``schur`` subcommand reads its
+    determinant from; the results of one member of a kept family share it.
+    Every field has the bits of computing alpha alone, whether the result
+    came from alpha's family or not (see ``schur_complement``).
+    ``certified_lower_bounds`` maps
     original row labels to certified dominance lower bounds when a regime
     applies; ``certified_kind`` says which margin is bounded ("sdd1_degree"
     for |a'_tt| - P_t, "sdd_degree" for |a'_tt| - R_t).
@@ -111,13 +128,13 @@ def _coupling_radii(part, alpha, bar):
 
 
 def _validate_alpha(A, alpha):
-    """A as a shared matrix, its partition, and alpha and its complement validated."""
-    A = as_matrix(A)
-    n = A.shape[0]
+    """A's record, its partition, and alpha and its complement validated."""
+    rec = _record(A)
+    n = rec.matrix.shape[0]
     alpha = as_index_set(alpha, n, allow_empty=True, name="alpha")
     if not alpha or len(alpha) >= n:
         raise ValidationError("alpha must be a nonempty proper subset of the row indices")
-    return A, dominance_partition(A), alpha, _rest(n, alpha)
+    return rec, rec.result("partition", _build_partition), alpha, _rest(n, alpha)
 
 
 def _rest(n, alpha):
@@ -129,88 +146,208 @@ def _rest(n, alpha):
 def schur_complement(A, alpha) -> SchurResult:
     """Eliminate the rows/columns in ``alpha`` and report the residual block.
 
+    Complements come in families, computed together in one stacked pass and
+    kept in A's record in the memo, so that a call for another member is
+    answered from the record.  The family of an alpha strictly inside n2 is
+    every subset of n2 of its size, in ``itertools.combinations`` order; of
+    an alpha containing n2, every n2 + E with E a subset of n1 of size
+    |alpha| - |n2|.  A family is swept whole only if its members fit one
+    stacked chunk, ``oracle._chunk_length(max(|alpha|, n - |alpha|))`` of
+    them, so no array of the pass holds more than
+    ``oracle.STACK_CHUNK_ENTRIES`` entries.  Any other alpha, a family of
+    one, and the first complement asked of a record are computed alone and
+    not kept: a matrix asked for one complement pays for one.  A record keeps
+    one family, the last it swept.  Every result has the bits of computing
+    its alpha alone.
+
     Raises ``SingularBlockError`` when the pivot block cannot be factored,
     ``ValidationError`` for empty or full ``alpha`` and for a complement with
-    non-finite entries.  The regime-specific certified bounds are attached
-    when their hypotheses hold, otherwise left as ``None``.
+    non-finite entries; each only for the alpha it concerns, never for
+    another member of its family, and nothing warns.  The regime-specific
+    certified bounds are attached when their hypotheses hold, otherwise left
+    as ``None``.  The complement is left in the memo with its partition.
     """
-    A, part, alpha, bar = _validate_alpha(A, alpha)
-    comp, cpart, fact = _analysed_complement(A, alpha, bar)
-    certified, kind = _certified_dispatch(part, alpha, bar)
+    rec, part, alpha, bar = _validate_alpha(A, alpha)
+    sweep, j = _swept(rec, part, alpha)
+    comp, fact = sweep.member(j)
+    crec = _record(comp)  # a read-only copy, recorded with its partition
+    comp, cpart = crec.matrix, crec.result("partition", _build_partition)
     return SchurResult(
         complement=comp,
         alpha=alpha,
         alpha_bar=bar,
         tilde_n1=tuple(bar[t] for t in cpart.n1),
         tilde_n2=tuple(bar[t] for t in cpart.n2),
-        certified_lower_bounds=certified,
-        certified_kind=kind,
+        certified_lower_bounds=None if sweep.margins is None else _by_row(bar, sweep.margins[j]),
+        certified_kind=sweep.kind,
         _a_partition=part,
         _block_factorization=fact,
     )
 
 
-def _analysed_complement(A, alpha, bar):
-    """A/alpha as a shared read-only matrix and its partition, both left in the memo, and
-    the factorization of A(alpha)."""
-    comp, fact = _complement(A, alpha, bar)
-    comp = as_matrix(comp)
-    return comp, dominance_partition(comp), fact
+def _family(part, alpha):
+    """The key of alpha's family and an iterator over its members, or (alpha, None) when
+    alpha is computed alone."""
+    n2, s = part.n2, len(alpha)
+    inside = set(alpha) < set(n2)
+    if inside:
+        count, members = math.comb(len(n2), s), itertools.combinations(n2, s)
+    elif set(n2) <= set(alpha):
+        extra = s - len(n2)
+        count = math.comb(len(part.n1), extra)
+        members = (tuple(sorted(n2 + e)) for e in itertools.combinations(part.n1, extra))
+    else:
+        return alpha, None
+    if not 1 < count <= _chunk_length(max(s, part.n - s)):
+        return alpha, None
+    return (inside, s), members
 
 
-def _complement(A, alpha, bar):
-    """A/alpha of a validated matrix and the factorization of A(alpha); ValidationError if
-    A/alpha is not finite; nothing warns."""
-    ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
-    labels = tuple(a + 1 for a in alpha)
-    with np.errstate(all="ignore"):
+def _swept(rec, part, alpha):
+    """A sweep holding alpha, and alpha's place in it: alpha's family, swept whole and
+    kept in A's record, unless alpha is alone in it or this is the first complement
+    asked of the record."""
+    key, members = _family(part, alpha)
+    if members is not None:
+        with _LOCK:
+            kept = rec.family
+            if kept is None:  # the first complement: alone, and the next family asked is swept
+                rec.family = (None, None, None)
+            else:
+                if kept[0] != key:
+                    alphas = list(members)
+                    kept = rec.family = (key, _Sweep(rec.matrix, alphas, part),
+                                         {a: j for j, a in enumerate(alphas)})
+                return kept[1], kept[2][alpha]
+    return _Sweep(rec.matrix, [alpha], part), 0
+
+
+class _Sweep:
+    """One stacked pass over m pivot sets of one size, given in increasing order, of a
+    validated matrix A.
+
+    Holds the complements A/alpha as an (m, |bar|, |bar|) stack and the pivot
+    blocks' factorizations, and, when built with A's partition, the certified
+    margins, (m, |bar|), and their kind.  Pivot blocks of order at most
+    ``LU_BLOCK`` in a stack of two or more are factored together by
+    ``oracle._stack_pivots`` and solved by stacked ``matmul`` substitution
+    steps, which make, member by member, the BLAS calls of ``lu_solve``; any
+    other block is factored by ``_factorize`` and solved by ``lu_solve``, at
+    the cost it always had.  The stacked product that forms the complements
+    makes each member's own call too, so every member gets the bits of
+    computing it alone.  ``member`` reads a member out, or raises its own
+    error; nothing warns.
+    """
+
+    __slots__ = ("alphas", "complements", "facts", "failed", "finite", "margins", "kind")
+
+    def __init__(self, A, alphas, part=None):
+        ia = np.array(alphas, dtype=np.intp)
+        (m, s), members = ia.shape, np.arange(len(alphas))[:, None]
+        outside = np.ones((m, A.shape[0]), dtype=bool)
+        outside[members, ia] = False
+        ib = outside.nonzero()[1].reshape(m, -1)  # each member's bar, in increasing order
+        blocks = A[ia[:, :, None], ia[:, None, :]]
+        with np.errstate(all="ignore"):
+            if m > 1 and s <= LU_BLOCK:
+                packed, perm, sign, failed = _stack_pivots(blocks, factors=True)
+                facts = [None if failed[j] >= 0 else
+                         LuFactorization(packed=_frozen(packed[j]), perm=tuple(perm[j].tolist()),
+                                         sign=int(sign[j])) for j in range(m)]
+                # A(alpha, bar) with its rows in pivot order, solved in place as lu_solve does
+                X = A[ia[members, perm][:, :, None], ib[:, None, :]]
+                for k in range(1, s):  # forward substitution, unit lower triangle
+                    X[:, k] -= (packed[:, k, None, :k] @ X[:, :k])[:, 0]
+                for k in range(s - 1, -1, -1):  # back substitution
+                    if k + 1 < s:
+                        X[:, k] -= (packed[:, k, None, k + 1:] @ X[:, k + 1:])[:, 0]
+                    X[:, k] /= packed[:, k, k, None]
+            else:
+                facts, failed, X = _solve_each(A, blocks, ia, ib)
+            comps = A[ib[:, :, None], ib[:, None, :]] - A[ib[:, :, None], ia[:, None, :]] @ X
+            # One member's margins may overflow; that must not warn when another is asked.
+            self.margins, self.kind = (None, None) if part is None else _certified(part, ia, ib)
+        self.alphas, self.complements, self.facts, self.failed = alphas, comps, facts, failed
+        self.finite = np.isfinite(comps).all(axis=(1, 2))
+
+    def member(self, j):
+        """Member j's complement, a view of the stack, and its block's factorization; or
+        the member's ``SingularBlockError`` or ``ValidationError``."""
+        if self.failed[j] >= 0 or not self.finite[j]:
+            labels = tuple(a + 1 for a in self.alphas[j])
+            if self.failed[j] >= 0:
+                raise SingularBlockError(f"pivot block {labels} is singular", column=int(self.failed[j]))
+            raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
+        return self.complements[j], self.facts[j]
+
+
+def _solve_each(A, blocks, ia, ib):
+    """Each member on its own: its block's factorization by ``_factorize`` (None where
+    singular), the column of each singular pivot (-1 if none), and the stack of
+    A(alpha)^{-1} A(alpha, bar) by ``lu_solve`` (zeros where singular)."""
+    X = np.zeros(ia.shape + ib.shape[1:])
+    facts, failed = [], []
+    for j, block in enumerate(blocks):
         try:
-            fact = _factorize(A[ia[:, None], ia])  # finite, and never looked up: no record
+            fact = _factorize(block)  # finite, and never looked up: no record
         except SingularMatrixError as exc:
-            raise SingularBlockError(f"pivot block {labels} is singular", column=exc.column) from exc
-        comp = A[ib[:, None], ib] - A[ib[:, None], ia] @ lu_solve(fact, A[ia[:, None], ib])
-    if not np.isfinite(comp).all():
-        raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
-    return comp, fact
+            fact = None
+            failed.append(exc.column)
+        else:
+            X[j] = lu_solve(fact, A[ia[j, :, None], ib[j]])
+            failed.append(-1)
+        facts.append(fact)
+    return facts, failed, X
 
 
-def _certified_dispatch(part, alpha, bar):
-    """The certified lower bounds keyed by row and their kind, or (None, None)."""
+def _alone(A, alpha):
+    """A/alpha of the validated A, computed alone and not recorded."""
+    return _Sweep(A, [alpha]).member(0)[0]
+
+
+def _by_row(bar, values):
+    """Per-row values keyed by original row label."""
+    return dict(zip(bar, values.tolist()))
+
+
+def _certified(part, ia, ib):
+    """The certified margins of a sweep's (m, |alpha|) alphas and (m, |bar|) bars, one row
+    per member, and their kind; or (None, None)."""
     if not _is_sdd1(part):
         return None, None
-    aset, n2set = set(alpha), set(part.n2)
+    aset, n2set = set(ia[0].tolist()), set(part.n2)
     if aset < n2set:
-        return _proper_subset_margins(part, alpha, bar), "sdd1_degree"
+        return _proper_subset_margins(part, ia, ib), "sdd1_degree"
     if n2set <= aset:  # alpha = n2 leaves bar = n1, nonempty as alpha is proper
-        margins = _eliminated_margins(part, alpha, bar, part.p_values)
-        return dict(zip(bar, margins.tolist())), "sdd_degree"
+        return _eliminated_margins(part, ia, ib, part.p_values), "sdd_degree"
     return None, None
 
 
-def _proper_subset_margins(part, alpha, bar):
-    """Certified |a'_tt| - P_t(A/alpha) lower bounds for alpha strictly inside n2.
+def _proper_subset_margins(part, ia, ib):
+    """Certified |a'_tt| - P_t(A/alpha) lower bounds for alphas strictly inside n2: one row
+    per member of the (m, |alpha|) alphas and their (m, |bar|) bars, one column per t.
 
-    Whole-array over the rows t; the coupling is accumulated over h in alpha
-    in order, and C-ordered gathers make each row round as its own ``@``.
+    Whole-array over the members and rows t; the coupling is accumulated over
+    h in alpha in order, and C-ordered gathers make each row round as its own ``@``.
     """
     off, d, rn1, qn2 = part.off, part.diag, part.r_n1, part.q_n2  # R^{n1}, Q^{n2}, every row
-    n1, n2 = list(part.n1), list(part.n2)
+    n2 = list(part.n2)
+    in_n2 = np.zeros(part.n, dtype=bool)
+    in_n2[n2] = True
     w = np.zeros(part.n)
     w[n2] = part.row_sums[n2] / d[n2]
-    alpha_set = set(alpha)
-    n2_rest = np.array([j for j in n2 if j not in alpha_set], dtype=np.intp)
-    ia, ib = np.asarray(alpha, dtype=np.intp), np.asarray(bar, dtype=np.intp)
-    in_n1 = np.zeros(part.n, dtype=bool)
-    in_n1[n1] = True
+    rest = ib[in_n2[ib]].reshape(len(ib), -1)  # n2 outside alpha: the rows of bar in n2
+    rows, cols = ib[:, :, None], ia[:, None, :]
 
-    base = d[ib] - rn1[ib] - (off[ib[:, None], n2_rest][:, None, :] @ w[n2_rest])[:, 0]
-    o_th = off[ib[:, None], ia]        # |a_th|, rows t in bar, columns h in alpha
-    o_ht = off[ia[:, None], ib].T      # |a_ht| in the same layout
-    r_part = rn1[ia] + np.where(in_n1[ib, None], 0.0, o_ht)
-    q_part = qn2[ia] - o_ht * w[ib, None]
-    terms = np.where(o_th == 0.0, 0.0, o_th / d[ia] * (r_part + q_part))
-    coupling = np.add.accumulate(terms, axis=1)[:, -1]  # sequential over h, never pairwise
-    return dict(zip(bar, (base - coupling).tolist()))
+    rest_dot = off[rows, rest[:, None, :]][:, :, None, :] @ w[rest][:, None, :, None]
+    base = d[ib] - rn1[ib] - rest_dot[:, :, 0, 0]
+    o_th = off[rows, cols]  # |a_th|, rows t in bar, columns h in alpha
+    o_ht = off[cols, rows]  # |a_ht| in the same layout
+    r_part = rn1[ia][:, None, :] + np.where(in_n2[rows], o_ht, 0.0)
+    q_part = qn2[ia][:, None, :] - o_ht * w[rows]
+    terms = np.where(o_th == 0.0, 0.0, o_th / d[cols] * (r_part + q_part))
+    coupling = np.add.accumulate(terms, axis=2)[:, :, -1]  # sequential over h, never pairwise
+    return base - coupling
 
 
 def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
@@ -221,14 +358,14 @@ def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
     uses only original entries and is sandwiched between the original margin
     |a_jt,jt| - P_jt (positive) and the exact complement margin.
     """
-    A, part, alpha, bar = _validate_alpha(A, alpha)
+    part, alpha, bar = _validate_alpha(A, alpha)[1:]
     _require_sdd1(part)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
             "alpha is not a proper subset of n2",
             "this regime needs alpha strictly inside the dominant row set",
         )
-    return _proper_subset_margins(part, alpha, bar)
+    return _by_row(bar, _proper_subset_margins(part, np.array([alpha]), np.array([bar]))[0])
 
 
 def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
@@ -241,19 +378,19 @@ def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
             "eliminating the dominant set needs a nonempty non-dominant set "
             "(strictly dominant input already has a classical SDD closure)",
         )
-    return _certified_dispatch(part, part.n2, part.n1)[0]
+    return _by_row(part.n1, _eliminated_margins(part, part.n2, part.n1, part.p_values))
 
 
 def certified_bound_superset(A, alpha) -> dict[int, float]:
     """Certified lower bounds on |a'_tt| - R_t(A/alpha) for alpha beyond n2."""
-    A, part, alpha, bar = _validate_alpha(A, alpha)
+    part, alpha, bar = _validate_alpha(A, alpha)[1:]
     _require_sdd1(part)
     if not set(part.n2) < set(alpha):
         raise HypothesisError(
             "alpha does not strictly contain n2",
             "this regime needs n2 strictly inside alpha, alpha strictly inside N",
         )
-    return _certified_dispatch(part, alpha, bar)[0]
+    return _by_row(bar, _eliminated_margins(part, alpha, bar, part.p_values))
 
 
 def tilde_set_identity_check(A, alpha) -> bool:
@@ -264,13 +401,13 @@ def tilde_set_identity_check(A, alpha) -> bool:
     differences coincide.  The relations need only the pivot block to sit
     inside the dominant set, not full SDD1 membership.
     """
-    A, part, alpha, bar = _validate_alpha(A, alpha)
+    rec, part, alpha, bar = _validate_alpha(A, alpha)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
             "alpha is not a proper subset of n2",
             "the set identities hold for alpha strictly inside the dominant set",
         )
-    cpart = _analysed_complement(A, alpha, bar)[1]
+    cpart = dominance_partition(_alone(rec.matrix, alpha))  # left in the memo
     t1, t2 = {bar[t] for t in cpart.n1}, {bar[t] for t in cpart.n2}
     n1, n2 = set(part.n1), set(part.n2)
     survived = n2 - set(alpha)
@@ -292,12 +429,12 @@ def quotient_formula_check(A, beta, gamma) -> bool:
     if not set(gamma) < beta_set or len(beta) >= n:
         raise ValidationError("need gamma strictly inside beta strictly inside the index set")
 
-    direct = _complement(A, beta, _rest(n, beta))[0]
+    direct = _alone(A, beta)
     # A(beta)/gamma sits at the positions of beta \ gamma inside A/gamma.
     remaining = _rest(n, gamma)
     inner = tuple(t for t, j in enumerate(remaining) if j in beta_set)
-    outer = _complement(A, gamma, remaining)[0]
-    nested = _complement(outer, inner, _rest(len(remaining), inner))[0]
+    outer = _alone(A, gamma)
+    nested = _alone(outer, inner)
 
     tol = ENTRYWISE_RTOL * inf_norm(A)
     return bool(np.abs(direct - nested).max() <= tol)

@@ -376,15 +376,16 @@ def schur_complement(A, alpha):
     n = A.shape[0]
     alpha = tuple(sorted(int(a) for a in alpha))
     bar = tuple(j for j in range(n) if j not in set(alpha))
+    labels = tuple(a + 1 for a in alpha)
     try:
         packed, perm, sign = lu_factor_unblocked(A[np.ix_(alpha, alpha)])
     except SingularMatrixError as exc:
-        raise SingularBlockError("pivot block is singular", column=exc.column) from exc
+        raise SingularBlockError(f"pivot block {labels} is singular", column=exc.column) from exc
     fact = LuFactorization(packed=packed, perm=perm, sign=sign)
     coupling = lu_solve(fact, A[np.ix_(alpha, bar)])
     comp = A[np.ix_(bar, bar)] - A[np.ix_(bar, alpha)] @ coupling
     if not np.isfinite(comp).all():
-        raise ValidationError("complement has non-finite entries")
+        raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
     cpart = dominance_partition(comp)
     part = dominance_partition(A)
     delta = None

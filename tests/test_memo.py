@@ -53,7 +53,7 @@ from diagdom import (
     sdd1_schur_bound,
     tilde_set_identity_check,
 )
-from diagdom import cli, core, oracle
+from diagdom import cli, core, oracle, schur
 from diagdom.core import MEMO_RECORDS
 from diagdom.mmio import format_matrix_market
 from test_vectorized import draw, same, schur_instance
@@ -447,7 +447,8 @@ def pivoting(n, seed):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The order of each elimination run so far, by counting both kernels."""
+    """The order of each elimination run so far, by counting both kernels and each
+    member of a stacked elimination."""
     count = []
     for name in ("_lu_scalar", "_lu_blocked"):
         kernel = getattr(oracle, name)
@@ -457,6 +458,14 @@ def eliminations(monkeypatch):
             return kernel(A, thresh)
 
         monkeypatch.setattr(oracle, name, spy)
+    stack_pivots = oracle._stack_pivots
+
+    def stacked(stack, factors=False):
+        count.extend([stack.shape[1]] * len(stack))
+        return stack_pivots(stack, factors)
+
+    for module in (oracle, schur):
+        monkeypatch.setattr(module, "_stack_pivots", stacked)
     clear_memo()
     return count
 
@@ -545,7 +554,15 @@ def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
     del eliminations[:]
     cli._cmd_schur(A, argparse.Namespace(alpha=",".join(str(i + 1) for i in alpha)))
     assert eliminations == [len(alpha), 12, 12 - len(alpha)]  # the block once, then A and A/alpha
+    # A's first complement was computed alone; the next call sweeps alpha's family,
+    # each pivot block once, and every member is then answered from the sweep.
+    family = list(itertools.combinations(dominance_partition(A).n2, len(alpha)))
+    assert len(family) > 1
+    del eliminations[:]
     fact = schur_complement(A, alpha)._block_factorization
+    for member in family:
+        schur_complement(A, member)
+    assert eliminations == [len(alpha)] * len(family)
     assert oracle._lu_determinant(fact).hex() == "0x1.62fee80000000p+10"
     assert determinant(A[np.ix_(alpha, alpha)]).hex() == "0x1.62fee80000000p+10"
     # Criterion 7's sweep of an order-8 matrix, complements and their partitions,
@@ -566,6 +583,53 @@ def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
     for alpha in alphas:
         dominance_partition(schur_complement(A, alpha).complement)
     assert len(alphas) > 1 and len(created) == 1 + len(alphas)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The member count of every Schur sweep built so far."""
+    built = []
+
+    class Counted(schur._Sweep):
+        __slots__ = ()
+
+        def __init__(self, A, alphas, part=None):
+            built.append(len(alphas))
+            super().__init__(A, alphas, part)
+
+    monkeypatch.setattr(schur, "_Sweep", Counted)
+    clear_memo()
+    return built
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_family_above_the_chunk_bound_is_computed_alone(sweeps, eliminations, n):
+    # Strictly dominant, so alpha = {h} has n family members.  At order 16 they
+    # fit one stacked chunk of order 15; at order 64, 64 members exceed the 16
+    # of order 63, and every call builds its own complement only.
+    A = np.eye(n) * 2.0 + 1.0 / n
+    fits = n <= oracle._chunk_length(n - 1)
+    assert fits == (n == 16)
+    for alpha in ([0], [1], [2], [0]):
+        schur_complement(A, alpha)
+    assert sweeps == ([1, n] if fits else [1, 1, 1, 1])  # the first complement alone
+    assert eliminations == ([1] * (1 + n) if fits else [1, 1, 1, 1])
+
+
+def test_a_record_keeps_one_family_at_a_time(sweeps):
+    A = np.array(generate_sdd1(10, 4, n1_fraction=0.5))
+    part = dominance_partition(A)
+    singles = [[h] for h in part.n2]
+    pairs = [list(p) for p in itertools.combinations(part.n2, 2)]
+    beyond = [sorted(part.n2 + (e,)) for e in part.n1]
+    assert min(len(singles), len(pairs), len(beyond)) > 1
+    clear_memo()
+    for alpha in singles + pairs + singles + beyond + singles[:1]:
+        schur_complement(A, alpha)
+        assert within_bounds()
+    # A's first complement alone; then each family once per run of its members,
+    # since a record's family replaces the one it kept before.
+    assert sweeps == [1, len(singles), len(pairs), len(singles), len(beyond), len(singles)]
 
 
 def test_order_300_audit_partitions_and_eliminates_a_once(eliminations, monkeypatch):

@@ -36,6 +36,7 @@ from diagdom import (
     run_experiment,
 )
 from diagdom.oracle import (
+    LU_BLOCK,
     LU_SCALAR_MAX,
     P_MATRIX_MAX_ORDER,
     _chunk_length,
@@ -126,6 +127,32 @@ def test_every_minor_pivots_equal_lu_factor(kind, n, seed):
 STACK_KINDS = ("random", "dominant", "near_singular", "scaled_down", "tied_moduli", "overflowing")
 
 
+def assert_factors_equal_lu_factor(stack):
+    """``_stack_pivots(stack, factors=True)`` equals ``lu_factor`` member by member: the
+    packed factors, permutation and sign, or the column of the singular pivot."""
+    with np.errstate(all="ignore"):  # overflowing members grow to inf and NaN
+        packed, perm, sign, failed = _stack_pivots(stack, factors=True)
+        for S, lu, p, sg, column in zip(stack, packed, perm, sign, failed):
+            try:
+                fact = lu_factor(S)
+            except SingularMatrixError as exc:
+                assert column == exc.column
+                continue
+            assert column == -1
+            assert same(lu, fact.packed)
+            assert (tuple(p.tolist()), sg) == (fact.perm, fact.sign)
+
+
+@pytest.mark.parametrize("s", range(1, LU_BLOCK + 1))
+def test_stack_factors_equal_lu_factor(s):
+    # Both lu_factor kernels: Python floats up to LU_SCALAR_MAX, one transposed panel above.
+    stack = np.array([instance(kind, s, 100 * s + k) for k in range(3) for kind in STACK_KINDS])
+    if s >= 2:
+        stack[::4, -1] = 3.0 * stack[::4, 0]  # rank-deficient members meet a singular pivot
+    stack[1, :, 0] = 0.0  # and one at column 0
+    assert_factors_equal_lu_factor(stack)
+
+
 @pytest.mark.parametrize("s", [LU_SCALAR_MAX, LU_SCALAR_MAX + 1, P_MATRIX_MAX_ORDER])
 def test_random_stack_pivots_equal_lu_factor(s):
     # lu_factor eliminates on Python floats up to LU_SCALAR_MAX and in one
@@ -179,6 +206,7 @@ def test_swaps_at_different_columns_around_a_dropped_member():
             assert lu_factor(S).perm == perm
     pivots = assert_pivots_equal_lu_factor(stack)
     assert pivots.any(axis=1).tolist() == [True, True, True, False, True, True]
+    assert_factors_equal_lu_factor(stack)
 
 
 @settings(max_examples=40, deadline=None)

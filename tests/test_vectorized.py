@@ -7,7 +7,9 @@ The one exception is the automatic epsilon bound: its exact minimum must be
 at most the grid-and-refine value of ``reference.py``, up to rounding.
 """
 
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from diagdom import (
     DenominatorError,
     GenerationError,
     SingularBlockError,
+    ValidationError,
     b1_split,
     certified_bound_alpha_equals_n2,
     certified_bound_proper_subset,
@@ -37,6 +40,7 @@ from diagdom import (
     schur_complement,
     sdd1_epsilon_bound,
 )
+from diagdom import core
 from diagdom.classify import _s_sdd1_margins
 from diagdom.normbounds import (
     _epsilon_pieces,
@@ -334,3 +338,127 @@ def test_row_sums_equal_row_sum():
     for M, r, c, _ in gathered_blocks():
         got = M[r[:, None], c].sum(axis=1)
         assert got.tolist() == [M[i, c].sum() for i in r], (len(r), len(c))
+
+
+# The Schur family pass solves and multiplies whole stacks with one matmul
+# each, (lu[:, k, None, :k] @ X[:, :k])[:, 0] and A_ba @ Y, where lu_solve and
+# the one-member product make one 2-D call per member.  numpy runs a stacked
+# matmul as one BLAS call per member with that member's shapes and strides, so
+# each member gets the bits of its own call; these pin it on the stacks' own
+# layouts: a member slice of X that is not contiguous across members, and
+# C-ordered gathers.
+def stacked_shapes():
+    rng = np.random.default_rng(20261020)
+    for _ in range(1000):
+        m, k, b = int(rng.integers(1, 41)), int(rng.integers(1, 17)), int(rng.integers(1, 31))
+        yield rng, m, k, b
+
+
+def test_stacked_substitution_step_equals_member_product():
+    for rng, m, k, b in stacked_shapes():
+        s = k + int(rng.integers(1, 4))  # X[:, :k] and X[:, k + 1:] are strided slices
+        lu = rng.standard_normal((m, s, s)) * 10.0 ** rng.integers(-8, 9, (m, 1, 1))
+        X = rng.standard_normal((m, s, b))
+        forward = (lu[:, k, None, :k] @ X[:, :k])[:, 0]
+        back = (lu[:, k - 1, None, k:] @ X[:, k:])[:, 0]
+        for j in range(m):
+            assert forward[j].tolist() == (lu[j, k, :k] @ X[j, :k]).tolist(), (m, k, b)
+            assert back[j].tolist() == (lu[j, k - 1, k:] @ X[j, k:]).tolist(), (m, k, b)
+
+
+def test_stacked_complement_product_equals_member_product():
+    for rng, m, k, b in stacked_shapes():
+        n = k + b
+        A = rng.standard_normal((n + 2, n + 2)) * 10.0 ** rng.integers(-8, 9)
+        idx = np.array([rng.permutation(n + 2)[:n] for _ in range(m)])
+        ia, ib = idx[:, :k], idx[:, k:]
+        Y = rng.standard_normal((m, k, b))
+        got = A[ib[:, :, None], ib[:, None, :]] - A[ib[:, :, None], ia[:, None, :]] @ Y
+        for j in range(m):
+            want = A[ib[j, :, None], ib[j]] - A[ib[j, :, None], ia[j]] @ Y[j]
+            assert got[j].tolist() == want.tolist(), (m, k, b)
+
+
+def clear_memo():
+    with core._LOCK:
+        core._MEMO.clear()
+
+
+def family_of(part, regime, rng):
+    """Every member of a random family of ``part``'s matrix, as ``schur_complement``
+    sweeps it: the subsets of n2 of one size, or n2 plus the subsets of n1 of one size."""
+    n1, n2 = part.n1, part.n2
+    if regime == "inside":
+        assume(len(n2) >= 2)
+        return [list(a) for a in itertools.combinations(n2, int(rng.integers(1, len(n2))))]
+    assume(len(n1) >= 2)
+    extra = int(rng.integers(0 if n2 else 1, len(n1)))  # alpha nonempty and proper
+    return [sorted(n2 + e) for e in itertools.combinations(n1, extra)]
+
+
+def reference_outcome(A, alpha):
+    """The reference's complement, bookkeeping and block factorization, or its error."""
+    with np.errstate(all="ignore"):  # the reference warns where its solve overflows
+        try:
+            want = reference.schur_complement(A, alpha)
+        except (SingularBlockError, ValidationError) as exc:
+            return type(exc), str(exc), getattr(exc, "column", None)
+    return want, reference.lu_factor_unblocked(np.asarray(A)[np.ix_(alpha, alpha)])
+
+
+def assert_member_equals_reference(A, alpha, want):
+    if isinstance(want[0], type):
+        with pytest.raises(want[0]) as err:
+            schur_complement(A, alpha)
+        assert (type(err.value), str(err.value), getattr(err.value, "column", None)) == want
+        return
+    (comp, bar, tilde_n1, tilde_n2, delta, certified, kind), (packed, perm, sign) = want
+    res = schur_complement(A, alpha)
+    assert same(res.complement, comp)
+    assert (res.alpha_bar, res.tilde_n1, res.tilde_n2) == (bar, tilde_n1, tilde_n2)
+    assert res.certified_lower_bounds == certified and res.certified_kind == kind
+    fact = res._block_factorization
+    assert same(fact.packed, packed) and fact.perm == tuple(perm) and fact.sign == sign
+    assert (res.delta is None) == (delta is None)
+    assert delta is None or same(res.delta, delta)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("sdd1", "scaled", "b1", "random")), st.sampled_from(("inside", "beyond")),
+       st.integers(min_value=3, max_value=12), seeds)
+def test_schur_family_in_any_order_equals_reference(kind, regime, n, seed):
+    # Every member of a family, asked in shuffled order between cleared memos
+    # and calls on another matrix, equals the reference computed alone.
+    A = schur_instance(kind, n, seed)
+    rng = np.random.default_rng(seed)
+    family = family_of(dominance_partition(A), regime, rng)
+    other = generate_sdd1(n, seed + 1, n1_fraction=0.5)
+    wants = [reference_outcome(A, alpha) for alpha in family]
+    clear_memo()
+    for j in rng.permutation(len(family)):
+        step = rng.integers(0, 6)
+        if step == 0:
+            clear_memo()
+        elif step == 1:
+            schur_complement(other, [dominance_partition(other).n2[0]])
+        assert_member_equals_reference(A, family[j], wants[j])
+
+
+def test_family_members_raise_their_own_errors():
+    # n2 = {0}.  Eliminating {0, 1} meets a zero pivot in column 1, {0, 2} and
+    # {0, 3} overflow the complement through the 1e300 pair, and {0, 4} is regular.
+    A = np.array([[4.0, 1.0, 0.0, 0.0, 1.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 1e300, 0.0],
+                  [0.0, 0.0, 1e300, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0, 1.0]])
+    family = [[0, e] for e in range(1, 5)]
+    wants = [reference_outcome(A, alpha) for alpha in family]
+    assert [w[0] for w in wants[:3]] == [SingularBlockError, ValidationError, ValidationError]
+    assert wants[0][2] == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order in itertools.permutations(range(4)):
+            clear_memo()
+            for j in order:
+                assert_member_equals_reference(A, family[j], wants[j])
