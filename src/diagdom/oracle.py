@@ -243,11 +243,12 @@ def _chunk_length(order) -> int:
     ``STACK_CHUNK_ENTRIES // order**2``, at least one: 1337 matrices of
     order 7, 1024 of order 8, 163 of order 20.  Every stacked oracle works
     through its matrices in chunks of this length, so its memory stays
-    bounded however many matrices it visits, and ``schur_complement`` sweeps
-    a family of complements together only if it fits one chunk.  In ``is_p_matrix`` a chunk's
-    largest arrays hold at most ``STACK_CHUNK_ENTRIES`` entries each (512
-    KiB): the flat indices of its minors, their (m, s, s) gather, and the
-    (s, s, m) copy and update temporary of ``_stack_pivots``.
+    bounded however many matrices it visits, and ``schur_complement``
+    sweeps a family of complements together only if it fits one chunk.  In
+    ``is_p_matrix`` a chunk's largest arrays hold at most
+    ``STACK_CHUNK_ENTRIES`` entries each (512 KiB): the flat indices of its
+    minors, their (m, s, s) gather, and the (s, s, m) copy and update
+    temporary of ``_stack_pivots``.
     """
     return max(1, STACK_CHUNK_ENTRIES // (order * order))
 

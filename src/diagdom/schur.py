@@ -273,10 +273,11 @@ class _Sweep:
     def member(self, j):
         """Member j's complement, a view of the stack, and its block's factorization; or
         the member's ``SingularBlockError`` or ``ValidationError``."""
-        if self.failed[j] >= 0 or not self.finite[j]:
+        column = int(self.failed[j])
+        if column >= 0 or not self.finite[j]:
             labels = tuple(a + 1 for a in self.alphas[j])
-            if self.failed[j] >= 0:
-                raise SingularBlockError(f"pivot block {labels} is singular", column=int(self.failed[j]))
+            if column >= 0:
+                raise SingularBlockError(f"pivot block {labels} is singular", column=column)
             raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
         return self.complements[j], self.facts[j]
 
