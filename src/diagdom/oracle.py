@@ -119,11 +119,14 @@ def _factorize(A) -> LuFactorization:
     ``packed`` is a view of the factor's own ``bytes``, so it can never be
     made writable and a shared factorization stays what it was.
     """
-    n = A.shape[0]
+    lu, perm, sign = _eliminate(A)
+    return LuFactorization(packed=_frozen(lu), perm=tuple(perm), sign=sign)
+
+
+def _eliminate(A):
+    """(factor array, perm, sign) of a validated matrix, by the kernel its order selects."""
     thresh = SINGULAR_PIVOT_RTOL * float(np.abs(A).sum(axis=1).max())
-    lu, perm, sign = (_lu_scalar if n <= LU_SCALAR_MAX else _lu_blocked)(A, thresh)
-    packed = _frozen(lu)
-    return LuFactorization(packed=packed, perm=tuple(perm), sign=sign)
+    return (_lu_scalar if A.shape[0] <= LU_SCALAR_MAX else _lu_blocked)(A, thresh)
 
 
 def _lu_blocked(A, thresh):
@@ -188,20 +191,19 @@ def _lu_scalar(A, thresh):
 
 
 def lu_solve(fact: LuFactorization, b) -> np.ndarray:
-    """Solve A x = b given a factorization of A. ``b`` may be a vector or matrix."""
+    """Solve A x = b given a factorization of A; ``b`` is a real, finite vector or matrix."""
+    b = np.asarray(b)
+    if b.dtype.kind == "c":  # the cast would drop the imaginary parts
+        raise ValidationError("complex right-hand sides are not supported")
     b = np.asarray(b, dtype=np.float64)
     vector = b.ndim == 1
     n = fact.packed.shape[0]
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValidationError(f"right-hand side must have {n} rows, got shape {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValidationError("right-hand side entries must be finite")
     X = (b[:, None] if vector else b)[list(fact.perm)]  # the one copy of b
-    lu = fact.packed
-    for k in range(1, n):  # forward substitution, unit lower triangle
-        X[k] -= lu[k, :k] @ X[:k]
-    for k in range(n - 1, -1, -1):  # back substitution
-        if k + 1 < n:
-            X[k] -= lu[k, k + 1:] @ X[k + 1:]
-        X[k] /= lu[k, k]
+    _substitute(fact.packed[None], X[None])  # solved in place as a stack of one
     return X[:, 0] if vector else X
 
 
@@ -269,12 +271,12 @@ def _stack_pivots(stack, factors=False):
     permutation sign times the pivots' signs, 0.0 if singular: no product of
     pivots is formed, so it cannot underflow or overflow.
 
-    With ``factors`` it keeps what ``lu_factor`` keeps, for 1 <= s <= LU_BLOCK:
-    swaps move whole rows and each multiplier is stored under the diagonal.
-    It returns instead the (m, s, s) packed factors, the (m, s) row
-    permutations, the permutation signs and, for each matrix, the column of
-    its singular pivot (-1 if none); each nonsingular matrix's packed, perm
-    and sign equal ``lu_factor``'s bit for bit, and a singular one's are zeros.
+    With ``factors``, the stacked kernel of ``_factor_stack``, it keeps what
+    ``lu_factor`` keeps, for 1 <= s <= LU_BLOCK: swaps move whole rows and each
+    multiplier is stored under the diagonal.  It returns instead the (m, s, s)
+    packed factors, the (m, s) row permutations, the permutation signs and the
+    column of each matrix's singular pivot (-1 if none); a nonsingular matrix's
+    packed, perm and sign equal ``lu_factor``'s bit for bit, a singular one's are zeros.
 
     The elimination runs on an (s, s, m) copy, the matrix index last, so the
     pivot search, the scaling and the rank-1 update work on contiguous
@@ -321,6 +323,43 @@ def _stack_pivots(stack, factors=False):
     pivots[live] = np.diagonal(lu, axis1=0, axis2=1)
     signs[live] = sign * np.prod(np.sign(pivots[live]), axis=1)
     return pivots, signs
+
+
+def _factor_stack(stack):
+    """``lu_factor``'s factors of each matrix of a C-ordered (m, s, s) stack, unrecorded: the
+    read-only packed factors, (m, s) permutations, signs and singular columns (-1 if none),
+    zeros for a singular matrix.  Two or more of order at most ``LU_BLOCK`` are eliminated
+    together by ``_stack_pivots``, any other stack one at a time as ``_factorize`` does."""
+    m, s, _ = stack.shape
+    if m > 1 and s <= LU_BLOCK:
+        packed, perm, sign, failed = _stack_pivots(stack, factors=True)
+        return _frozen(packed), perm, sign, failed
+    parts, perm, sign, failed = [], np.zeros((m, s), dtype=np.intp), np.zeros(m), np.full(m, -1)
+    for j, block in enumerate(stack):
+        try:
+            lu, perm[j], sign[j] = _eliminate(block)
+        except SingularMatrixError as exc:
+            lu, failed[j] = np.zeros((s, s)), exc.column
+        parts.append(lu.tobytes())
+    # Joining a single ``bytes`` returns it, so a lone factor is copied once, as _factorize does.
+    return np.frombuffer(b"".join(parts), dtype=np.float64).reshape(m, s, s), perm, sign, failed
+
+
+def _substitute(lu, X):
+    """Solve L U Y = X in place for each member of an (m, s, s) stack of packed factors and
+    an (m, s, b) stack X with its rows in pivot order; returns X.  Each step is one stacked
+    ``matmul``, which numpy runs as one BLAS call per member with that member's shapes and
+    strides, so each member gets the bits of its own 2-D loop (``tests/test_vectorized.py``)."""
+    s = lu.shape[1]
+    lu_rows = list(lu[:, :, None].swapaxes(0, 1))  # lu_rows[k]: row k of each member, (m, 1, s)
+    x_rows = list(X[:, :, None].swapaxes(0, 1))    # x_rows[k]: row k of each X, (m, 1, b)
+    for k in range(1, s):  # forward substitution, unit lower triangle
+        x_rows[k] -= lu_rows[k][..., :k] @ X[:, :k]
+    for k in range(s - 1, -1, -1):  # back substitution
+        if k + 1 < s:
+            x_rows[k] -= lu_rows[k][..., k + 1:] @ X[:, k + 1:]
+        x_rows[k] /= lu_rows[k][..., k, None]
+    return X
 
 
 def _inverse_inf_norms(stack) -> np.ndarray:

@@ -31,22 +31,19 @@ from .core import (
     _build_partition,
     _checked,
     _eliminated_margins,
-    _frozen,
     _record,
     as_index_set,
     dominance_partition,
 )
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
 from .oracle import (
-    LU_BLOCK,
     LuFactorization,
     _chunk_length,
-    _factorize,
+    _factor_stack,
     _m_matrix_witness,
-    _stack_pivots,
+    _substitute,
     inf_norm,
     inverse,
-    lu_solve,
 )
 
 __all__ = [
@@ -59,9 +56,9 @@ __all__ = [
     "tilde_set_identity_check",
 ]
 
-# One configuration knob for numerical identity checks.
-ENTRYWISE_RTOL = 1e-9  # scaled by the matrix infinity norm for entrywise equality
-SCALAR_RTOL = 1e-8     # relative tolerance for scalar identities
+# Tolerances of the numerical identity checks.
+ENTRYWISE_RTOL = 1e-9  # quotient_formula_check's entrywise equality, times the infinity norm of A
+SCALAR_RTOL = 1e-8     # the ``schur`` subcommand's determinant identity, times max(1, |det A|)
 
 
 @dataclass(frozen=True)
@@ -76,13 +73,13 @@ class SchurResult:
     pivot block is an H-matrix; it is built on first read, and until then
     the result holds the partition of A.  The result also holds the pivot
     block's read-only factorization, which the ``schur`` subcommand reads its
-    determinant from; the results of one member of a kept family share it.
-    Every field has the bits of computing alpha alone, whether the result
-    came from alpha's family or not (see ``schur_complement``).
-    ``certified_lower_bounds`` maps
-    original row labels to certified dominance lower bounds when a regime
-    applies; ``certified_kind`` says which margin is bounded ("sdd1_degree"
-    for |a'_tt| - P_t, "sdd_degree" for |a'_tt| - R_t).
+    determinant from: a view, not a copy, of the factor stack of alpha's
+    sweep.  Every field has the bits of computing alpha alone, whether the
+    result came from alpha's family or not (see ``schur_complement``).
+    ``certified_lower_bounds`` maps original row labels to certified
+    dominance lower bounds when a regime applies; ``certified_kind`` says
+    which margin is bounded ("sdd1_degree" for |a'_tt| - P_t, "sdd_degree"
+    for |a'_tt| - R_t).
     """
 
     complement: np.ndarray
@@ -223,82 +220,46 @@ def _swept(rec, part, alpha):
 
 
 class _Sweep:
-    """One stacked pass over m pivot sets of one size, given in increasing order, of a
-    validated matrix A.
+    """One stacked pass over m pivot sets of one size, in increasing order, of a validated A.
 
-    Holds the complements A/alpha as an (m, |bar|, |bar|) stack and the pivot
-    blocks' factorizations, and, when built with A's partition, the certified
-    margins, (m, |bar|), and their kind.  Pivot blocks of order at most
-    ``LU_BLOCK`` in a stack of two or more are factored together by
-    ``oracle._stack_pivots`` and solved by stacked ``matmul`` substitution
-    steps, which make, member by member, the BLAS calls of ``lu_solve``; any
-    other block is factored by ``_factorize`` and solved by ``lu_solve``, at
-    the cost it always had.  The stacked product that forms the complements
-    makes each member's own call too, so every member gets the bits of
-    computing it alone.  ``member`` reads a member out, or raises its own
-    error; nothing warns.
+    Holds the complements A/alpha as an (m, |bar|, |bar|) stack, the pivot
+    blocks' factors and, given A's partition, the certified margins, (m, |bar|),
+    and their kind.  One path for any m and block order: ``oracle._factor_stack``
+    factors the blocks, ``oracle._substitute`` solves A(alpha, bar), gathered
+    once in pivot order, and one stacked product forms the complements; each
+    member gets the bits of computing it alone.  ``member`` reads a member out,
+    or raises its own error; nothing warns.
     """
 
-    __slots__ = ("alphas", "complements", "facts", "failed", "finite", "margins", "kind")
+    __slots__ = ("alphas", "complements", "factors", "finite", "margins", "kind")
 
     def __init__(self, A, alphas, part=None):
         ia = np.array(alphas, dtype=np.intp)
-        (m, s), members = ia.shape, np.arange(len(alphas))[:, None]
+        m, members = len(alphas), np.arange(len(alphas))[:, None]
         outside = np.ones((m, A.shape[0]), dtype=bool)
         outside[members, ia] = False
         ib = outside.nonzero()[1].reshape(m, -1)  # each member's bar, in increasing order
-        blocks = A[ia[:, :, None], ia[:, None, :]]
         with np.errstate(all="ignore"):
-            if m > 1 and s <= LU_BLOCK:
-                packed, perm, sign, failed = _stack_pivots(blocks, factors=True)
-                facts = [None if failed[j] >= 0 else
-                         LuFactorization(packed=_frozen(packed[j]), perm=tuple(perm[j].tolist()),
-                                         sign=int(sign[j])) for j in range(m)]
-                # A(alpha, bar) with its rows in pivot order, solved in place as lu_solve does
-                X = A[ia[members, perm][:, :, None], ib[:, None, :]]
-                for k in range(1, s):  # forward substitution, unit lower triangle
-                    X[:, k] -= (packed[:, k, None, :k] @ X[:, :k])[:, 0]
-                for k in range(s - 1, -1, -1):  # back substitution
-                    if k + 1 < s:
-                        X[:, k] -= (packed[:, k, None, k + 1:] @ X[:, k + 1:])[:, 0]
-                    X[:, k] /= packed[:, k, k, None]
-            else:
-                facts, failed, X = _solve_each(A, blocks, ia, ib)
+            factors = _factor_stack(A[ia[:, :, None], ia[:, None, :]])  # packed, perm, sign, failed
+            packed, perm = factors[:2]
+            X = _substitute(packed, A[ia[members, perm][:, :, None], ib[:, None, :]])
             comps = A[ib[:, :, None], ib[:, None, :]] - A[ib[:, :, None], ia[:, None, :]] @ X
             # One member's margins may overflow; that must not warn when another is asked.
             self.margins, self.kind = (None, None) if part is None else _certified(part, ia, ib)
-        self.alphas, self.complements, self.facts, self.failed = alphas, comps, facts, failed
+        self.alphas, self.complements, self.factors = alphas, comps, factors
         self.finite = np.isfinite(comps).all(axis=(1, 2))
 
     def member(self, j):
-        """Member j's complement, a view of the stack, and its block's factorization; or
-        the member's ``SingularBlockError`` or ``ValidationError``."""
-        column = int(self.failed[j])
+        """Member j's complement and its block's factorization, views of the stacks; or the
+        member's ``SingularBlockError`` or ``ValidationError``."""
+        lu, perm, sign, failed = self.factors
+        column = int(failed[j])
         if column >= 0 or not self.finite[j]:
             labels = tuple(a + 1 for a in self.alphas[j])
             if column >= 0:
                 raise SingularBlockError(f"pivot block {labels} is singular", column=column)
             raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
-        return self.complements[j], self.facts[j]
-
-
-def _solve_each(A, blocks, ia, ib):
-    """Each member on its own: its block's factorization by ``_factorize`` (None where
-    singular), the column of each singular pivot (-1 if none), and the stack of
-    A(alpha)^{-1} A(alpha, bar) by ``lu_solve`` (zeros where singular)."""
-    X = np.zeros(ia.shape + ib.shape[1:])
-    facts, failed = [], []
-    for j, block in enumerate(blocks):
-        try:
-            fact = _factorize(block)  # finite, and never looked up: no record
-        except SingularMatrixError as exc:
-            fact = None
-            failed.append(exc.column)
-        else:
-            X[j] = lu_solve(fact, A[ia[j, :, None], ib[j]])
-            failed.append(-1)
-        facts.append(fact)
-    return facts, failed, X
+        return self.complements[j], LuFactorization(lu[j], tuple(perm[j].tolist()), int(sign[j]))
 
 
 def _alone(A, alpha):

@@ -1,7 +1,8 @@
 """Scalar reference implementations that the vectorized library code must match.
 
 These are the column-by-column LU factorization and the blocked one with
-one NumPy call per step, the per-element Python loops the library used
+one NumPy call per step, ``lu_solve`` as the 2-D substitution loop it was
+before it became a stack of one, the per-element Python loops the library used
 before its hot paths became whole-array NumPy work, the one-matrix-at-a-time
 oracle scans that became stacked NumPy calls, the flattened pairwise
 terms that became one broadcast grid, the H-matrix test that
@@ -35,7 +36,6 @@ from diagdom import (
     inverse,
     is_sdd1,
     lu_factor,
-    lu_solve,
 )
 from diagdom.certificates import FORMULA_LCP_B1, FORMULA_SDD1_EPSILON, BoundCertificate
 from diagdom.classify import B1Split
@@ -114,6 +114,23 @@ def lu_factor_blocked(A):
                 lu[k, k1:] -= lu[k, k0:k] @ lu[k0:k, k1:]
             lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
     return LuFactorization(packed=lu, perm=tuple(int(i) for i in perm), sign=sign)
+
+
+def lu_solve(fact, b):
+    """``lu_solve`` as one 2-D loop, one row of b's working copy per step, before it
+    became a stack of one in the library's stacked substitution."""
+    b = np.asarray(b, dtype=np.float64)
+    vector = b.ndim == 1
+    n = fact.packed.shape[0]
+    X = (b[:, None] if vector else b)[list(fact.perm)]
+    lu = fact.packed
+    for k in range(1, n):  # forward substitution, unit lower triangle
+        X[k] -= lu[k, :k] @ X[:k]
+    for k in range(n - 1, -1, -1):  # back substitution
+        if k + 1 < n:
+            X[k] -= lu[k, k + 1:] @ X[k + 1:]
+        X[k] /= lu[k, k]
+    return X[:, 0] if vector else X
 
 
 def positive(den, what):
@@ -367,8 +384,10 @@ def certified_bound_superset(A, alpha):
 
 def schur_complement(A, alpha):
     """One complement the way every call once built it: validated inputs,
-    ``np.ix_`` blocks, both partitions and the comparison inverse each from
-    scratch, and the per-row margin loops above.
+    ``np.ix_`` blocks, the pivot block factored by ``lu_factor_blocked`` (the
+    plain loop up to ``LU_BLOCK``) and solved by the 2-D ``lu_solve`` above,
+    both partitions and the comparison inverse each from scratch, and the
+    per-row margin loops above.
 
     Returns (complement, alpha_bar, tilde_n1, tilde_n2, delta, certified, kind).
     """
@@ -378,10 +397,9 @@ def schur_complement(A, alpha):
     bar = tuple(j for j in range(n) if j not in set(alpha))
     labels = tuple(a + 1 for a in alpha)
     try:
-        packed, perm, sign = lu_factor_unblocked(A[np.ix_(alpha, alpha)])
+        fact = lu_factor_blocked(A[np.ix_(alpha, alpha)])
     except SingularMatrixError as exc:
         raise SingularBlockError(f"pivot block {labels} is singular", column=exc.column) from exc
-    fact = LuFactorization(packed=packed, perm=perm, sign=sign)
     coupling = lu_solve(fact, A[np.ix_(alpha, bar)])
     comp = A[np.ix_(bar, bar)] - A[np.ix_(bar, alpha)] @ coupling
     if not np.isfinite(comp).all():

@@ -464,8 +464,7 @@ def eliminations(monkeypatch):
         count.extend([stack.shape[1]] * len(stack))
         return stack_pivots(stack, factors)
 
-    for module in (oracle, schur):
-        monkeypatch.setattr(module, "_stack_pivots", stacked)
+    monkeypatch.setattr(oracle, "_stack_pivots", stacked)
     clear_memo()
     return count
 

@@ -102,6 +102,17 @@ class TestLu:
         with pytest.raises(ValidationError, match="must have 5 rows"):
             lu_solve(fact, np.ones(shape))
 
+    @pytest.mark.parametrize("b, match", [([1 + 1j, 2.0], "complex"), ([np.inf, 2.0], "finite")],
+                             ids=["complex", "inf"])
+    def test_solve_rejects_a_complex_or_non_finite_right_hand_side(self, b, match):
+        # The complex b was cast with only a ComplexWarning, giving [0.2, 0.6];
+        # the infinite one gave [inf, -inf] silently.
+        fact = lu_factor(np.array([[2.0, 1.0], [1.0, 3.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=match):
+                lu_solve(fact, b)
+
 
 LU_ORDERS = (1, 31, 32, 33, 64, 97, 130)
 

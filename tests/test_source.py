@@ -44,6 +44,26 @@ def test_no_function_cache_outside_the_memo():
     assert not found, found
 
 
+LU_KERNEL_NAMES = ("_stack_pivots", "_factorize", "_eliminate", "_lu_scalar", "_lu_blocked",
+                   "LU_BLOCK")
+
+
+def test_lu_kernels_are_chosen_only_in_the_oracle():
+    # ``oracle._factor_stack`` picks the LU kernel for a stack of matrices and
+    # ``lu_factor`` for one; a module that names a kernel or its block width
+    # would be a second place where that choice is made.
+    found = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            # A bare name, an attribute, or an imported or defined name.
+            name = getattr(node, "id", getattr(node, "attr", getattr(node, "name", None)))
+            if name in LU_KERNEL_NAMES:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert not found, found
+
+
 def test_no_public_function_takes_a_partition():
     # Each public function partitions the matrix it is given.  A partition
     # passed in beside the matrix was never checked against it, so

@@ -36,6 +36,8 @@ from diagdom import (
     is_b1,
     is_sdd1,
     lcp_b1_bound,
+    lu_factor,
+    lu_solve,
     quotient_formula_check,
     schur_complement,
     sdd1_epsilon_bound,
@@ -49,6 +51,7 @@ from diagdom.normbounds import (
     _pairwise_terms,
     _restricted_schur_value,
 )
+from diagdom.oracle import LU_BLOCK
 
 orders = st.integers(min_value=2, max_value=64)
 seeds = st.integers(min_value=0, max_value=2**31 - 1)
@@ -340,13 +343,13 @@ def test_row_sums_equal_row_sum():
         assert got.tolist() == [M[i, c].sum() for i in r], (len(r), len(c))
 
 
-# The Schur family pass solves and multiplies whole stacks with one matmul
-# each, (lu[:, k, None, :k] @ X[:, :k])[:, 0] and A_ba @ Y, where lu_solve and
-# the one-member product make one 2-D call per member.  numpy runs a stacked
-# matmul as one BLAS call per member with that member's shapes and strides, so
-# each member gets the bits of its own call; these pin it on the stacks' own
-# layouts: a member slice of X that is not contiguous across members, and
-# C-ordered gathers.
+# ``oracle._substitute`` solves a whole stack with one matmul per step,
+# (lu[:, k, None, :k] @ X[:, :k]), and the Schur family pass forms its
+# complements as A_ba @ Y, where a 2-D loop and the one-member product make one
+# 2-D call per member.  numpy runs a stacked matmul as one BLAS call per member
+# with that member's shapes and strides, so each member gets the bits of its
+# own call; these pin it on the stacks' own layouts: a member slice of X that
+# is not contiguous across members, and C-ordered gathers.
 def stacked_shapes():
     rng = np.random.default_rng(20261020)
     for _ in range(1000):
@@ -354,8 +357,16 @@ def stacked_shapes():
         yield rng, m, k, b
 
 
+def lone_shapes():
+    """Stacks of one at the orders ``lu_solve`` and a lone pivot block of an order-512
+    matrix solve: ``large-dense``'s alpha = n2 is about 256 by 256."""
+    rng = np.random.default_rng(20261021)
+    for _ in range(150):
+        yield rng, 1, int(rng.integers(1, 301)), int(rng.integers(1, 301))
+
+
 def test_stacked_substitution_step_equals_member_product():
-    for rng, m, k, b in stacked_shapes():
+    for rng, m, k, b in itertools.chain(stacked_shapes(), lone_shapes()):
         s = k + int(rng.integers(1, 4))  # X[:, :k] and X[:, k + 1:] are strided slices
         lu = rng.standard_normal((m, s, s)) * 10.0 ** rng.integers(-8, 9, (m, 1, 1))
         X = rng.standard_normal((m, s, b))
@@ -364,6 +375,17 @@ def test_stacked_substitution_step_equals_member_product():
         for j in range(m):
             assert forward[j].tolist() == (lu[j, k, :k] @ X[j, :k]).tolist(), (m, k, b)
             assert back[j].tolist() == (lu[j, k - 1, k:] @ X[j, k:]).tolist(), (m, k, b)
+
+
+@pytest.mark.parametrize("n", [1, 16, 17, 39, 130, 256])
+def test_lu_solve_equals_reference_loop(n):
+    # lu_solve is a stack of one in the library's stacked substitution; the
+    # reference is the 2-D loop it replaced.
+    rng = np.random.default_rng(n)
+    fact = lu_factor(rng.standard_normal((n, n)) + np.eye(n))
+    B = rng.standard_normal((n, n + 3)) * 10.0 ** rng.integers(-8, 9, (n, 1))
+    for b in (B[:, 0], B[:, :1], B[:, :5], B):
+        assert same(lu_solve(fact, b), reference.lu_solve(fact, b)), b.shape
 
 
 def test_stacked_complement_product_equals_member_product():
@@ -403,7 +425,7 @@ def reference_outcome(A, alpha):
             want = reference.schur_complement(A, alpha)
         except (SingularBlockError, ValidationError) as exc:
             return type(exc), str(exc), getattr(exc, "column", None)
-    return want, reference.lu_factor_unblocked(np.asarray(A)[np.ix_(alpha, alpha)])
+    return want, reference.lu_factor_blocked(np.asarray(A)[np.ix_(alpha, alpha)])
 
 
 def assert_member_equals_reference(A, alpha, want):
@@ -412,13 +434,13 @@ def assert_member_equals_reference(A, alpha, want):
             schur_complement(A, alpha)
         assert (type(err.value), str(err.value), getattr(err.value, "column", None)) == want
         return
-    (comp, bar, tilde_n1, tilde_n2, delta, certified, kind), (packed, perm, sign) = want
+    (comp, bar, tilde_n1, tilde_n2, delta, certified, kind), block = want
     res = schur_complement(A, alpha)
     assert same(res.complement, comp)
     assert (res.alpha_bar, res.tilde_n1, res.tilde_n2) == (bar, tilde_n1, tilde_n2)
     assert res.certified_lower_bounds == certified and res.certified_kind == kind
     fact = res._block_factorization
-    assert same(fact.packed, packed) and fact.perm == tuple(perm) and fact.sign == sign
+    assert same(fact.packed, block.packed) and (fact.perm, fact.sign) == (block.perm, block.sign)
     assert (res.delta is None) == (delta is None)
     assert delta is None or same(res.delta, delta)
 
@@ -456,9 +478,21 @@ def test_family_members_raise_their_own_errors():
     wants = [reference_outcome(A, alpha) for alpha in family]
     assert [w[0] for w in wants[:3]] == [SingularBlockError, ValidationError, ValidationError]
     assert wants[0][2] == 1
+    # Pivot blocks above LU_BLOCK, factored one at a time in a stack of four:
+    # n2 = 0..32 and n1 = 33..36, and row 33 is zero on n2 + {33}, so the block
+    # of n2 + {33} is singular in its last column.
+    rng = np.random.default_rng(27)
+    wide = rng.uniform(-1.0, 1.0, (37, 37))
+    wide[np.diag_indices(37)] = np.abs(wide).sum(axis=1) * np.r_[np.full(33, 1.5), np.full(4, 0.05)]
+    wide[33, :34] = 0.0
+    wide_family = [list(range(33)) + [e] for e in range(33, 37)]
+    wide_wants = [reference_outcome(wide, alpha) for alpha in wide_family]
+    assert [w[0] is SingularBlockError for w in wide_wants] == [True, False, False, False]
+    assert wide_wants[0][2] == 33 and len(wide_family[0]) > LU_BLOCK
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for order in itertools.permutations(range(4)):
-            clear_memo()
-            for j in order:
-                assert_member_equals_reference(A, family[j], wants[j])
+        for M, members, outcomes in ((A, family, wants), (wide, wide_family, wide_wants)):
+            for order in itertools.permutations(range(4)):
+                clear_memo()
+                for j in order:
+                    assert_member_equals_reference(M, members[j], outcomes[j])
