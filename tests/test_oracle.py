@@ -105,8 +105,9 @@ class TestLu:
     @pytest.mark.parametrize("b, match", [([1 + 1j, 2.0], "complex"), ([np.inf, 2.0], "finite")],
                              ids=["complex", "inf"])
     def test_solve_rejects_a_complex_or_non_finite_right_hand_side(self, b, match):
-        # The complex b was cast with only a ComplexWarning, giving [0.2, 0.6];
-        # the infinite one gave [inf, -inf] silently.
+        # A cast to float would drop the imaginary part behind a ComplexWarning
+        # (the wrong real answer [0.2, 0.6]), and an infinite entry would run
+        # through to [inf, -inf].
         fact = lu_factor(np.array([[2.0, 1.0], [1.0, 3.0]]))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
