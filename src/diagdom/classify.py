@@ -1,8 +1,9 @@
 """Class-membership predicates for the SDD / SDD1 / S-SDD1 / B1 hierarchy.
 
-Strict inequalities are evaluated exactly; boundary matrices classify as NOT
-in the class.  Callers needing robustness against ties must perturb their
-input themselves.
+Each class is a strict inequality tested as a float comparison with no
+tolerance, so boundary matrices classify as NOT in the class, also where the
+exact sums of the stored doubles stay below |a_ii| (``core.IndexPartition``).
+Callers needing robustness against ties must perturb their input themselves.
 """
 
 from __future__ import annotations
@@ -99,20 +100,21 @@ def _require_sdd1(part):
         raise HypothesisError("matrix is not SDD1")
 
 
-def _s_sdd1_margins(part, S) -> np.ndarray:
-    """Margins |a_ii| - R^{Sbar}_i - Q^S_i for all rows; S must be validated."""
-    off, d = part.off, part.diag
-    if tuple(S) == part.n2:  # the partition's own sums, the same gathers summed
-        return d - part.r_n1 - part.q_n2
-    S = list(S)
-    Sset = set(S)
-    sbar = [j for j in range(part.n) if j not in Sset]
-    w = part.row_sums[S] / d[S]
-    margins = d.copy()
-    if sbar:
-        margins -= off[:, sbar].sum(axis=1)
-    margins -= off[:, S] @ w
-    return margins
+def _restricted_sums(part, S) -> tuple[np.ndarray, np.ndarray]:
+    """R^S_i and R^{Sbar}_i + Q^S_i for every row i; S must be validated.
+
+    For S = n2 they are the partition's ``r_n2`` and P: S-SDD1 is SDD1 to the bit.
+    """
+    if tuple(S) == part.n2:
+        return part.r_n2, part.p_values
+    off, S = part.off, list(S)
+    off_S, w = off[:, S], part.row_sums[S] / part.diag[S]
+    return off_S.sum(axis=1), off[:, np.delete(np.arange(part.n), S)].sum(axis=1) + off_S @ w
+
+
+def _is_s_sdd1(part, S) -> bool:
+    """The S-SDD1 inequality |a_ii| > R^{Sbar}_i + Q^S_i for every row; S must be validated."""
+    return bool((part.diag > _restricted_sums(part, S)[1]).all())
 
 
 def _validate_witness(part, S) -> tuple[int, ...]:
@@ -125,13 +127,13 @@ def _validate_witness(part, S) -> tuple[int, ...]:
 
 
 def is_s_sdd1(A, S) -> bool:
-    """S-restricted dominance: |a_ii| - R^{Sbar}_i - Q^S_i > 0 for every row.
+    """S-restricted dominance: |a_ii| > R^{Sbar}_i + Q^S_i for every row.
 
     ``S`` must be a nonempty subset of the dominant set n2; otherwise a
-    ``WitnessError`` is raised.
+    ``WitnessError`` is raised.  With S = n2 this is ``is_sdd1``.
     """
     part = dominance_partition(A)
-    return bool((_s_sdd1_margins(part, _validate_witness(part, S)) > 0).all())
+    return _is_s_sdd1(part, _validate_witness(part, S))
 
 
 def find_s_sdd1_witness(A) -> tuple[int, ...] | None:
@@ -152,7 +154,7 @@ def _find_witness(part) -> tuple[int, ...] | None:
         )
     for size in range(len(n2), 0, -1):
         for S in itertools.combinations(n2, size):
-            if (_s_sdd1_margins(part, S) > 0).all():
+            if _is_s_sdd1(part, S):
                 return S
     return None
 

@@ -2,7 +2,7 @@
 
 Everything downstream consumes these pieces: the restricted row sum
 ``row_sum``, its damped counterpart ``damped_row_sum`` (each off-diagonal
-modulus weighted by the neighbour's dominance ratio R_j/|a_jj|), and the exact
+modulus weighted by the neighbour's dominance ratio R_j/|a_jj|), and the
 split of the row indices into the non-dominant set ``n1`` and the strictly
 dominant set ``n2``.
 
@@ -163,7 +163,7 @@ def as_index_set(indices, n, *, allow_empty=False, name="index set") -> tuple[in
 
 @dataclass(frozen=True)
 class IndexPartition:
-    """Exact dominant/non-dominant row split with cached row functionals.
+    """Dominant/non-dominant row split with cached row functionals.
 
     This is the one analysis of a matrix that every bound reads from.
     ``off`` holds the moduli |a_ij| with a zeroed diagonal and ``diag`` the
@@ -172,10 +172,12 @@ class IndexPartition:
     P_i = R^{n1}_i + Q^{n2}_i: full weight for columns in the non-dominant
     set, damped weight R_j/|a_jj| for columns in the dominant set.  Its
     pieces are kept for every row: ``r_n1`` is R^{n1}, ``r_n2`` is R^{n2}
-    and ``q_n2`` is Q^{n2}, each the sum (or ``@``) of the C-ordered column
-    gather ``off[:, n1]`` or ``off[:, n2]``, so a bound that reads them
-    gets the bits of summing those columns itself.  Membership is decided
-    by the exact comparison |a_ii| <= R_i, with no tolerance.
+    and ``q_n2`` is Q^{n2}, each the sum (or ``@``) of the column gather
+    ``off[:, n1]`` or ``off[:, n2]`` (column-major, unlike ``np.delete``'s
+    C-ordered copy, which sums to other bits), so a bound that reads them
+    gets the bits of summing those columns itself.  A row joins ``n1`` by the
+    float comparison |a_ii| <= R_i, R_i as numpy sums it, with no tolerance;
+    a row whose exact margin is a few ulps above zero can sum to a tie.
     """
 
     n1: tuple[int, ...]

@@ -30,7 +30,7 @@ import numpy as np
 
 from ._streams import uniform_streams
 from .certificates import FORMULA_LCP_B1, BoundCertificate
-from .classify import _positive_sdd1, _s_sdd1_margins, b1_split
+from .classify import _is_s_sdd1, _positive_sdd1, b1_split
 from .core import _checked, _integer, as_matrix
 from .errors import HypothesisError, SingularMatrixError, SizeLimitError, ValidationError
 from .mmio import matrix_digest
@@ -231,7 +231,7 @@ def scaled_matrix_sdd1_check(A, dvec) -> bool:
     Requires A to be SDD1 with positive diagonal and every diagonal entry of
     D in [0, 1].  Checks, in one conjunction: B stays SDD1 with positive
     diagonal, scaling never demotes a dominant row (n2(A) inside n2(B), so
-    n1(B) inside n1(A)), and B is S-restricted dominant with witness n2(A).
+    n1(B) inside n1(A)), and B is S-SDD1 with witness S = n2(A).
     """
     A = as_matrix(A)
     part = _positive_sdd1(A)
@@ -248,6 +248,6 @@ def scaled_matrix_sdd1_check(A, dvec) -> bool:
         bpart is not None
         and set(bpart.n1) <= set(part.n1)
         and set(part.n2) <= set(bpart.n2)
-        and (_s_sdd1_margins(bpart, part.n2) > 0).all()  # witness n2(A), inside n2(B) here
+        and _is_s_sdd1(bpart, part.n2)  # witness n2(A), inside n2(B) here
     )
     return bool(checks)

@@ -10,7 +10,7 @@ Four routes, each returned as a ``BoundCertificate``:
   dominant-block pairwise bound (phi) and the certified dominance of the
   eliminated complement (psi);
 - ``s_sdd1_schur_bound``: the same architecture restricted to a witness
-  subset S of the dominant rows.
+  subset S of the dominant rows; with S = n2 it is ``sdd1_schur_bound``.
 
 Every bound uses only entries of the original matrix.
 """
@@ -28,7 +28,7 @@ from .certificates import (
     FORMULA_SDD_PAIRWISE,
     BoundCertificate,
 )
-from .classify import _require_sdd1, _s_sdd1_margins, _validate_witness
+from .classify import _require_sdd1, _restricted_sums, _validate_witness
 from .core import _eliminated_margins, dominance_partition
 from .errors import DenominatorError, HypothesisError, ParameterError
 from .oracle import inf_norm, inverse
@@ -246,19 +246,23 @@ def sdd1_epsilon_bound(A, epsilon=None) -> BoundCertificate:
     return BoundCertificate(FORMULA_SDD1_EPSILON, float(values[k]), params)
 
 
-def _restricted_schur_value(part, S, margins):
-    """Shared arithmetic of the elimination-based bounds.
+def _restricted_schur_bound(formula, part, S, sums) -> BoundCertificate:
+    """The certificate of the elimination-based bound that keeps the dominant block ``S``.
 
-    ``S`` is the dominant block to keep (a list of indices), and
-    ``margins[i]`` must equal R^{Sbar}_i + Q^S_i for i in S.
-    Returns (value, phi, psi); psi is None when S covers every row.
+    ``sums`` is ``classify._restricted_sums(part, S)``: R^S and
+    R^{Sbar} + Q^S for every row.  Parameters phi, psi and s; psi is None,
+    with its reason, when S covers every row.
     """
+    rs, margins = sums
     d = part.diag
-    rs = part.r_n2 if tuple(S) == part.n2 else part.off[:, S].sum(axis=1)
     S = np.asarray(S, dtype=np.intp)
     phi = 1.0 / d[S[0]] if len(S) == 1 else _pairwise_max(d, rs, S)
     prefactor, best, psi = _schur_tail(part, S, margins, rs, phi, math.inf)
-    return prefactor * best, phi, psi
+    params = {"phi": float(phi), "psi": None if psi is None else float(psi),
+              "s": [int(i) for i in S]}
+    if psi is None:
+        params["reason"] = "S complement empty"
+    return BoundCertificate(formula, float(prefactor * best), params)
 
 
 def _schur_tail(part, S, margins, rs, phi, cap):
@@ -304,19 +308,16 @@ def sdd1_schur_bound(A) -> BoundCertificate:
         sub = _sdd_pairwise(part)
         params = {"substituted_formula": FORMULA_SDD_PAIRWISE, "reason": "n1 empty"}
         return BoundCertificate(FORMULA_SDD1_SCHUR, sub.value, params)
-    # P_i coincides with R^{n1}_i + Q^{n2}_i, the margins the shared core needs.
-    value, phi, psi = _restricted_schur_value(part, list(part.n2), part.p_values)
-    params = {"phi": float(phi), "psi": float(psi), "s": [int(i) for i in part.n2]}
-    return BoundCertificate(FORMULA_SDD1_SCHUR, float(value), params)
+    return _restricted_schur_bound(FORMULA_SDD1_SCHUR, part, part.n2,
+                                   _restricted_sums(part, part.n2))
 
 
 def s_sdd1_schur_bound(A, S) -> BoundCertificate:
     """Witness-restricted elimination bound.
 
-    ``S`` must make the matrix S-restricted dominant and contain at least two
-    rows.  With ``S`` equal to the full dominant set this is the formula of
-    ``sdd1_schur_bound``, but it recovers P_i as d_i - (d_i - P_i), so the two
-    may differ in the last bits (at most 4.2u relative on the test ensembles).
+    ``S`` must contain at least two rows and make the matrix S-SDD1:
+    |a_ii| > R^{Sbar}_i + Q^S_i for every row.  With ``S`` equal to the full
+    dominant set this is ``sdd1_schur_bound``, bit for bit.
     """
     part = dominance_partition(A)
     S = _validate_witness(part, S)
@@ -325,18 +326,10 @@ def s_sdd1_schur_bound(A, S) -> BoundCertificate:
             "|S| < 2",
             "the witness-restricted bound needs at least a pair inside S",
         )
-    margins = _s_sdd1_margins(part, S)
-    if not (margins > 0).all():
+    sums = _restricted_sums(part, S)
+    if not (part.diag > sums[1]).all():
         raise HypothesisError(
             "matrix is not S-SDD1 for this witness",
             "every row must satisfy |a_ii| - R^{Sbar}_i - Q^S_i > 0",
         )
-    # margins == d - (R^{Sbar} + Q^S); recover the prefactor ingredient.
-    value, phi, psi = _restricted_schur_value(part, list(S), part.diag - margins)
-    params = {"phi": float(phi), "s": [int(i) for i in S]}
-    if psi is None:
-        params["psi"] = None
-        params["reason"] = "S complement empty"
-    else:
-        params["psi"] = float(psi)
-    return BoundCertificate(FORMULA_S_SDD1_SCHUR, float(value), params)
+    return _restricted_schur_bound(FORMULA_S_SDD1_SCHUR, part, S, sums)

@@ -119,6 +119,22 @@ TIE_T1 = np.array([
     [0.3, 0.3, 0.5, 1],
 ])
 
+# A decimal tie of the SDD1 inequality.  Row 0 has n1 = {0, 1} and n2 = {2}, and
+# its P_0 = 0.9 + 0.06 * 0.5 rounds to |a_00| = 0.93, so the matrix is not SDD1;
+# the margin (0.93 - 0.9) - 0.03 rounds to +2.8e-17 instead.  TIE_N2_SCHUR adds
+# a fourth dominant row, so that n2 = {2, 3} is a pair for the witness bound.
+TIE_N2_WITNESS = np.array([
+    [0.93, 0.9, 0.06],
+    [0.5, 1, 0.5],
+    [0.25, 0.25, 1],
+])
+TIE_N2_SCHUR = np.array([
+    [0.93, 0.9, 0.06, 0],
+    [0.5, 1, 0.5, 0],
+    [0.25, 0.25, 1, 0],
+    [0, 0, 0.25, 1],
+])
+
 
 def _sdd1_by_rounding():
     """12x12, SDD1 only by rounding: rows of n1 without n2 mass have |a_ii| = R_i,

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -18,7 +19,7 @@ from diagdom import (
     schur_complement,
     tilde_set_identity_check,
 )
-from matrices import SCHUR_5X5, NORM_8X8
+from matrices import DET_6X6_FIRST, LCP_8X8, NORM_8X8, SCHUR_5X5
 from test_vectorized import same
 
 
@@ -173,6 +174,18 @@ class TestPartition:
         for i in range(5):
             expected = row_sum(SCHUR_5X5, i, part.n1) + damped_row_sum(SCHUR_5X5, i, part.n2)
             assert part.p_values[i] == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("A, row, exact_margin", [(LCP_8X8, 1, 1.4e-15),
+                                                      (DET_6X6_FIRST, 2, 5.6e-17)],
+                             ids=["LCP_8X8", "DET_6X6_FIRST"])
+    def test_membership_is_the_float_comparison(self, A, row, exact_margin):
+        # A decimal tie: the float R_i reaches |a_ii|, so the row is non-dominant,
+        # though the exact |a_ii| - R_i of the stored doubles (fsum rounds it
+        # correctly) is positive.  The paper's bounds on these fixtures need n1.
+        part = dominance_partition(A)
+        assert part.diag[row] - part.row_sums[row] == 0.0
+        assert row in part.n1
+        assert math.fsum([part.diag[row], *-part.off[row]]) == pytest.approx(exact_margin, rel=0.02)
 
     @settings(max_examples=50, deadline=None)
     @given(small_matrices())

@@ -12,16 +12,20 @@ from diagdom import (
     ParameterError,
     WitnessError,
     b1_split,
+    classify,
     comparison_matrix,
     determinant,
     dominance_bracket,
     dominance_ordering,
     dominance_partition,
+    find_s_sdd1_witness,
     generate_b1,
     generate_sdd1,
     huang_bracket,
     inf_norm,
     inverse,
+    is_s_sdd1,
+    is_sdd1,
     lcp_b1_bound,
     s_sdd1_schur_bound,
     schur_complement,
@@ -33,7 +37,7 @@ from diagdom import (
 from diagdom.normbounds import (
     _epsilon_pieces,
     _epsilon_value,
-    _restricted_schur_value,
+    _restricted_schur_bound,
 )
 from matrices import (
     DET_6X6_FIRST,
@@ -43,6 +47,8 @@ from matrices import (
     SCHUR_6X6,
     SDD1_BY_ROUNDING,
     SINGLE_N2,
+    TIE_N2_SCHUR,
+    TIE_N2_WITNESS,
     TIE_T1,
     TIE_T2,
 )
@@ -205,24 +211,30 @@ class TestSchurBound:
 
 
 class TestWitnessBound:
-    def test_reduction_to_full_n2_is_exact(self, sdd1_ensemble):
-        for A in [NORM_8X8] + sdd1_ensemble[:20]:
-            part = dominance_partition(A)
-            if len(part.n2) < 2:
-                continue
-            full = sdd1_schur_bound(A)
-            restricted = s_sdd1_schur_bound(A, part.n2)
-            assert restricted.value == full.value
+    def test_reduction_to_full_n2_is_exact(self, sdd1_ensemble, b1_ensemble):
+        # With S = n2, R^{Sbar}_i + Q^S_i is P_i: S-SDD1 is SDD1, n2 is the
+        # witness found first, and the witness bound is sdd1_schur_bound to
+        # the bit in value, phi and psi.
+        for A in [*sdd1_ensemble, *(b1_split(M).a for M in b1_ensemble), *SDD1_FIXTURES,
+                  SDD1_BY_ROUNDING, SINGLE_N2]:
+            n2 = dominance_partition(A).n2
+            assert is_s_sdd1(A, n2) == is_sdd1(A) is True
+            assert find_s_sdd1_witness(A) == n2
+            if len(n2) >= 2:
+                full, restricted = sdd1_schur_bound(A), s_sdd1_schur_bound(A, n2)
+                assert (restricted.value, restricted.parameters) == (full.value, full.parameters)
 
-    def test_full_n2_agrees_within_rounding(self, sdd1_ensemble, b1_ensemble):
-        # The witness bound recovers its prefactor ingredient as d - (d - P),
-        # so with S = n2 it may differ from sdd1_schur_bound in the last bits:
-        # on 10 ensemble members and on DET_6X6_FIRST, LCP_8X8 and SCHUR_6X6,
-        # by at most 4.2u relative.
-        for A in [*sdd1_ensemble, *(b1_split(M).a for M in b1_ensemble), *SDD1_FIXTURES]:
-            full = sdd1_schur_bound(A).value
-            restricted = s_sdd1_schur_bound(A, dominance_partition(A).n2).value
-            assert abs(restricted - full) <= 8 * 2.0**-53 * full
+    def test_decimal_tie_in_n2_is_neither_sdd1_nor_s_sdd1(self):
+        # P_0 = 0.9 + 0.06 * 0.5 rounds to |a_00| = 0.93, while the margin
+        # (0.93 - 0.9) - 0.03 rounds to +2.8e-17: a test on that margin took
+        # n2 for a witness and gave a vacuous 5.8e16 bound.
+        n2 = dominance_partition(TIE_N2_WITNESS).n2
+        assert classify(TIE_N2_WITNESS).s_sdd1_witness is None
+        assert is_s_sdd1(TIE_N2_WITNESS, n2) is is_sdd1(TIE_N2_WITNESS) is False
+        for call in (lambda: s_sdd1_schur_bound(TIE_N2_SCHUR, dominance_partition(TIE_N2_SCHUR).n2),
+                     lambda: sdd1_schur_bound(TIE_N2_SCHUR)):
+            with pytest.raises(HypothesisError):
+                call()
 
     def test_cardinality_guard(self):
         with pytest.raises(HypothesisError):
@@ -361,7 +373,7 @@ class TestDenominatorErrors:
     def test_restricted_margin_names_eliminated_rows(self):
         part = dominance_partition(NORM_8X8)
         with pytest.raises(DenominatorError) as info:
-            _restricted_schur_value(part, list(part.n2), 10 * part.diag)
+            _restricted_schur_bound(FORMULA_SDD1_SCHUR, part, part.n2, (part.r_n2, 10 * part.diag))
         assert info.value.rows and set(info.value.rows) <= set(part.n1)
 
 

@@ -64,6 +64,24 @@ def test_lu_kernels_are_chosen_only_in_the_oracle():
     assert not found, found
 
 
+def test_s_equal_to_n2_is_told_apart_only_in_restricted_sums():
+    # ``classify._restricted_sums`` hands out the partition's own R^{n2} and P
+    # for S = n2.  Another function that compares a row set with n2 could
+    # pick other sums for it, and then S-SDD1 with S = n2 and SDD1 part.
+    found = set()
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Compare)
+                        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+                        and any(getattr(side, "attr", None) == "n2"
+                                for side in (node.left, *node.comparators))):
+                    found.add((path.name, fn.name))
+    assert found == {("classify.py", "_restricted_sums")}, found
+
+
 def test_no_public_function_takes_a_partition():
     # Each public function partitions the matrix it is given.  A partition
     # passed in beside the matrix was never checked against it, so

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import reference
 from reference import abs_off
 from diagdom import (
+    FORMULA_SDD1_SCHUR,
     DenominatorError,
     GenerationError,
     SingularBlockError,
@@ -43,13 +44,13 @@ from diagdom import (
     sdd1_epsilon_bound,
 )
 from diagdom import core
-from diagdom.classify import _s_sdd1_margins
+from diagdom.classify import _restricted_sums
 from diagdom.normbounds import (
     _epsilon_pieces,
     _epsilon_value,
     _pairwise_max,
     _pairwise_terms,
-    _restricted_schur_value,
+    _restricted_schur_bound,
 )
 from diagdom.oracle import LU_BLOCK
 
@@ -150,12 +151,11 @@ def test_pairwise_grid_matches_flattened_terms(sdd1_ensemble, b1_ensemble):
 def test_restricted_schur_value(n, seed, grid):
     A = draw(generate_sdd1, n, seed, grid)
     part = dominance_partition(A)
-    _, _, d = abs_off(A)
-    S = list(part.n2)
-    # The margins sdd1_schur_bound and s_sdd1_schur_bound(A, n2) pass in.
-    for margins in (part.p_values, d - _s_sdd1_margins(part, S)):
-        got = _restricted_schur_value(part, S, margins)
-        assert got == reference.restricted_schur_value(A, S, margins)
+    # The sums sdd1_schur_bound and s_sdd1_schur_bound(A, n2) both pass in.
+    cert = _restricted_schur_bound(FORMULA_SDD1_SCHUR, part, part.n2,
+                                   _restricted_sums(part, part.n2))
+    got = cert.value, cert.parameters["phi"], cert.parameters["psi"]
+    assert got == reference.restricted_schur_value(A, part.n2, part.p_values)
 
 
 @settings(max_examples=40, deadline=None)
