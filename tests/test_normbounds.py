@@ -211,18 +211,29 @@ class TestSchurBound:
 
 
 class TestWitnessBound:
+    # With S = n2, R^{Sbar}_i + Q^S_i is P_i, so S-SDD1 is SDD1 and the
+    # witness bound is sdd1_schur_bound.
+    @staticmethod
+    def _sdd1_inputs(sdd1_ensemble, b1_ensemble):
+        return [*sdd1_ensemble, *(b1_split(M).a for M in b1_ensemble), *SDD1_FIXTURES,
+                SDD1_BY_ROUNDING, SINGLE_N2]
+
     def test_reduction_to_full_n2_is_exact(self, sdd1_ensemble, b1_ensemble):
-        # With S = n2, R^{Sbar}_i + Q^S_i is P_i: S-SDD1 is SDD1, n2 is the
-        # witness found first, and the witness bound is sdd1_schur_bound to
-        # the bit in value, phi and psi.
-        for A in [*sdd1_ensemble, *(b1_split(M).a for M in b1_ensemble), *SDD1_FIXTURES,
-                  SDD1_BY_ROUNDING, SINGLE_N2]:
+        # The bound agrees to the bit in value, phi and psi.
+        for A in self._sdd1_inputs(sdd1_ensemble, b1_ensemble):
             n2 = dominance_partition(A).n2
-            assert is_s_sdd1(A, n2) == is_sdd1(A) is True
-            assert find_s_sdd1_witness(A) == n2
             if len(n2) >= 2:
                 full, restricted = sdd1_schur_bound(A), s_sdd1_schur_bound(A, n2)
                 assert (restricted.value, restricted.parameters) == (full.value, full.parameters)
+
+    def test_full_n2_agrees_within_rounding(self, sdd1_ensemble, b1_ensemble):
+        # Membership agrees too, down to rows that are dominant only after
+        # rounding (SDD1_BY_ROUNDING): n2 is a witness exactly when A is
+        # SDD1, and it is the witness found first.
+        for A in self._sdd1_inputs(sdd1_ensemble, b1_ensemble):
+            n2 = dominance_partition(A).n2
+            assert is_s_sdd1(A, n2) == is_sdd1(A) is True
+            assert find_s_sdd1_witness(A) == n2
 
     def test_decimal_tie_in_n2_is_neither_sdd1_nor_s_sdd1(self):
         # P_0 = 0.9 + 0.06 * 0.5 rounds to |a_00| = 0.93, while the margin
