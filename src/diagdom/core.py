@@ -34,8 +34,10 @@ __all__ = [
 # and its partition and LU factorization, built on first request (24 n^2 + 48 n
 # bytes at most, 16 n^2 + 48 n when the matrix is the caller's own immutable one),
 # and the last family of Schur complements swept from it: its complements and pivot
-# factors, each stack at most oracle.STACK_CHUNK_ENTRIES float64 (512 KiB), and
-# its certified margins, fewer entries again.
+# factors, each stack at most oracle.STACK_CHUNK_ENTRIES float64 (512 KiB), its
+# certified margins, fewer entries again, and, once a member is asked for, every
+# member's result: its frozen complement and that complement's partition, two more
+# such stacks (the moduli and the copies) and six (m, |bar|) arrays.
 # Only a matrix whose partition or factorization is read, or whose shared copy
 # ``as_matrix`` is asked for, gets one; single reads use ``_checked``.  Two is the
 # fewest with which a dense pass builds nothing twice: A's record outlasts its
@@ -119,23 +121,40 @@ def _record(a) -> _Record:
     with _LOCK:
         for rec in _MEMO:
             if rec.matrix is a:
+                return _used(rec)
+        matrix, raw = a, _immutable_bytes(a)
+        if raw is None:  # any other input is compared and kept as an immutable copy
+            matrix = _frozen(_checked(a, finite=False))
+            raw = _immutable_bytes(matrix)
+        for rec in _MEMO:
+            if rec.raw == raw:
+                return _used(rec)
+        return _used(_Record(_checked(matrix), raw))
+
+
+def _adopt(matrix, partition) -> _Record:
+    """The memo's record of the finite immutable ``matrix`` (as ``_frozen`` makes them),
+    holding ``partition``, its dominance partition as ``_build_partition`` gives it: found
+    by identity, else recorded as it is, with no copy, byte compare or finite check."""
+    with _LOCK:
+        for rec in _MEMO:
+            if rec.matrix is matrix:
                 break
         else:
-            matrix, raw = a, _immutable_bytes(a)
-            if raw is None:  # any other input is compared and kept as an immutable copy
-                matrix = _frozen(_checked(a, finite=False))
-                raw = _immutable_bytes(matrix)
-            for rec in _MEMO:
-                if rec.raw == raw:
-                    break
-            else:
-                rec = _Record(_checked(matrix), raw)
-                _MEMO.append(rec)
-                del _MEMO[:-MEMO_RECORDS]
-        if rec is not _MEMO[-1]:  # a hit becomes the most recently used record
+            rec = _Record(matrix, _immutable_bytes(matrix))
+        if rec.partition is None:
+            rec.partition = partition
+        return _used(rec)
+
+
+def _used(rec) -> _Record:
+    """``rec``, made the most recently used record; a new one evicts the least recently used."""
+    if not _MEMO or rec is not _MEMO[-1]:  # called under _LOCK
+        if rec in _MEMO:
             _MEMO.remove(rec)
-            _MEMO.append(rec)
-        return rec
+        _MEMO.append(rec)
+        del _MEMO[:-MEMO_RECORDS]
+    return rec
 
 
 def _integer(value, message) -> int:
@@ -247,6 +266,56 @@ def _build_partition(A) -> IndexPartition:
         arr.setflags(write=False)
     return IndexPartition(n1=tuple(i1.tolist()), n2=tuple(i2.tolist()), row_sums=R,
                           p_values=P, off=off, diag=d, r_n1=r_n1, r_n2=r_n2, q_n2=q_n2)
+
+
+def _build_partitions(stack) -> list[IndexPartition]:
+    """The dominance partition of each matrix of a C-ordered (m, b, b) stack, with the bits of
+    ``_build_partition`` of that matrix alone; its arrays are read-only views of stacks.
+
+    The moduli, row sums and splits are formed once for the whole stack.  The
+    members are then grouped by |n2|, and each group's columns are gathered
+    C-ordered, n1 columns first, as (g, |n1| + |n2|, b): summed over axis 1
+    and, for Q^{n2}, multiplied as (g, b, |n2|) @ (g, |n2|, 1), each member
+    rounds as ``_build_partition``'s column-major ``off[:, idx]`` does
+    (``tests/test_vectorized.py``).  A member with non-finite entries gets a
+    partition of no meaning, and nothing warns.
+    """
+    m, b, _ = stack.shape
+    rows = np.arange(b)
+    with np.errstate(all="ignore"):
+        off = np.abs(stack)
+        d = off[:, rows, rows]
+        off[:, rows, rows] = 0.0
+        R = off.sum(axis=2)
+        n2_mask = d > R
+        k = n2_mask.sum(axis=1)
+        order = np.argsort(k, kind="stable")  # the members grouped by |n2|
+        cols = np.argsort(n2_mask[order], axis=1, kind="stable")  # n1, then n2, each increasing
+        at = order[:, None]
+        moved = off[at[:, :, None], rows, cols[:, :, None]]  # moved[j, c, i] = off[i, cols[j, c]]
+        w = R[at, cols] / d[at, cols]  # R_j/|a_jj|, read in the n2 columns only
+        sums = np.empty((3, m, b))  # R^{n1}, R^{n2} and Q^{n2}, in the grouped order
+        sizes = k[order].tolist()
+        lo = 0
+        while lo < m:
+            hi = lo + sizes[lo:].count(sizes[lo])  # sorted, so the group is a run
+            s = b - sizes[lo]
+            group = moved[lo:hi]
+            sums[0, lo:hi] = group[:, :s].sum(axis=1)
+            sums[1, lo:hi] = group[:, s:].sum(axis=1)
+            sums[2, lo:hi] = (group[:, s:].transpose(0, 2, 1) @ w[lo:hi, s:, None])[..., 0]
+            lo = hi
+        r_n1, r_n2, q_n2 = out = np.empty_like(sums)
+        out[:, order] = sums
+        P = r_n1 + q_n2
+    for arr in (R, P, off, d, r_n1, r_n2, q_n2):
+        arr.setflags(write=False)
+    parts = [None] * m
+    for j, c, size in zip(order.tolist(), cols.tolist(), sizes):
+        parts[j] = IndexPartition(n1=tuple(c[:b - size]), n2=tuple(c[b - size:]), row_sums=R[j],
+                                  p_values=P[j], off=off[j], diag=d[j], r_n1=r_n1[j],
+                                  r_n2=r_n2[j], q_n2=q_n2[j])
+    return parts
 
 
 def _eliminated_margins(part, alpha, bar, m) -> np.ndarray:

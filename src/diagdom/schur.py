@@ -28,9 +28,12 @@ from .classify import _is_sdd1, _require_sdd1
 from .core import (
     _LOCK,
     IndexPartition,
+    _adopt,
     _build_partition,
+    _build_partitions,
     _checked,
     _eliminated_margins,
+    _frozen,
     _record,
     as_index_set,
     dominance_partition,
@@ -73,9 +76,10 @@ class SchurResult:
     pivot block is an H-matrix; it is built on first read, and until then
     the result holds the partition of A.  The result also holds the pivot
     block's read-only factorization, which the ``schur`` subcommand reads its
-    determinant from: a view, not a copy, of the factor stack of alpha's
-    sweep.  Every field has the bits of computing alpha alone, whether the
-    result came from alpha's family or not (see ``schur_complement``).
+    determinant from: built on first read, a view, not a copy, of the factor
+    stack of alpha's sweep.  Every field has the bits of computing alpha
+    alone, whether the result came from alpha's family or not (see
+    ``schur_complement``).
     ``certified_lower_bounds`` maps original row labels to certified
     dominance lower bounds when a regime applies; ``certified_kind`` says
     which margin is bounded ("sdd1_degree" for |a'_tt| - P_t, "sdd_degree"
@@ -90,8 +94,10 @@ class SchurResult:
     certified_lower_bounds: dict[int, float] | None
     certified_kind: str | None
     _a_partition: IndexPartition | None = field(default=None, repr=False, compare=False)
-    _block_factorization: LuFactorization | None = field(default=None, repr=False, compare=False)
+    _pivot: tuple | None = field(default=None, repr=False, compare=False)  # (sweep factors, j)
     _delta: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _factorization: LuFactorization | None = field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     def __post_init__(self):
         self.complement.setflags(write=False)
@@ -104,6 +110,16 @@ class SchurResult:
                 object.__setattr__(self, "_delta", delta)
                 object.__setattr__(self, "_a_partition", None)  # delta was all it was kept for
             return self._delta
+
+    @property
+    def _block_factorization(self) -> LuFactorization | None:
+        with _LOCK:
+            if self._pivot is not None:
+                (lu, perm, sign, _), j = self._pivot
+                fact = LuFactorization(lu[j], tuple(perm[j].tolist()), int(sign[j]))
+                object.__setattr__(self, "_factorization", fact)
+                object.__setattr__(self, "_pivot", None)
+            return self._factorization
 
 
 def _coupling_radii(part, alpha, bar):
@@ -125,13 +141,13 @@ def _coupling_radii(part, alpha, bar):
 
 
 def _validate_alpha(A, alpha):
-    """A's record, its partition, and alpha and its complement validated."""
+    """A's record, its partition, and alpha validated."""
     rec = _record(A)
     n = rec.matrix.shape[0]
     alpha = as_index_set(alpha, n, allow_empty=True, name="alpha")
     if not alpha or len(alpha) >= n:
         raise ValidationError("alpha must be a nonempty proper subset of the row indices")
-    return rec, rec.result("partition", _build_partition), alpha, _rest(n, alpha)
+    return rec, rec.result("partition", _build_partition), alpha
 
 
 def _rest(n, alpha):
@@ -154,8 +170,11 @@ def schur_complement(A, alpha) -> SchurResult:
     ``oracle.STACK_CHUNK_ENTRIES`` entries.  Any other alpha, a family of
     one, and the first complement asked of a record are computed alone and
     not kept: a matrix asked for one complement pays for one.  A record keeps
-    one family, the last it swept.  Every result has the bits of computing
-    its alpha alone.
+    one family, the last it swept.  A kept family's results, each
+    complement with its partition, are built together on the first request
+    for one of them, so asking for a member is a lookup; a member's pivot
+    factorization is built only when read.  Every result has the bits of
+    computing its alpha alone.
 
     Raises ``SingularBlockError`` when the pivot block cannot be factored,
     ``ValidationError`` for empty or full ``alpha`` and for a complement with
@@ -164,74 +183,60 @@ def schur_complement(A, alpha) -> SchurResult:
     certified bounds are attached when their hypotheses hold, otherwise left
     as ``None``.  The complement is left in the memo with its partition.
     """
-    rec, part, alpha, bar = _validate_alpha(A, alpha)
+    rec, part, alpha = _validate_alpha(A, alpha)
     sweep, j = _swept(rec, part, alpha)
-    comp, fact = sweep.member(j)
-    crec = _record(comp)  # a read-only copy, recorded with its partition
-    comp, cpart = crec.matrix, crec.result("partition", _build_partition)
-    return SchurResult(
-        complement=comp,
-        alpha=alpha,
-        alpha_bar=bar,
-        tilde_n1=tuple(bar[t] for t in cpart.n1),
-        tilde_n2=tuple(bar[t] for t in cpart.n2),
-        certified_lower_bounds=None if sweep.margins is None else _by_row(bar, sweep.margins[j]),
-        certified_kind=sweep.kind,
-        _a_partition=part,
-        _block_factorization=fact,
-    )
+    return sweep.result(j, part)
 
 
 def _family(part, alpha):
-    """The key of alpha's family and an iterator over its members, or (alpha, None) when
-    alpha is computed alone."""
+    """An iterator over the members of alpha's family, or None when alpha is computed alone."""
     n2, s = part.n2, len(alpha)
-    inside = set(alpha) < set(n2)
-    if inside:
+    if set(alpha) < set(n2):
         count, members = math.comb(len(n2), s), itertools.combinations(n2, s)
     elif set(n2) <= set(alpha):
         extra = s - len(n2)
         count = math.comb(len(part.n1), extra)
         members = (tuple(sorted(n2 + e)) for e in itertools.combinations(part.n1, extra))
     else:
-        return alpha, None
-    if not 1 < count <= _chunk_length(max(s, part.n - s)):
-        return alpha, None
-    return (inside, s), members
+        return None
+    return members if 1 < count <= _chunk_length(max(s, part.n - s)) else None
 
 
 def _swept(rec, part, alpha):
-    """A sweep holding alpha, and alpha's place in it: alpha's family, swept whole and
-    kept in A's record, unless alpha is alone in it or this is the first complement
-    asked of the record."""
-    key, members = _family(part, alpha)
-    if members is not None:
-        with _LOCK:
-            kept = rec.family
+    """A sweep holding alpha, and alpha's place in it: the family kept in A's record if
+    alpha is one of its members, else alpha's family, swept whole and kept in its place,
+    unless alpha is alone in it or this is the first complement asked of the record."""
+    with _LOCK:
+        kept = rec.family  # (sweep, {member: place}), or (None, {}) after a first complement
+        j = None if kept is None else kept[1].get(alpha)
+        if j is not None:
+            return kept[0], j
+        members = _family(part, alpha)
+        if members is not None:
             if kept is None:  # the first complement: alone, and the next family asked is swept
-                rec.family = (None, None, None)
+                rec.family = (None, {})
             else:
-                if kept[0] != key:
-                    alphas = list(members)
-                    kept = rec.family = (key, _Sweep(rec.matrix, alphas, part),
-                                         {a: j for j, a in enumerate(alphas)})
-                return kept[1], kept[2][alpha]
+                alphas = list(members)
+                index = {a: j for j, a in enumerate(alphas)}
+                rec.family = (_Sweep(rec.matrix, alphas, part), index)
+                return rec.family[0], index[alpha]
     return _Sweep(rec.matrix, [alpha], part), 0
 
 
 class _Sweep:
     """One stacked pass over m pivot sets of one size, in increasing order, of a validated A.
 
-    Holds the complements A/alpha as an (m, |bar|, |bar|) stack, the pivot
-    blocks' factors and, given A's partition, the certified margins, (m, |bar|),
-    and their kind.  One path for any m and block order: ``oracle._factor_stack``
-    factors the blocks, ``oracle._substitute`` solves A(alpha, bar), gathered
-    once in pivot order, and one stacked product forms the complements; each
-    member gets the bits of computing it alone.  ``member`` reads a member out,
-    or raises its own error; nothing warns.
+    Holds the complements A/alpha as an (m, |bar|, |bar|) stack, each member's
+    bar, the pivot blocks' factors and, given A's partition, the certified
+    margins, (m, |bar|), and their kind.  One path for any m and block order:
+    ``oracle._factor_stack`` factors the blocks, ``oracle._substitute``
+    solves A(alpha, bar), gathered once in pivot order, and one stacked
+    product forms the complements; each member gets the bits of computing it
+    alone.  ``complement`` reads a member's complement out and ``result`` its
+    ``SchurResult``, both raising the member's own error; nothing warns.
     """
 
-    __slots__ = ("alphas", "complements", "factors", "finite", "margins", "kind")
+    __slots__ = ("alphas", "bars", "complements", "factors", "finite", "margins", "kind", "results")
 
     def __init__(self, A, alphas, part=None):
         ia = np.array(alphas, dtype=np.intp)
@@ -246,25 +251,58 @@ class _Sweep:
             comps = A[ib[:, :, None], ib[:, None, :]] - A[ib[:, :, None], ia[:, None, :]] @ X
             # One member's margins may overflow; that must not warn when another is asked.
             self.margins, self.kind = (None, None) if part is None else _certified(part, ia, ib)
-        self.alphas, self.complements, self.factors = alphas, comps, factors
+        self.alphas, self.bars, self.complements, self.factors = alphas, ib, comps, factors
         self.finite = np.isfinite(comps).all(axis=(1, 2))
+        self.results = None
 
-    def member(self, j):
-        """Member j's complement and its block's factorization, views of the stacks; or the
-        member's ``SingularBlockError`` or ``ValidationError``."""
-        lu, perm, sign, failed = self.factors
-        column = int(failed[j])
+    def complement(self, j):
+        """Member j's complement, a view of the stack; or the member's ``SingularBlockError``
+        or ``ValidationError``."""
+        column = int(self.factors[3][j])
         if column >= 0 or not self.finite[j]:
             labels = tuple(a + 1 for a in self.alphas[j])
             if column >= 0:
                 raise SingularBlockError(f"pivot block {labels} is singular", column=column)
             raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
-        return self.complements[j], LuFactorization(lu[j], tuple(perm[j].tolist()), int(sign[j]))
+        return self.complements[j]
+
+    def result(self, j, part):
+        """Member j's ``SchurResult`` (``part`` is A's partition), its complement left in the
+        memo with its partition; or the member's error.  Every member's result is built on
+        the first request, one stacked partition for two or more members."""
+        self.complement(j)
+        with _LOCK:
+            if self.results is None:
+                self.results = self._results(part)
+            res, cpart = self.results[j]
+            _adopt(res.complement, cpart)
+        return res
+
+    def _results(self, part):
+        """(SchurResult, complement partition) of every member whose complement exists."""
+        ok = ((self.factors[3] < 0) & self.finite).tolist()
+        comps = [_frozen(c) if good else None for c, good in zip(self.complements, ok)]
+        parts = ([_build_partition(comps[0])] if len(comps) == 1
+                 else _build_partitions(self.complements))
+        bars = self.bars.tolist()
+        margins = [None] * len(bars) if self.margins is None else self.margins.tolist()
+        return [None if comp is None else (SchurResult(
+            complement=comp,
+            alpha=alpha,
+            alpha_bar=tuple(bar),
+            tilde_n1=tuple(bar[t] for t in cpart.n1),
+            tilde_n2=tuple(bar[t] for t in cpart.n2),
+            certified_lower_bounds=None if row is None else dict(zip(bar, row)),
+            certified_kind=self.kind,
+            _a_partition=part,
+            _pivot=(self.factors, j),
+        ), cpart) for j, (alpha, bar, comp, cpart, row) in enumerate(
+            zip(self.alphas, bars, comps, parts, margins))]
 
 
 def _alone(A, alpha):
     """A/alpha of the validated A, computed alone and not recorded."""
-    return _Sweep(A, [alpha]).member(0)[0]
+    return _Sweep(A, [alpha]).complement(0)
 
 
 def _by_row(bar, values):
@@ -320,13 +358,14 @@ def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
     uses only original entries and is sandwiched between the original margin
     |a_jt,jt| - P_jt (positive) and the exact complement margin.
     """
-    part, alpha, bar = _validate_alpha(A, alpha)[1:]
+    part, alpha = _validate_alpha(A, alpha)[1:]
     _require_sdd1(part)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
             "alpha is not a proper subset of n2",
             "this regime needs alpha strictly inside the dominant row set",
         )
+    bar = _rest(part.n, alpha)
     return _by_row(bar, _proper_subset_margins(part, np.array([alpha]), np.array([bar]))[0])
 
 
@@ -345,13 +384,14 @@ def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
 
 def certified_bound_superset(A, alpha) -> dict[int, float]:
     """Certified lower bounds on |a'_tt| - R_t(A/alpha) for alpha beyond n2."""
-    part, alpha, bar = _validate_alpha(A, alpha)[1:]
+    part, alpha = _validate_alpha(A, alpha)[1:]
     _require_sdd1(part)
     if not set(part.n2) < set(alpha):
         raise HypothesisError(
             "alpha does not strictly contain n2",
             "this regime needs n2 strictly inside alpha, alpha strictly inside N",
         )
+    bar = _rest(part.n, alpha)
     return _by_row(bar, _eliminated_margins(part, alpha, bar, part.p_values))
 
 
@@ -363,13 +403,14 @@ def tilde_set_identity_check(A, alpha) -> bool:
     differences coincide.  The relations need only the pivot block to sit
     inside the dominant set, not full SDD1 membership.
     """
-    rec, part, alpha, bar = _validate_alpha(A, alpha)
+    rec, part, alpha = _validate_alpha(A, alpha)
     if not set(alpha) < set(part.n2):
         raise HypothesisError(
             "alpha is not a proper subset of n2",
             "the set identities hold for alpha strictly inside the dominant set",
         )
     cpart = dominance_partition(_alone(rec.matrix, alpha))  # left in the memo
+    bar = _rest(part.n, alpha)
     t1, t2 = {bar[t] for t in cpart.n1}, {bar[t] for t in cpart.n2}
     n1, n2 = set(part.n1), set(part.n2)
     survived = n2 - set(alpha)

@@ -584,6 +584,37 @@ def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
     assert len(alphas) > 1 and len(created) == 1 + len(alphas)
 
 
+def test_family_hit_builds_nothing_per_member(monkeypatch):
+    # One sweep of a 20-member family builds every member's complement, partition and
+    # result; asking for the other 19 is then a lookup, and a member's complement is
+    # found in the memo with the family's partition of it.
+    A = generate_sdd1(12, 5, n1_fraction=0.5)  # immutable, so even its lookups check nothing
+    family = list(itertools.combinations(dominance_partition(A).n2, 3))
+    assert len(family) == 20
+    clear_memo()
+    schur_complement(A, family[0])  # the first complement of a record, alone
+    first = schur_complement(A, family[0])  # sweeps the family
+    built = []
+    for module, name in ((core, "_build_partition"), (schur, "_build_partition"),
+                         (core, "_checked")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda M, *a, real=real, **k:
+                            built.append(np.shape(M)) or real(M, *a, **k))
+    answers = [(res, dominance_partition(res.complement))
+               for res in (schur_complement(A, member) for member in family[1:])]
+    assert built == []  # no complement, nor A, was checked or partitioned
+    monkeypatch.undo()
+    kept = core._record(A).family[0].results  # (result, complement partition) per member
+    for (res, cpart), (kept_res, kept_part) in zip(answers, kept[1:], strict=True):
+        assert res is kept_res and cpart is kept_part
+    # The ``schur`` subcommand reads the block determinant from the family's factors.
+    report = cli._cmd_schur(A, argparse.Namespace(alpha=",".join(str(i + 1) for i in family[0])))
+    block = oracle._lu_determinant(first._block_factorization)
+    assert block.hex() == "0x1.62fee80000000p+10"
+    identity = report["result"]["determinant_identity"]
+    assert identity["det_block_times_det_complement"] == block * determinant(first.complement)
+
+
 @pytest.fixture
 def sweeps(monkeypatch):
     """The member count of every Schur sweep built so far."""

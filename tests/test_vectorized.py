@@ -338,9 +338,72 @@ def test_stacked_matmul_equals_row_dot():
 
 
 def test_row_sums_equal_row_sum():
-    for M, r, c, _ in gathered_blocks():
-        got = M[r[:, None], c].sum(axis=1)
-        assert got.tolist() == [M[i, c].sum() for i in r], (len(r), len(c))
+    for M, r, c, w in gathered_blocks():
+        block = M[r[:, None], c]
+        want = [M[i, c].sum() for i in r]
+        assert block.sum(axis=1).tolist() == want, (len(r), len(c))
+        # ``core._build_partitions`` sums the rows of a whole (m, b, b) stack at once.
+        assert np.stack([block, block[::-1]]).sum(axis=2).tolist() == [want, want[::-1]]
+        # Its grouped gathers: (g, k + rest, b) C-ordered, columns c first, each of g members
+        # sliced and summed over axis 1, or multiplied as (g, b, k) @ (g, k, 1), equals the
+        # column-major gather ``M[:, c]`` that ``core._build_partition`` sums and multiplies.
+        rest = np.setdiff1d(np.arange(M.shape[1]), c)
+        moved = np.stack([M.T[np.r_[c, rest]], M.T[np.r_[rest, c]]])
+        k, cols = len(c), M[:, c]
+        sums = [moved[:1, :k].sum(axis=1)[0], moved[1:, len(rest):].sum(axis=1)[0]]
+        assert all(got.tolist() == cols.sum(axis=1).tolist() for got in sums), (len(r), k)
+        weights = np.stack([np.r_[w, np.zeros(len(rest))], np.r_[np.zeros(len(rest)), w]])
+        dots = [(moved[:1, :k].transpose(0, 2, 1) @ weights[:1, :k, None])[0, :, 0],
+                (moved[1:, len(rest):].transpose(0, 2, 1) @ weights[1:, len(rest):, None])[0, :, 0]]
+        assert all(got.tolist() == (cols @ w).tolist() for got in dots), (len(r), k)
+
+
+def partition_stacks():
+    """(m, b, b) stacks for ``core._build_partitions``: 1 to 40 members at orders 1 to 40,
+    and one-member stacks up to order 300 (``large-dense``'s complement is order 256).
+    Rows are scaled apart so sums round, and rows are made dominance ties (|a_ii| = R_i
+    as numpy sums it), zero off the diagonal, of moduli summing past the float range, and
+    whole members all-n1 or all-n2."""
+    rng = np.random.default_rng(20261022)
+    shapes = [(int(rng.integers(1, 41)), int(rng.integers(1, 41))) for _ in range(400)]
+    shapes += [(1, int(b)) for b in rng.integers(1, 301, 30)] + [(1, 256), (1, 300)]
+    for m, b in shapes:
+        stack = rng.standard_normal((m, b, b)) * 10.0 ** rng.integers(-8, 9, (m, b, 1))
+        rows = np.arange(b)
+        stack[:, rows, rows] = 0.0
+        R = np.abs(stack).sum(axis=2)
+        diag = R * rng.uniform(0.5, 1.5, (m, b))
+        tie = rng.random((m, b)) < 0.1
+        diag[tie] = R[tie]
+        zero = rng.random((m, b)) < 0.05
+        stack[zero] = 0.0
+        diag[zero] = rng.uniform(-1.0, 1.0, zero.sum())
+        if b > 1:
+            huge = rng.random(m) < 0.1  # row 0 sums to inf, so it joins n1
+            stack[huge, 0, 1:] = 1.7e308
+            diag[huge, 0] = 1.7e308
+        diag[: m // 4] *= 1e-3  # all-n1 members
+        diag[m // 4: m // 2] = R[m // 4: m // 2] * 4.0 + 1.0  # all-n2 members
+        stack[:, rows, rows] = diag * rng.choice([-1.0, 1.0], (m, b))
+        yield stack
+
+
+def test_stacked_partitions_equal_build_partition():
+    fields = ("row_sums", "p_values", "off", "diag", "r_n1", "r_n2", "q_n2")
+    seen = set()
+    for stack in partition_stacks():
+        wants = [core._build_partition(member) for member in stack]
+        for got, want in zip(core._build_partitions(stack), wants, strict=True):
+            assert (got.n1, got.n2) == (want.n1, want.n2)
+            for name in fields:
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes()), name
+                assert not a.flags.writeable
+            seen.update(kind for kind, there in (
+                ("all n1", not want.n2), ("all n2", not want.n1),
+                ("tie", (want.diag == want.row_sums).any()), ("zero row", (want.row_sums == 0).any()),
+                ("inf", np.isinf(want.row_sums).any())) if there)
+    assert seen == {"all n1", "all n2", "tie", "zero row", "inf"}
 
 
 # ``oracle._substitute`` solves a whole stack with one matmul per step,

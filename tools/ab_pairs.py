@@ -2,6 +2,8 @@
 
     python3 tools/ab_pairs.py --parent REF [--change REF] \\
         --pair ensemble-audit=3301-3310 --pair large-dense=3401,3402 --out BENCH.json
+    python3 tools/ab_pairs.py --trace --parent REF --change REF \\
+        --pair ensemble-audit=3301-3310 --out TRACE.json
     python3 tools/ab_pairs.py --trajectory BENCH_*.json
 
 The parent (and ``--change``, when given; otherwise this checkout) is
@@ -16,6 +18,13 @@ the parent, the parent's interquartile range, whether a gain is resolved
 IQR) and whether the change stays within the metric's bound.  It also keeps
 each run's digest, check counts and metrics, and the machine block of the
 benchmark's report line.  Standard library only.
+
+``--trace`` runs the same alternating pairs with ``--trace 1`` and writes,
+for every per-layer metric of ``BENCHMARK.json`` that every run reports,
+q1/median/q3 per side under ``layers``, with no wins and no verdicts: a
+traced run times each layer, not the op.  A traced run writes its trace
+file under ``bench/traces/`` of its checkout, so both sides are extracted
+and ``--change`` is required.
 
 ``--trajectory`` only reads: for every workload and end-to-end metric it
 prints one line per given file (in the order given) with that file's parent
@@ -57,10 +66,10 @@ def extract(ref, dest):
     return rev
 
 
-def run_bench(checkout, command, workload, seed, seconds):
+def run_bench(checkout, command, workload, seed, seconds, trace=False):
     """One benchmark run: (report line, result object) parsed from its last two lines."""
     args = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-            "--trace", "0"]
+            "--trace", str(int(trace))]
     if args[0] in ("python", "python3"):
         args[0] = sys.executable
     out = subprocess.run(args, cwd=checkout, capture_output=True, text=True, check=True)
@@ -94,6 +103,15 @@ def summarise(spec, parent, change):
         "gain_resolved": wins >= 0.9 * len(parent) and sign * gap > iqr,
         "within_bound": -sign * gap <= spec["bound"] * p["median"],
     }
+
+
+def layers(specs, parent, change):
+    """Per-layer quartiles of paired traced runs, for each metric every run reports."""
+    runs = parent + change
+    return {spec["name"]: {"unit": spec["unit"], "better": spec["better"],
+                           "parent": quartiles([r[spec["name"]] for r in parent]),
+                           "change": quartiles([r[spec["name"]] for r in change])}
+            for spec in specs if all(spec["name"] in r for r in runs)}
 
 
 def trajectory(paths):
@@ -130,6 +148,8 @@ def main(argv=None):
     parser.add_argument("--pair", action="append", metavar="WORKLOAD=SEEDS",
                         help="workload and its seeds, e.g. ensemble-audit=3301-3310")
     parser.add_argument("--out", help="JSON file to write")
+    parser.add_argument("--trace", action="store_true",
+                        help="traced runs: per-layer quartiles per side, no verdicts")
     parser.add_argument("--trajectory", nargs="+", metavar="BENCH.json",
                         help="print the medians and wins of these output files and exit")
     args = parser.parse_args(argv)
@@ -138,6 +158,8 @@ def main(argv=None):
         return 0
     if not (args.parent and args.pair and args.out):
         parser.error("--parent, --pair and --out are required without --trajectory")
+    if args.trace and not args.change:
+        parser.error("--trace needs --change: a traced run writes bench/traces/ in its checkout")
 
     contract = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = contract["run_seconds"]
@@ -152,37 +174,45 @@ def main(argv=None):
             sides["change"] = ROOT
             revs["change"] = "checkout"
         doc = {"parent": revs["parent"], "change": revs["change"], "seconds": seconds,
-               "command": contract["command"], "machine": None, "workloads": {}}
+               "command": contract["command"], "trace": args.trace, "machine": None,
+               "workloads": {}}
         for workload, seeds in plan:
             runs = []
             for i, seed in enumerate(seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in order:
                     report, result = run_bench(sides[side], contract["command"], workload,
-                                               seed, seconds)
+                                               seed, seconds, args.trace)
                     doc["machine"] = doc["machine"] or report["machine"]
+                    metrics = {k: v["value"] for k, v in result["metrics"].items()}
                     runs.append({"seed": seed, "side": side, "first": side == order[0],
                                  "digest": report["digest"], "correct": result["correct"],
                                  "attempted": result["attempted"], "failed": result["failed"],
-                                 "failed_share": report["metrics"]["failed_share"]["value"],
-                                 "metrics": {k: v["value"] for k, v in result["metrics"].items()}})
-                    print(f"{workload} seed {seed} {side}: "
-                          f"{runs[-1]['metrics'].get('throughput_ops_s')}", file=sys.stderr)
+                                 "metrics": metrics})
+                    if not args.trace:
+                        runs[-1]["failed_share"] = report["metrics"]["failed_share"]["value"]
+                    speed = metrics.get("throughput_ops_s",
+                                        metrics.get("trace.traced_throughput_ops_s"))
+                    print(f"{workload} seed {seed} {side}: {speed}", file=sys.stderr)
             parent = [r for r in runs if r["side"] == "parent"]
             change = [r for r in runs if r["side"] == "change"]
 
             def values(side, name):
                 return [r["metrics"][name] for r in side]
 
-            doc["workloads"][workload] = {
+            entry = doc["workloads"][workload] = {
                 "seeds": seeds,
                 "digest_mismatch_seeds": [p["seed"] for p, c in zip(parent, change)
                                           if p["digest"] != c["digest"]],
-                "metrics": {spec["name"]: summarise(spec, values(parent, spec["name"]),
-                                                    values(change, spec["name"]))
-                            for spec in contract["end_to_end"]},
                 "runs": runs,
             }
+            if args.trace:
+                entry["layers"] = layers(contract["per_layer"], [r["metrics"] for r in parent],
+                                         [r["metrics"] for r in change])
+            else:
+                entry["metrics"] = {spec["name"]: summarise(spec, values(parent, spec["name"]),
+                                                            values(change, spec["name"]))
+                                    for spec in contract["end_to_end"]}
     Path(args.out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     return 0
 
