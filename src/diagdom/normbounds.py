@@ -330,6 +330,6 @@ def s_sdd1_schur_bound(A, S) -> BoundCertificate:
     if not (part.diag > sums[1]).all():
         raise HypothesisError(
             "matrix is not S-SDD1 for this witness",
-            "every row must satisfy |a_ii| - R^{Sbar}_i - Q^S_i > 0",
+            "every row must satisfy |a_ii| > R^{Sbar}_i + Q^S_i",
         )
     return _restricted_schur_bound(FORMULA_S_SDD1_SCHUR, part, S, sums)
