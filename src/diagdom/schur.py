@@ -280,10 +280,13 @@ class _Sweep:
 
     def _results(self, part):
         """(SchurResult, complement partition) of every member whose complement exists."""
-        ok = ((self.factors[3] < 0) & self.finite).tolist()
-        comps = [_frozen(c) if good else None for c, good in zip(self.complements, ok)]
-        parts = ([_build_partition(comps[0])] if len(comps) == 1
-                 else _build_partitions(self.complements))
+        if len(self.alphas) == 1:  # a lone complement: asked again, it is found by its bytes
+            crec = _record(self.complements[0])
+            comps, parts = [crec.matrix], [crec.result("partition", _build_partition)]
+        else:
+            ok = ((self.factors[3] < 0) & self.finite).tolist()
+            comps = [_frozen(c) if good else None for c, good in zip(self.complements, ok)]
+            parts = _build_partitions(self.complements)
         bars = self.bars.tolist()
         margins = [None] * len(bars) if self.margins is None else self.margins.tolist()
         return [None if comp is None else (SchurResult(

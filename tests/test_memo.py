@@ -418,22 +418,25 @@ def in_threads(run, count):
 
 def test_threads_sweeping_different_matrices_match_a_serial_run():
     # More threads than the 2-CPU VM has cores, switching as often as the
-    # interpreter allows; every thread also reads one shared lazy delta.
+    # interpreter allows; every thread also reads one shared lazy delta and
+    # one shared lazy block factorization.
     work = [[np.array(generate_sdd1(n, 50 * k + n, n1_fraction=0.5)) for n in range(6, 11)]
             for k in range(4)]
     clear_memo()
     serial = [[sweep(A) for A in mats] for mats in work]
     clear_memo()
     shared = schur_complement(work[0][-1], [dominance_partition(work[0][-1]).n2[0]])
-    results, deltas = [None] * len(work), [None] * len(work)
+    results, deltas, facts = [None] * len(work), [None] * len(work), [None] * len(work)
 
     def run(k):
         deltas[k] = shared.delta
+        facts[k] = shared._block_factorization
         results[k] = [[sweep(A) for _ in range(3)] for A in work[k]]
 
     in_threads(run, len(work))
     assert results == [[[s] * 3 for s in mats] for mats in serial]
     assert all(d is deltas[0] for d in deltas) and deltas[0] is not None
+    assert all(f is facts[0] for f in facts) and facts[0] is not None
     assert within_bounds()
 
 
