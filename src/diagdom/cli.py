@@ -113,12 +113,12 @@ def _cmd_classify(A, args):
 
 
 def _cmd_schur(A, args):
-    from .oracle import _lu_determinant, determinant
+    from .oracle import determinant
     from .schur import SCALAR_RTOL, schur_complement
     if not args.alpha:
         raise ValidationError("--alpha is required for the schur subcommand")
     res = schur_complement(A, _parse_index_list(args.alpha))
-    det_block = _lu_determinant(res._block_factorization)
+    det_block = determinant(A[np.ix_(res.alpha, res.alpha)])
     det_full = determinant(A)
     det_comp = determinant(res.complement)
     return {"result": {

@@ -33,12 +33,13 @@ __all__ = [
 # The memo: the MEMO_RECORDS most recently used records, each a validated matrix
 # and its partition and LU factorization, built on first request (24 n^2 + 48 n
 # bytes at most, 16 n^2 + 48 n when the matrix is the caller's own immutable one),
-# and the last family of Schur complements swept from it: its complements and pivot
-# factors, each stack at most oracle.STACK_CHUNK_ENTRIES float64 (512 KiB), its
-# certified margins, fewer entries again, and, once a member is asked for, every
-# member's result: its frozen complement and that complement's partition, two more
-# such stacks (the moduli and the copies), six (m, |bar|) arrays and about 3 KB of
-# objects per member (3.6 MiB for the largest family kept, 924 members of order 6).
+# and the last sweep of Schur complements made from it, of one alpha or of a family:
+# its complements, a stack of at most oracle.STACK_CHUNK_ENTRIES float64 (512 KiB) for
+# a family and one complement of any order alone, its certified margins, fewer
+# entries again, and, once a member is asked for, every member's result: its frozen
+# complement and that complement's partition, two more such stacks (the moduli and
+# the copies), six (m, |bar|) arrays and the objects, about 3 KB a member in all (2.7
+# MiB for the largest family kept, 924 members of order 6).
 # Only a matrix whose partition or factorization is read, or whose shared copy
 # ``as_matrix`` is asked for, gets one; single reads use ``_checked``.  Two is the
 # fewest with which a dense pass builds nothing twice: A's record outlasts its

@@ -216,11 +216,6 @@ def determinant(A) -> float:
         fact = lu_factor(A)
     except SingularMatrixError:
         return 0.0
-    return _lu_determinant(fact)
-
-
-def _lu_determinant(fact) -> float:
-    """det = sign * prod(diag U) of a factorization."""
     return float(fact.sign * np.prod(fact.packed.diagonal()))
 
 
@@ -327,22 +322,20 @@ def _stack_pivots(stack, factors=False):
 
 def _factor_stack(stack):
     """``lu_factor``'s factors of each matrix of a C-ordered (m, s, s) stack, unrecorded: the
-    read-only packed factors, (m, s) permutations, signs and singular columns (-1 if none),
-    zeros for a singular matrix.  Two or more of order at most ``LU_BLOCK`` are eliminated
-    together by ``_stack_pivots``, any other stack one at a time as ``_factorize`` does."""
+    packed factors, (m, s) permutations, signs and singular columns (-1 if none), zeros for
+    a singular matrix.  Two or more of order at most ``LU_BLOCK`` are eliminated together
+    by ``_stack_pivots``, any other stack one at a time as ``_factorize`` does."""
     m, s, _ = stack.shape
     if m > 1 and s <= LU_BLOCK:
-        packed, perm, sign, failed = _stack_pivots(stack, factors=True)
-        return _frozen(packed), perm, sign, failed
-    parts, perm, sign, failed = [], np.zeros((m, s), dtype=np.intp), np.zeros(m), np.full(m, -1)
+        return _stack_pivots(stack, factors=True)
+    packed, perm = np.zeros((m, s, s)), np.zeros((m, s), dtype=np.intp)
+    sign, failed = np.zeros(m), np.full(m, -1)
     for j, block in enumerate(stack):
         try:
-            lu, perm[j], sign[j] = _eliminate(block)
+            packed[j], perm[j], sign[j] = _eliminate(block)
         except SingularMatrixError as exc:
-            lu, failed[j] = np.zeros((s, s)), exc.column
-        parts.append(lu.tobytes())
-    # Joining a single ``bytes`` returns it, so a lone factor is copied once, as _factorize does.
-    return np.frombuffer(b"".join(parts), dtype=np.float64).reshape(m, s, s), perm, sign, failed
+            failed[j] = exc.column
+    return packed, perm, sign, failed
 
 
 def _substitute(lu, X):

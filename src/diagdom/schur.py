@@ -40,7 +40,6 @@ from .core import (
 )
 from .errors import HypothesisError, SingularBlockError, SingularMatrixError, ValidationError
 from .oracle import (
-    LuFactorization,
     _chunk_length,
     _factor_stack,
     _m_matrix_witness,
@@ -74,12 +73,9 @@ class SchurResult:
     expressed in original row labels.  ``delta`` is the coupling-radius
     matrix |a_{t,alpha}| <A(alpha)>^{-1} |a_{alpha,u}|, present only when the
     pivot block is an H-matrix; it is built on first read, and until then
-    the result holds the partition of A.  The result also holds the pivot
-    block's read-only factorization, which the ``schur`` subcommand reads its
-    determinant from: built on first read, a view, not a copy, of the factor
-    stack of alpha's sweep.  Every field has the bits of computing alpha
-    alone, whether the result came from alpha's family or not (see
-    ``schur_complement``).
+    the result holds the partition of A.  Every field has the bits of
+    computing alpha alone, whether the result came from alpha's family or
+    not (see ``schur_complement``).
     ``certified_lower_bounds`` maps original row labels to certified
     dominance lower bounds when a regime applies; ``certified_kind`` says
     which margin is bounded ("sdd1_degree" for |a'_tt| - P_t, "sdd_degree"
@@ -94,10 +90,7 @@ class SchurResult:
     certified_lower_bounds: dict[int, float] | None
     certified_kind: str | None
     _a_partition: IndexPartition | None = field(default=None, repr=False, compare=False)
-    _pivot: tuple | None = field(default=None, repr=False, compare=False)  # (sweep factors, j)
     _delta: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _factorization: LuFactorization | None = field(default=None, init=False, repr=False,
-                                                   compare=False)
 
     def __post_init__(self):
         self.complement.setflags(write=False)
@@ -110,16 +103,6 @@ class SchurResult:
                 object.__setattr__(self, "_delta", delta)
                 object.__setattr__(self, "_a_partition", None)  # delta was all it was kept for
             return self._delta
-
-    @property
-    def _block_factorization(self) -> LuFactorization | None:
-        with _LOCK:
-            if self._pivot is not None:
-                (lu, perm, sign, _), j = self._pivot
-                fact = LuFactorization(lu[j], tuple(perm[j].tolist()), int(sign[j]))
-                object.__setattr__(self, "_factorization", fact)
-                object.__setattr__(self, "_pivot", None)
-            return self._factorization
 
 
 def _coupling_radii(part, alpha, bar):
@@ -168,13 +151,12 @@ def schur_complement(A, alpha) -> SchurResult:
     stacked chunk, ``oracle._chunk_length(max(|alpha|, n - |alpha|))`` of
     them, so no array of the pass holds more than
     ``oracle.STACK_CHUNK_ENTRIES`` entries.  Any other alpha, a family of
-    one, and the first complement asked of a record are computed alone and
-    not kept: a matrix asked for one complement pays for one.  A record keeps
-    one family, the last it swept.  A kept family's results, each
-    complement with its partition, are built together on the first request
-    for one of them, so asking for a member is a lookup; a member's pivot
-    factorization is built only when read.  Every result has the bits of
-    computing its alpha alone.
+    one, and the first complement asked of a record are computed alone: a
+    matrix asked for one complement pays for one.  A record keeps the last
+    sweep it made, of one member or of a family.  A kept sweep's results,
+    each complement with its partition, are built together on the first
+    request for one of them, so asking again for any member is a lookup.
+    Every result has the bits of computing its alpha alone.
 
     Raises ``SingularBlockError`` when the pivot block cannot be factored,
     ``ValidationError`` for empty or full ``alpha`` and for a complement with
@@ -203,40 +185,38 @@ def _family(part, alpha):
 
 
 def _swept(rec, part, alpha):
-    """A sweep holding alpha, and alpha's place in it: the family kept in A's record if
-    alpha is one of its members, else alpha's family, swept whole and kept in its place,
-    unless alpha is alone in it or this is the first complement asked of the record."""
+    """A sweep holding alpha, and alpha's place in it: the sweep kept in A's record if alpha
+    is one of its members, else a new one, kept in its place.  The new sweep is alpha's
+    family, or alpha alone if the record has swept nothing yet or alpha's family is not
+    swept whole."""
     with _LOCK:
-        kept = rec.family  # (sweep, {member: place}), or (None, {}) after a first complement
-        j = None if kept is None else kept[1].get(alpha)
-        if j is not None:
-            return kept[0], j
-        members = _family(part, alpha)
-        if members is not None:
-            if kept is None:  # the first complement: alone, and the next family asked is swept
-                rec.family = (None, {})
-            else:
-                alphas = list(members)
-                index = {a: j for j, a in enumerate(alphas)}
-                rec.family = (_Sweep(rec.matrix, alphas, part), index)
-                return rec.family[0], index[alpha]
-    return _Sweep(rec.matrix, [alpha], part), 0
+        kept = rec.family
+        j = None if kept is None else kept.index.get(alpha)
+        if j is None:
+            members = None if kept is None else _family(part, alpha)
+            alphas = [alpha] if members is None else list(members)
+            kept = rec.family = _Sweep(rec.matrix, alphas, part)
+            j = kept.index[alpha]
+        return kept, j
 
 
 class _Sweep:
     """One stacked pass over m pivot sets of one size, in increasing order, of a validated A.
 
     Holds the complements A/alpha as an (m, |bar|, |bar|) stack, each member's
-    bar, the pivot blocks' factors and, given A's partition, the certified
-    margins, (m, |bar|), and their kind.  One path for any m and block order:
-    ``oracle._factor_stack`` factors the blocks, ``oracle._substitute``
-    solves A(alpha, bar), gathered once in pivot order, and one stacked
-    product forms the complements; each member gets the bits of computing it
-    alone.  ``complement`` reads a member's complement out and ``result`` its
-    ``SchurResult``, both raising the member's own error; nothing warns.
+    place by its alpha, its bar and the column of its singular pivot (-1 if
+    none) and, given A's partition, the certified margins, (m, |bar|), and
+    their kind.  One path for any m and block order: ``oracle._factor_stack``
+    factors the blocks, ``oracle._substitute`` solves A(alpha, bar), gathered
+    once in pivot order, and one stacked product forms the complements; each
+    member gets the bits of computing it alone.  The factors are dropped once
+    the complements are formed.  ``complement`` reads a member's complement
+    out and ``result`` its ``SchurResult``, both raising the member's own
+    error; nothing warns.
     """
 
-    __slots__ = ("alphas", "bars", "complements", "factors", "finite", "margins", "kind", "results")
+    __slots__ = ("alphas", "index", "bars", "complements", "failed", "finite", "margins", "kind",
+                 "results")
 
     def __init__(self, A, alphas, part=None):
         ia = np.array(alphas, dtype=np.intp)
@@ -245,20 +225,20 @@ class _Sweep:
         outside[members, ia] = False
         ib = outside.nonzero()[1].reshape(m, -1)  # each member's bar, in increasing order
         with np.errstate(all="ignore"):
-            factors = _factor_stack(A[ia[:, :, None], ia[:, None, :]])  # packed, perm, sign, failed
-            packed, perm = factors[:2]
+            packed, perm, _, self.failed = _factor_stack(A[ia[:, :, None], ia[:, None, :]])
             X = _substitute(packed, A[ia[members, perm][:, :, None], ib[:, None, :]])
             comps = A[ib[:, :, None], ib[:, None, :]] - A[ib[:, :, None], ia[:, None, :]] @ X
             # One member's margins may overflow; that must not warn when another is asked.
             self.margins, self.kind = (None, None) if part is None else _certified(part, ia, ib)
-        self.alphas, self.bars, self.complements, self.factors = alphas, ib, comps, factors
+        self.alphas, self.bars, self.complements = alphas, ib, comps
+        self.index = {a: j for j, a in enumerate(alphas)}
         self.finite = np.isfinite(comps).all(axis=(1, 2))
         self.results = None
 
     def complement(self, j):
         """Member j's complement, a view of the stack; or the member's ``SingularBlockError``
         or ``ValidationError``."""
-        column = int(self.factors[3][j])
+        column = int(self.failed[j])
         if column >= 0 or not self.finite[j]:
             labels = tuple(a + 1 for a in self.alphas[j])
             if column >= 0:
@@ -269,7 +249,7 @@ class _Sweep:
     def result(self, j, part):
         """Member j's ``SchurResult`` (``part`` is A's partition), its complement left in the
         memo with its partition; or the member's error.  Every member's result is built on
-        the first request, one stacked partition for two or more members."""
+        the first request."""
         self.complement(j)
         with _LOCK:
             if self.results is None:
@@ -279,14 +259,12 @@ class _Sweep:
         return res
 
     def _results(self, part):
-        """(SchurResult, complement partition) of every member whose complement exists."""
-        if len(self.alphas) == 1:  # a lone complement: asked again, it is found by its bytes
-            crec = _record(self.complements[0])
-            comps, parts = [crec.matrix], [crec.result("partition", _build_partition)]
-        else:
-            ok = ((self.factors[3] < 0) & self.finite).tolist()
-            comps = [_frozen(c) if good else None for c, good in zip(self.complements, ok)]
-            parts = _build_partitions(self.complements)
+        """(SchurResult, complement partition) of every member whose complement exists: a
+        frozen copy of it and its partition, one stacked partition for two or more members."""
+        ok = ((self.failed < 0) & self.finite).tolist()
+        comps = [_frozen(c) if good else None for c, good in zip(self.complements, ok)]
+        parts = ([_build_partition(self.complements[0])] if len(comps) == 1
+                 else _build_partitions(self.complements))
         bars = self.bars.tolist()
         margins = [None] * len(bars) if self.margins is None else self.margins.tolist()
         return [None if comp is None else (SchurResult(
@@ -298,9 +276,7 @@ class _Sweep:
             certified_lower_bounds=None if row is None else dict(zip(bar, row)),
             certified_kind=self.kind,
             _a_partition=part,
-            _pivot=(self.factors, j),
-        ), cpart) for j, (alpha, bar, comp, cpart, row) in enumerate(
-            zip(self.alphas, bars, comps, parts, margins))]
+        ), cpart) for alpha, bar, comp, cpart, row in zip(self.alphas, bars, comps, parts, margins)]
 
 
 def _alone(A, alpha):

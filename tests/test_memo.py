@@ -418,25 +418,22 @@ def in_threads(run, count):
 
 def test_threads_sweeping_different_matrices_match_a_serial_run():
     # More threads than the 2-CPU VM has cores, switching as often as the
-    # interpreter allows; every thread also reads one shared lazy delta and
-    # one shared lazy block factorization.
+    # interpreter allows; every thread also reads one shared lazy delta.
     work = [[np.array(generate_sdd1(n, 50 * k + n, n1_fraction=0.5)) for n in range(6, 11)]
             for k in range(4)]
     clear_memo()
     serial = [[sweep(A) for A in mats] for mats in work]
     clear_memo()
     shared = schur_complement(work[0][-1], [dominance_partition(work[0][-1]).n2[0]])
-    results, deltas, facts = [None] * len(work), [None] * len(work), [None] * len(work)
+    results, deltas = [None] * len(work), [None] * len(work)
 
     def run(k):
         deltas[k] = shared.delta
-        facts[k] = shared._block_factorization
         results[k] = [[sweep(A) for _ in range(3)] for A in work[k]]
 
     in_threads(run, len(work))
     assert results == [[[s] * 3 for s in mats] for mats in serial]
     assert all(d is deltas[0] for d in deltas) and deltas[0] is not None
-    assert all(f is facts[0] for f in facts) and facts[0] is not None
     assert within_bounds()
 
 
@@ -550,23 +547,28 @@ def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
     clear_memo()
     quotient_formula_check(A, list(range(11)), [0])
     assert core._MEMO == []  # A is read once, so not even A has a record
-    # The ``schur`` subcommand reads the pivot block's determinant from the
-    # factorization its complement was eliminated with, then factors A and A/alpha.
+    # The ``schur`` subcommand eliminates the pivot block for its complement, then
+    # factors the block again for its determinant, as criterion 7 does, and A and A/alpha.
     clear_memo()
     del eliminations[:]
-    cli._cmd_schur(A, argparse.Namespace(alpha=",".join(str(i + 1) for i in alpha)))
-    assert eliminations == [len(alpha), 12, 12 - len(alpha)]  # the block once, then A and A/alpha
-    # A's first complement was computed alone; the next call sweeps alpha's family,
-    # each pivot block once, and every member is then answered from the sweep.
+    report = cli._cmd_schur(A, argparse.Namespace(alpha=",".join(str(i + 1) for i in alpha)))
+    assert eliminations == [len(alpha), len(alpha), 12, 12 - len(alpha)]
+    block = determinant(A[np.ix_(alpha, alpha)])
+    assert block.hex() == "0x1.62fee80000000p+10"
+    identity = report["result"]["determinant_identity"]
+    assert identity["det_block_times_det_complement"] == block * determinant(
+        report["result"]["complement"])
+    # A's first complement is computed alone and kept, so asking for it again is a
+    # lookup; the next member sweeps alpha's family, each pivot block once, and every
+    # member is then answered from the sweep.
     family = list(itertools.combinations(dominance_partition(A).n2, len(alpha)))
-    assert len(family) > 1
+    assert len(family) > 1 and family[0] == tuple(alpha)
+    clear_memo()
+    schur_complement(A, alpha)
     del eliminations[:]
-    fact = schur_complement(A, alpha)._block_factorization
     for member in family:
         schur_complement(A, member)
     assert eliminations == [len(alpha)] * len(family)
-    assert oracle._lu_determinant(fact).hex() == "0x1.62fee80000000p+10"
-    assert determinant(A[np.ix_(alpha, alpha)]).hex() == "0x1.62fee80000000p+10"
     # Criterion 7's sweep of an order-8 matrix, complements and their partitions,
     # records A and one complement per alpha (reading a ``delta`` would add its
     # comparison block's inverse).
@@ -595,7 +597,7 @@ def test_family_hit_builds_nothing_per_member(monkeypatch):
     family = list(itertools.combinations(dominance_partition(A).n2, 3))
     assert len(family) == 20
     clear_memo()
-    schur_complement(A, family[0])  # the first complement of a record, alone
+    schur_complement(A, family[-1])  # the first complement of a record, alone
     first = schur_complement(A, family[0])  # sweeps the family
     built = []
     for module, name in ((core, "_build_partition"), (schur, "_build_partition"),
@@ -607,12 +609,12 @@ def test_family_hit_builds_nothing_per_member(monkeypatch):
                for res in (schur_complement(A, member) for member in family[1:])]
     assert built == []  # no complement, nor A, was checked or partitioned
     monkeypatch.undo()
-    kept = core._record(A).family[0].results  # (result, complement partition) per member
+    kept = core._record(A).family.results  # (result, complement partition) per member
     for (res, cpart), (kept_res, kept_part) in zip(answers, kept[1:], strict=True):
         assert res is kept_res and cpart is kept_part
-    # The ``schur`` subcommand reads the block determinant from the family's factors.
+    # The ``schur`` subcommand reads the family's member and the block determinant.
     report = cli._cmd_schur(A, argparse.Namespace(alpha=",".join(str(i + 1) for i in family[0])))
-    block = oracle._lu_determinant(first._block_factorization)
+    block = determinant(A[np.ix_(family[0], family[0])])
     assert block.hex() == "0x1.62fee80000000p+10"
     identity = report["result"]["determinant_identity"]
     assert identity["det_block_times_det_complement"] == block * determinant(first.complement)
@@ -661,8 +663,13 @@ def test_a_record_keeps_one_family_at_a_time(sweeps):
         schur_complement(A, alpha)
         assert within_bounds()
     # A's first complement alone; then each family once per run of its members,
-    # since a record's family replaces the one it kept before.
+    # since a record's sweep replaces the one it kept before.
     assert sweeps == [1, len(singles), len(pairs), len(singles), len(beyond), len(singles)]
+    # n2 is a family of one: swept alone, kept like any sweep, and asked again a lookup,
+    # its complement's partition the one kept with it.
+    lone = [schur_complement(A, part.n2) for _ in range(2)]
+    assert sweeps[6:] == [1] and lone[0] is lone[1]
+    assert dominance_partition(lone[0].complement) is core._record(A).family.results[0][1]
 
 
 def test_order_300_audit_partitions_and_eliminates_a_once(eliminations, monkeypatch):

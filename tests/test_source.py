@@ -1,6 +1,7 @@
 """Checks on the library's source text and on its package namespace."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import pathlib
@@ -62,6 +63,22 @@ def test_lu_kernels_are_chosen_only_in_the_oracle():
             if name in LU_KERNEL_NAMES:
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert not found, found
+
+
+def test_schur_results_are_read_only_through_their_public_fields():
+    # A ``SchurResult``'s private fields and properties are how ``schur`` builds it;
+    # another module that reads one depends on how a sweep makes its results.
+    private = {name for name in (*vars(diagdom.SchurResult),
+                                 *(f.name for f in dataclasses.fields(diagdom.SchurResult)))
+               if name.startswith("_") and not name.startswith("__")}
+    found = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        if path.name == "schur.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert "_delta" in private and not found, found
 
 
 def test_s_equal_to_n2_is_told_apart_only_in_restricted_sums():

@@ -28,6 +28,7 @@ from diagdom import (
     certified_bound_alpha_equals_n2,
     certified_bound_proper_subset,
     certified_bound_superset,
+    determinant,
     dominance_bracket,
     dominance_ordering,
     dominance_partition,
@@ -482,13 +483,14 @@ def family_of(part, regime, rng):
 
 
 def reference_outcome(A, alpha):
-    """The reference's complement, bookkeeping and block factorization, or its error."""
+    """The reference's complement, bookkeeping and block determinant, or its error."""
     with np.errstate(all="ignore"):  # the reference warns where its solve overflows
         try:
             want = reference.schur_complement(A, alpha)
         except (SingularBlockError, ValidationError) as exc:
             return type(exc), str(exc), getattr(exc, "column", None)
-    return want, reference.lu_factor_blocked(np.asarray(A)[np.ix_(alpha, alpha)])
+        block = reference.lu_factor_blocked(np.asarray(A)[np.ix_(alpha, alpha)])
+        return want, float(block.sign * np.prod(block.packed.diagonal()))
 
 
 def assert_member_equals_reference(A, alpha, want):
@@ -497,15 +499,22 @@ def assert_member_equals_reference(A, alpha, want):
             schur_complement(A, alpha)
         assert (type(err.value), str(err.value), getattr(err.value, "column", None)) == want
         return
-    (comp, bar, tilde_n1, tilde_n2, delta, certified, kind), block = want
+    comp, bar, tilde_n1, tilde_n2, delta, certified, kind = want[0]
     res = schur_complement(A, alpha)
     assert same(res.complement, comp)
     assert (res.alpha_bar, res.tilde_n1, res.tilde_n2) == (bar, tilde_n1, tilde_n2)
     assert res.certified_lower_bounds == certified and res.certified_kind == kind
-    fact = res._block_factorization
-    assert same(fact.packed, block.packed) and (fact.perm, fact.sign) == (block.perm, block.sign)
     assert (res.delta is None) == (delta is None)
     assert delta is None or same(res.delta, delta)
+
+
+def assert_block_determinants_equal_reference(A, family, wants):
+    """The pivot-block determinant the ``schur`` subcommand reports, for every member whose
+    complement exists, has the reference factorization's bits.  It records each block, so
+    it runs after the members are asked, not between them."""
+    for alpha, want in zip(family, wants, strict=True):
+        if not isinstance(want[0], type):
+            assert same(determinant(np.asarray(A)[np.ix_(alpha, alpha)]), want[1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -527,6 +536,7 @@ def test_schur_family_in_any_order_equals_reference(kind, regime, n, seed):
         elif step == 1:
             schur_complement(other, [dominance_partition(other).n2[0]])
         assert_member_equals_reference(A, family[j], wants[j])
+    assert_block_determinants_equal_reference(A, family, wants)
 
 
 def test_family_members_raise_their_own_errors():
@@ -559,3 +569,4 @@ def test_family_members_raise_their_own_errors():
                 clear_memo()
                 for j in order:
                     assert_member_equals_reference(M, members[j], outcomes[j])
+            assert_block_determinants_equal_reference(M, members, outcomes)
