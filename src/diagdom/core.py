@@ -34,12 +34,12 @@ __all__ = [
 # and its partition and LU factorization, built on first request (24 n^2 + 48 n
 # bytes at most, 16 n^2 + 48 n when the matrix is the caller's own immutable one),
 # and the last sweep of Schur complements made from it, of one alpha or of a family:
-# its complements, a stack of at most oracle.STACK_CHUNK_ENTRIES float64 (512 KiB) for
-# a family and one complement of any order alone, its certified margins, fewer
-# entries again, and, once a member is asked for, every member's result: its frozen
-# complement and that complement's partition, two more such stacks (the moduli and
-# the copies), six (m, |bar|) arrays and the objects, about 3 KB a member in all (2.7
-# MiB for the largest family kept, 924 members of order 6).
+# its certified margins and, until a member is asked for, its complements, a stack of
+# at most oracle.STACK_CHUNK_ENTRIES float64 (512 KiB) for a family and one complement
+# of any order alone; from then on, in place of that stack, every member's result:
+# its frozen complement and that complement's partition, two such stacks (the copies
+# and the moduli), six (m, |bar|) arrays and the objects, about 3 KB a member in all
+# (3.0 MiB for the largest family kept, 924 members of order 6).
 # Only a matrix whose partition or factorization is read, or whose shared copy
 # ``as_matrix`` is asked for, gets one; single reads use ``_checked``.  Two is the
 # fewest with which a dense pass builds nothing twice: A's record outlasts its
@@ -137,13 +137,14 @@ def _record(a) -> _Record:
 def _adopt(matrix, partition) -> _Record:
     """The memo's record of the finite immutable ``matrix`` (as ``_frozen`` makes them),
     holding ``partition``, its dominance partition as ``_build_partition`` gives it: found
-    by identity, else recorded as it is, with no copy, byte compare or finite check."""
+    by identity or by equal bytes, else recorded as it is, with no copy or finite check."""
+    raw = _immutable_bytes(matrix)
     with _LOCK:
         for rec in _MEMO:
-            if rec.matrix is matrix:
+            if rec.matrix is matrix or rec.raw == raw:
                 break
         else:
-            rec = _Record(matrix, _immutable_bytes(matrix))
+            rec = _Record(matrix, raw)
         if rec.partition is None:
             rec.partition = partition
         return _used(rec)

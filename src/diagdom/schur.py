@@ -153,10 +153,14 @@ def schur_complement(A, alpha) -> SchurResult:
     ``oracle.STACK_CHUNK_ENTRIES`` entries.  Any other alpha, a family of
     one, and the first complement asked of a record are computed alone: a
     matrix asked for one complement pays for one.  A record keeps the last
-    sweep it made, of one member or of a family.  A kept sweep's results,
-    each complement with its partition, are built together on the first
-    request for one of them, so asking again for any member is a lookup.
-    Every result has the bits of computing its alpha alone.
+    sweep it made, of one member or of a family, so an alpha computed alone
+    replaces the kept family: asked between two members of a family, it makes
+    the second member sweep the family again.  Likewise a record's first
+    complement is its first sweep whether or not alpha has a family, and the
+    next family asked is swept whole.  A kept sweep's results, each
+    complement with its partition, are built together on the first request
+    for one of them, so asking again for any member is a lookup.  Every
+    result has the bits of computing its alpha alone.
 
     Raises ``SingularBlockError`` when the pivot block cannot be factored,
     ``ValidationError`` for empty or full ``alpha`` and for a complement with
@@ -188,16 +192,17 @@ def _swept(rec, part, alpha):
     """A sweep holding alpha, and alpha's place in it: the sweep kept in A's record if alpha
     is one of its members, else a new one, kept in its place.  The new sweep is alpha's
     family, or alpha alone if the record has swept nothing yet or alpha's family is not
-    swept whole."""
-    with _LOCK:
-        kept = rec.family
-        j = None if kept is None else kept.index.get(alpha)
-        if j is None:
-            members = None if kept is None else _family(part, alpha)
-            alphas = [alpha] if members is None else list(members)
-            kept = rec.family = _Sweep(rec.matrix, alphas, part)
-            j = kept.index[alpha]
-        return kept, j
+    swept whole.  It is built outside the memo's lock, so other threads' lookups never wait
+    for it; if another thread kept a sweep holding alpha meanwhile, that one is used."""
+    kept = rec.family
+    if kept is None or alpha not in kept.index:
+        members = None if kept is None else _family(part, alpha)
+        sweep = _Sweep(rec.matrix, [alpha] if members is None else list(members), part)
+        with _LOCK:
+            kept = rec.family
+            if kept is None or alpha not in kept.index:
+                kept = rec.family = sweep
+    return kept, kept.index[alpha]
 
 
 class _Sweep:
@@ -210,9 +215,9 @@ class _Sweep:
     factors the blocks, ``oracle._substitute`` solves A(alpha, bar), gathered
     once in pivot order, and one stacked product forms the complements; each
     member gets the bits of computing it alone.  The factors are dropped once
-    the complements are formed.  ``complement`` reads a member's complement
-    out and ``result`` its ``SchurResult``, both raising the member's own
-    error; nothing warns.
+    the complements are formed, and the stack once the results are built, each
+    result holding its own read-only copy.  ``check`` raises a member's own
+    error and ``result`` builds its ``SchurResult``; nothing warns.
     """
 
     __slots__ = ("alphas", "index", "bars", "complements", "failed", "finite", "margins", "kind",
@@ -235,25 +240,24 @@ class _Sweep:
         self.finite = np.isfinite(comps).all(axis=(1, 2))
         self.results = None
 
-    def complement(self, j):
-        """Member j's complement, a view of the stack; or the member's ``SingularBlockError``
-        or ``ValidationError``."""
+    def check(self, j):
+        """Raise member j's ``SingularBlockError`` or ``ValidationError``, if it has one."""
         column = int(self.failed[j])
         if column >= 0 or not self.finite[j]:
             labels = tuple(a + 1 for a in self.alphas[j])
             if column >= 0:
                 raise SingularBlockError(f"pivot block {labels} is singular", column=column)
             raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
-        return self.complements[j]
 
     def result(self, j, part):
         """Member j's ``SchurResult`` (``part`` is A's partition), its complement left in the
         memo with its partition; or the member's error.  Every member's result is built on
-        the first request."""
-        self.complement(j)
+        the first request, and the stack of complements is then dropped."""
+        self.check(j)
         with _LOCK:
             if self.results is None:
                 self.results = self._results(part)
+                self.complements = None
             res, cpart = self.results[j]
             _adopt(res.complement, cpart)
         return res
@@ -280,8 +284,10 @@ class _Sweep:
 
 
 def _alone(A, alpha):
-    """A/alpha of the validated A, computed alone and not recorded."""
-    return _Sweep(A, [alpha]).complement(0)
+    """A/alpha of the validated A, computed alone and not recorded; or its error."""
+    sweep = _Sweep(A, [alpha])
+    sweep.check(0)
+    return sweep.complements[0]
 
 
 def _by_row(bar, values):

@@ -670,6 +670,59 @@ def test_a_record_keeps_one_family_at_a_time(sweeps):
     lone = [schur_complement(A, part.n2) for _ in range(2)]
     assert sweeps[6:] == [1] and lone[0] is lone[1]
     assert dominance_partition(lone[0].complement) is core._record(A).family.results[0][1]
+    # An alpha with no family, here mixing n1 and n2, is kept in place of the family,
+    # so the next member sweeps the family again.
+    mixed = sorted([part.n1[0], part.n2[0]])
+    for alpha in (singles[0], mixed, singles[1]):
+        schur_complement(A, alpha)
+    assert sweeps[7:] == [len(singles), 1, len(singles)]
+    # A record's first complement counts as its first sweep even when alpha has no
+    # family, so the first family member asked next sweeps the whole family.
+    clear_memo()
+    for alpha in (mixed, singles[0]):
+        schur_complement(A, alpha)
+    assert sweeps[10:] == [1, len(singles)]
+
+
+def test_sweeps_are_built_outside_the_memo_lock(monkeypatch):
+    # Another thread's lookups, of any matrix, never wait for a sweep's elimination.
+    held = []
+
+    class Watched(schur._Sweep):
+        __slots__ = ()
+
+        def __init__(self, A, alphas, part=None):
+            held.append(core._LOCK._is_owned())
+            super().__init__(A, alphas, part)
+
+    monkeypatch.setattr(schur, "_Sweep", Watched)
+    A = np.array(generate_sdd1(10, 4, n1_fraction=0.5))
+    n2 = dominance_partition(A).n2
+    clear_memo()
+    for alpha in (n2, n2[:1], n2[1:2]):  # alone, the family of singles, then a lookup
+        schur_complement(A, alpha)
+    assert held == [False, False]
+
+
+def test_a_complement_recorded_before_its_sweep_is_found_by_its_bytes(monkeypatch):
+    # tilde_set_identity_check records A/alpha, computed alone; the sweep's read-only
+    # copy of it then finds that record, so A's record and its sweep stay in the memo.
+    A = np.array(generate_sdd1(8, 3, n1_fraction=0.5))
+    alpha = dominance_partition(A).n2[:1]
+    created = []
+
+    class Counted(core._Record):
+        def __init__(self, matrix, raw):
+            created.append(matrix.shape)
+            super().__init__(matrix, raw)
+
+    monkeypatch.setattr(core, "_Record", Counted)
+    clear_memo()
+    assert tilde_set_identity_check(A, alpha)
+    res = schur_complement(A, alpha)
+    assert created == [(8, 8), (7, 7)] and within_bounds()
+    assert core._MEMO[0].family.results[0][0] is res
+    assert core._MEMO[1].raw == res.complement.tobytes()
 
 
 def test_order_300_audit_partitions_and_eliminates_a_once(eliminations, monkeypatch):
