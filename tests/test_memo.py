@@ -437,6 +437,26 @@ def test_threads_sweeping_different_matrices_match_a_serial_run():
     assert within_bounds()
 
 
+def test_threads_sweeping_one_matrix_match_a_serial_run():
+    # Threads asking one family's members in different orders race to build and keep
+    # its sweep outside the lock; each must read its own alpha's member of the sweep
+    # it is handed, whichever thread kept it.
+    A = generate_sdd1(12, 5, n1_fraction=0.5)
+    family = list(itertools.combinations(dominance_partition(A).n2, 3))
+    clear_memo()
+    serial = {alpha: fingerprint(schur_complement(A, alpha)) for alpha in family}
+    results = [None] * 4
+
+    def run(k):
+        clear_memo()
+        order = family[5 * k:] + family[:5 * k]
+        results[k] = [(alpha, fingerprint(schur_complement(A, alpha))) for alpha in order * 2]
+
+    in_threads(run, len(results))
+    assert all(got == serial[alpha] for out in results for alpha, got in out)
+    assert within_bounds()
+
+
 # --- factorizations in the records ---------------------------------------------
 
 
@@ -702,6 +722,30 @@ def test_sweeps_are_built_outside_the_memo_lock(monkeypatch):
     for alpha in (n2, n2[:1], n2[1:2]):  # alone, the family of singles, then a lookup
         schur_complement(A, alpha)
     assert held == [False, False]
+
+
+def test_a_sweep_kept_while_another_is_built_is_used(monkeypatch):
+    # Another call keeps alpha's family while this call builds it outside the lock,
+    # as a second thread would; this call then answers from the sweep kept first.
+    A = generate_sdd1(12, 5, n1_fraction=0.5)
+    family = list(itertools.combinations(dominance_partition(A).n2, 3))
+    clear_memo()
+    schur_complement(A, family[-1])  # the record's first complement, alone
+    inner = []
+
+    class Raced(schur._Sweep):
+        __slots__ = ()
+
+        def __init__(self, A, alphas, part=None):
+            if not inner:
+                inner.append(None)
+                inner[0] = schur_complement(A, family[1])
+            super().__init__(A, alphas, part)
+
+    monkeypatch.setattr(schur, "_Sweep", Raced)
+    rec = core._record(A)  # the two complements recorded next evict it from the memo
+    first = schur_complement(A, family[0])
+    assert rec.family.results[0][0] is first and rec.family.results[1][0] is inner[0]
 
 
 def test_a_complement_recorded_before_its_sweep_is_found_by_its_bytes(monkeypatch):
