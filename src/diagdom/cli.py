@@ -91,12 +91,10 @@ def _h_section(A):
 
 
 def _cmd_classify(A, args):
-    from .classify import WITNESS_SEARCH_MAX, classify
+    from .classify import classify
     rep = classify(A)
     is_h, scaling = _h_section(A)
     witness = None if rep.s_sdd1_witness is None else _one_based(rep.s_sdd1_witness)
-    if rep.witness_skipped:
-        witness = {"skipped": "size guard", "limit": WITNESS_SEARCH_MAX}
     return {"result": {
         "order": int(A.shape[0]),
         "is_sdd": rep.is_sdd,

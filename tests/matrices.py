@@ -135,6 +135,20 @@ TIE_N2_SCHUR = np.array([
     [0, 0, 0.25, 1],
 ])
 
+# A decimal tie of S-SDD1 with S = (1, 3, 4), a proper subset of n2 = (0, 1, 3, 4).
+# Row 2's exact |a_22| - T_2(S) of the stored doubles is -6.7e-18, and it is the
+# same for S = n2 since a_20 = 0, so no subset of n2 is an exact witness and the
+# matrix is not SDD1.  The float P_2 rounds to |a_22|, so the float rule agrees;
+# but the float T_2(S), summed in another order, leaves +1.4e-17, and an
+# exhaustive search over subsets named S as a witness.
+TIE_SUBSET_WITNESS = np.array([
+    [2.66, 0.06, 0.2, 0.9, 0.9],
+    [0.3, 1.8, 0.0, 0.9, 0.3],
+    [0.0, 0.06, 0.12413793103448276, 0.1, 0.0],
+    [0.6, 0.0, 0.06, 1.16, 0.2],
+    [0.0, 0.6, 0.3, 0.9, 1.8],
+])
+
 
 def _sdd1_by_rounding():
     """12x12, SDD1 only by rounding: rows of n1 without n2 mass have |a_ii| = R_i,

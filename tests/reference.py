@@ -10,8 +10,12 @@ inverted the comparison matrix before it became one solve, and
 ``schur_complement`` as each call built it before it validated once, and
 the grid-and-refine epsilon search the library ran before it minimized the
 epsilon bound exactly, and ``b1_split`` as it built the shift part c as a
-tiled n x n copy.  (The per-sample ``default_rng`` loop is in
-``sampled_norms``.)  The library's LU must agree with
+tiled n x n copy, and the exhaustive S-SDD1 witness search that
+``find_s_sdd1_witness`` ran before it answered n2 or None in closed form.
+(The per-sample ``default_rng`` loop is in ``sampled_norms``.)  The search
+must agree with the library except at a tie that rounding decides, where it
+can name a smaller S that the library's SDD1 test does not admit
+(``TIE_SUBSET_WITNESS``).  The library's LU must agree with
 ``lu_factor_unblocked`` exactly up to its block width and with
 ``lu_factor_blocked`` at every order; ``is_h_matrix`` must give the
 library's answer on input kept away from singularity; the library's
@@ -30,6 +34,7 @@ from diagdom import (
     DenominatorError,
     SingularBlockError,
     SingularMatrixError,
+    SizeLimitError,
     ValidationError,
     comparison_matrix,
     inf_norm,
@@ -38,7 +43,7 @@ from diagdom import (
     lu_factor,
 )
 from diagdom.certificates import FORMULA_LCP_B1, FORMULA_SDD1_EPSILON, BoundCertificate
-from diagdom.classify import B1Split
+from diagdom.classify import B1Split, _is_s_sdd1
 from diagdom.core import _checked, _frozen, as_matrix, dominance_partition
 from diagdom.lcp import VIOLATION_TOL
 from diagdom.oracle import LU_BLOCK, SINGULAR_PIVOT_RTOL, LuFactorization
@@ -51,6 +56,10 @@ EPSILON_GRID_POINTS = 256
 EPSILON_GRID_MARGIN = 1e-6
 EPSILON_REFINE_WIDTH = 1e-10
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+# Guard on |n2| of the exhaustive witness search below, which tests up to
+# 2^|n2| - 1 subsets.
+WITNESS_SEARCH_MAX = 15
 
 # Entrywise slack of the inverse-based M-matrix test below.  The library tests
 # with ``h_scaling``'s witness instead, so the constant lives only here.
@@ -499,6 +508,25 @@ def is_p_matrix(A):
             if minor_sign(A[np.ix_(rows, rows)]) <= 0.0:
                 return False
     return True
+
+
+def find_s_sdd1_witness(A):
+    """Search for a subset S of n2 making the matrix S-restricted dominant.
+
+    Exhaustive over subsets, largest cardinality first, lexicographically
+    first winner reported.  Guarded to |n2| <= 15.
+    """
+    part = dominance_partition(A)
+    n2 = part.n2
+    if len(n2) > WITNESS_SEARCH_MAX:
+        raise SizeLimitError(
+            f"witness search is exhaustive and limited to |n2| <= {WITNESS_SEARCH_MAX}"
+        )
+    for size in range(len(n2), 0, -1):
+        for S in itertools.combinations(n2, size):
+            if _is_s_sdd1(part, S):
+                return S
+    return None
 
 
 def is_h_matrix(A):

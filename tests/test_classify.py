@@ -1,11 +1,12 @@
+import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import reference
 from diagdom import (
-    SizeLimitError,
     ValidationError,
     WitnessError,
     b1_split,
@@ -20,8 +21,16 @@ from diagdom import (
     is_sdd,
     is_sdd1,
 )
-from diagdom.classify import WITNESS_SEARCH_MAX
-from matrices import DET_6X6_SECOND, LCP_8X8, NORM_8X8, SCHUR_5X5, SCHUR_6X6
+import matrices
+from diagdom.classify import _restricted_sums
+from matrices import (
+    DET_6X6_SECOND,
+    LCP_8X8,
+    NORM_8X8,
+    SCHUR_5X5,
+    SCHUR_6X6,
+    TIE_SUBSET_WITNESS,
+)
 from test_oracle import random_sdd
 
 
@@ -91,16 +100,55 @@ class TestSSdd1:
         part = dominance_partition(SCHUR_6X6)
         assert find_s_sdd1_witness(SCHUR_6X6) == part.n2
 
-    def test_witness_search_size_guard(self):
-        # Every row of the identity is dominant: |n2| = 16 is past the guard.
-        with pytest.raises(SizeLimitError):
-            find_s_sdd1_witness(np.eye(WITNESS_SEARCH_MAX + 1))
+    def test_witness_past_the_old_size_guard_is_n2(self):
+        # Every row of the identity is dominant: |n2| = 16 was past the
+        # exhaustive search's guard, and n2 is the witness with no search.
+        assert find_s_sdd1_witness(np.eye(16)) == tuple(range(16))
 
     def test_no_witness(self):
         # n2 = {1, 2, 3}, but no subset of it compensates the heavy first row.
         A = [[1.0, 6.0, 0.0, 0.0], [0.0, 5.0, 1.0, 0.0], [0.0, 1.0, 5.0, 0.0], [4.0, 0.0, 0.0, 5.0]]
         assert dominance_partition(A).n2 == (1, 2, 3)
         assert find_s_sdd1_witness(A) is None
+
+    def test_uncompensated_row_with_n2_of_15_has_no_witness(self):
+        # Row 0 is in n1 and its P_0 = 15 * 0.4 * 1/5 = 1.2 exceeds |a_00| = 1.
+        # The exhaustive search tried all 2^15 - 1 subsets of n2 here.
+        A = np.eye(16) * 5.0
+        A[0, 0], A[0, 1:], A[1:, 0] = 1.0, 0.4, 1.0
+        rep = classify(A)
+        assert rep.partition.n1 == (0,) and len(rep.partition.n2) == 15
+        assert not rep.is_sdd1 and rep.s_sdd1_witness is None
+
+    def test_subset_witness_at_a_decimal_tie_is_not_reported(self):
+        rep = classify(TIE_SUBSET_WITNESS)
+        assert not rep.is_sdd1 and rep.s_sdd1_witness is None
+        # Exactly, no nonempty S in n2 makes every row S-restricted dominant.
+        part = rep.partition
+        M = [[Fraction(abs(x)) for x in row] for row in TIE_SUBSET_WITNESS.tolist()]
+        n = len(M)
+        R = [sum(M[i][j] for j in range(n) if j != i) for i in range(n)]
+        subsets = [S for k in range(1, len(part.n2) + 1) for S in itertools.combinations(part.n2, k)]
+        for S in subsets:
+            T = [sum(M[i][j] * R[j] / M[j][j] if j in S else M[i][j] for j in range(n) if j != i)
+                 for i in range(n)]
+            assert any(M[i][i] <= T[i] for i in range(n)), S
+        # In floats the restricted sums for S = (1, 3, 4) leave row 2 a margin.
+        assert part.n2 == (0, 1, 3, 4) and part.diag[2] == part.p_values[2]
+        assert (part.diag > _restricted_sums(part, (1, 3, 4))[1]).all()
+
+    def test_witness_agrees_with_the_exhaustive_search(self, sdd1_ensemble, b1_ensemble):
+        fixtures = [A for name, A in vars(matrices).items()
+                    if isinstance(A, np.ndarray) and A.ndim == 2 and A.shape[0] == A.shape[1]
+                    and name != "TIE_SUBSET_WITNESS"]
+        assert len(fixtures) >= 15
+        for A in [*sdd1_ensemble, *b1_ensemble, *fixtures]:
+            part = dominance_partition(A)
+            want = part.n2 if part.n2 and is_sdd1(A) else None
+            assert find_s_sdd1_witness(A) == reference.find_s_sdd1_witness(A) == want
+        # At the tie the search names a proper subset of n2; the library does not.
+        assert reference.find_s_sdd1_witness(TIE_SUBSET_WITNESS) == (1, 3, 4)
+        assert find_s_sdd1_witness(TIE_SUBSET_WITNESS) is None
 
 
 class TestInclusionChain:
@@ -195,12 +243,11 @@ class TestClassReport:
         rep = classify(random_sdd(5, 12))
         assert rep.is_sdd and rep.is_sdd1
 
-    def test_witness_skipped_says_why_the_witness_is_none(self):
-        searched = classify(SCHUR_6X6)
-        assert not searched.witness_skipped and searched.s_sdd1_witness is not None
+    def test_witness_is_n2_exactly_when_sdd1(self):
+        found = classify(SCHUR_6X6)
+        assert found.is_sdd1 and found.s_sdd1_witness == found.partition.n2
         none_found = classify(np.array([[1.0, 8.0], [0.5, 2.0]]))  # n2 = {1}, no witness
-        assert not none_found.witness_skipped and none_found.s_sdd1_witness is None
-        n = WITNESS_SEARCH_MAX + 1
-        guarded = classify(np.eye(n) * 2.0 + 1.0 / n)
-        assert len(guarded.partition.n2) == n
-        assert guarded.witness_skipped and guarded.s_sdd1_witness is None
+        assert not none_found.is_sdd1 and none_found.s_sdd1_witness is None
+        n = 16  # |n2| past the former exhaustive search's guard
+        large = classify(np.eye(n) * 2.0 + 1.0 / n)
+        assert large.is_sdd1 and large.s_sdd1_witness == large.partition.n2 == tuple(range(n))

@@ -11,7 +11,6 @@ import pytest
 import diagdom
 from diagdom import detbounds, normbounds, read_matrix_market
 from diagdom.certificates import FORMULA_SDD1_SCHUR, BoundCertificate
-from diagdom.classify import WITNESS_SEARCH_MAX
 from diagdom.cli import VERIFY_P_MATRIX_MAX_ORDER, _emit, main
 from matrices import LCP_8X8_BOUND, SDD1_BY_ROUNDING, TIE_T1, TIE_T2, TOL4
 from test_detbounds import theta_of
@@ -51,7 +50,8 @@ class TestClassify:
         _, b = run_json(capsys, "classify", "--input", fixture_path("norm_8x8.mtx"))
         assert strip_timing(a) == strip_timing(b)
 
-    def test_witness_size_guard_reported(self, capsys, tmp_path):
+    def test_witness_reported_past_the_old_size_guard(self, capsys, tmp_path):
+        # |n2| = 28 was past the exhaustive witness search's guard of 15.
         path = tmp_path / "sdd1_40.mtx"
         code, _ = run_json(
             capsys,
@@ -61,11 +61,9 @@ class TestClassify:
         assert code == 0
         code, report = run_json(capsys, "classify", "--input", str(path))
         assert code == 0
-        assert len(report["result"]["n2"]) == 28 > WITNESS_SEARCH_MAX
-        assert report["result"]["s_sdd1_witness"] == {
-            "skipped": "size guard",
-            "limit": WITNESS_SEARCH_MAX,
-        }
+        result = report["result"]
+        assert result["is_sdd1"] and len(result["n2"]) == 28
+        assert result["s_sdd1_witness"] == result["n2"]
 
 
 class TestSchur:

@@ -229,7 +229,7 @@ class TestWitnessBound:
     def test_full_n2_agrees_within_rounding(self, sdd1_ensemble, b1_ensemble):
         # Membership agrees too, down to rows that are dominant only after
         # rounding (SDD1_BY_ROUNDING): n2 is a witness exactly when A is
-        # SDD1, and it is the witness found first.
+        # SDD1, and it is the witness reported.
         for A in self._sdd1_inputs(sdd1_ensemble, b1_ensemble):
             n2 = dominance_partition(A).n2
             assert is_s_sdd1(A, n2) == is_sdd1(A) is True

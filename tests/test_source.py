@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import importlib.util
 import inspect
 import os
 import pathlib
@@ -13,6 +14,7 @@ import diagdom
 
 SOURCE_DIR = pathlib.Path(diagdom.__file__).parent
 TESTS_DIR = pathlib.Path(__file__).parent
+BENCH_DIR = TESTS_DIR.parent / "bench"
 HELPERS = ("reference.py", "matrices.py")  # imported by tests, not collected as tests
 
 
@@ -149,3 +151,25 @@ def test_exports_load_lazily_and_are_their_modules_objects():
     proc = subprocess.run([sys.executable, "-c", LAZY_EXPORTS_SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_name_the_benchmark_imports_exists():
+    # The benchmark under ``bench/`` changes only with its own baselines, and
+    # pytest collects ``tests/`` alone; a library name it reads that goes away
+    # would first show as an ImportError in every benchmark run.
+    found, missing = [], []
+    for path in sorted(BENCH_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "diagdom":
+                module = importlib.import_module(node.module)
+                refs = [(module, alias.name) for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "diagdom":
+                refs = [(diagdom, node.attr)]
+            else:
+                continue
+            for module, name in refs:
+                found.append(name)
+                if not (hasattr(module, name)
+                        or importlib.util.find_spec(f"{module.__name__}.{name}") is not None):
+                    missing.append(f"{path.name}:{node.lineno} {module.__name__}.{name}")
+    assert {"cli", "read_matrix_market"} <= set(found) and not missing, missing

@@ -36,17 +36,20 @@ def test_trajectory_over_committed_bench_files():
     ensemble = lines.index("ensemble-audit throughput_ops_s (1/s, higher is better)")
     for claimed in ("BENCH_7.json", "BENCH_29.json"):  # claimed gains, won on every pair
         assert lines[ensemble + 1 + BENCH_FILES.index(claimed)].split()[5] == "10/10"
-    assert "BENCH_30.json" in BENCH_FILES
+    assert "BENCH_31.json" in BENCH_FILES
     for workload in docs[0]["workloads"]:
         at = lines.index(f"{workload} digests (seeds whose parent and change digests differ)")
         for k, name in enumerate(BENCH_FILES):
             # BENCH_11's additive ``h_scaling`` field changed the CLI's output bits,
             # BENCH_21's exactly minimized epsilon bound changed those of every workload,
-            # and BENCH_28's S = n2 witness bound, now SDD1_SCHUR's bits, ensemble-audit's.
+            # BENCH_28's S = n2 witness bound, now SDD1_SCHUR's bits, ensemble-audit's,
+            # and BENCH_31's closed-form S-SDD1 witness large-dense's: its ``classify``
+            # value holds n2 where the skipped search left null at |n2| > 15.
             # Every other file kept them, BENCH_29's once-per-family Schur results and
             # BENCH_30's results without pivot factors too.
             changed = name == "BENCH_21.json" or (name, workload) in (
-                ("BENCH_11.json", "cli-oneshot"), ("BENCH_28.json", "ensemble-audit"))
+                ("BENCH_11.json", "cli-oneshot"), ("BENCH_28.json", "ensemble-audit"),
+                ("BENCH_31.json", "large-dense"))
             differ = "10/10" if changed else "0/10"
             assert lines[at + 1 + k].split() == [name, "differ", "on", differ]
 
