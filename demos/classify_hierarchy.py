@@ -2,8 +2,8 @@
 """Walk one matrix through the dominance hierarchy.
 
 Shows the row partition, the damped row functionals, membership in each
-class, and the exhaustive witness search, with the dense oracles (H-matrix,
-P-matrix) cross-checking every claim.
+class, and the S-SDD1 witness (n2 when the matrix is SDD1, else None), with
+the dense oracles (H-matrix, P-matrix) cross-checking every claim.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ print("margins |a_ii| - P_i:", np.round(dd.dominance_degrees(A), 4))
 print()
 print("is_sdd :", dd.is_sdd(A), "(row 3 alone breaks strict dominance)")
 print("is_sdd1:", dd.is_sdd1(A))
-print("witness search:", dd.find_s_sdd1_witness(A))
+print("S-SDD1 witness (n2 or None):", dd.find_s_sdd1_witness(A))
 print("oracle, H-matrix:", dd.is_h_matrix(A))
 print("oracle, P-matrix:", dd.is_p_matrix(A))
 

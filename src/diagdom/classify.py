@@ -12,10 +12,10 @@ Moving one j in n2 into S changes T_i(S) by |a_ij| (R_j / |a_jj| - 1), which
 is <= 0 since |a_jj| > R_j.  So T_i(S) is smallest at S = n2, where it is P_i,
 and some nonempty S is a witness exactly when n2 is nonempty and the matrix is
 SDD1.  ``classify`` reports n2 in that case and None otherwise, with no search,
-and so a report never names a witness for a matrix it calls not SDD1: under the
-float rule S-SDD1 lies inside SDD1 as it does exactly.  A search over smaller S
-could disagree at a tie, where T_i(n2) is exactly above |a_ii| but a rounded
-T_i(S) falls below it.
+so a report never names a witness for a matrix it calls not SDD1: its S-SDD1
+stays inside its SDD1 under the float rule, as it is exactly.  A search over
+smaller S could name one at a tie, where T_i(S) is at least |a_ii| exactly but
+its rounded value falls below it.
 """
 
 from __future__ import annotations

@@ -149,6 +149,17 @@ TIE_SUBSET_WITNESS = np.array([
     [0.0, 0.6, 0.3, 0.9, 1.8],
 ])
 
+# The other way round: row 3's exact |a_33| - P_3 is +1.5e-16, so n2 = (0, 1, 2)
+# is an exact witness, but the float P_3 rounds to |a_33| and the float rule
+# reads the matrix as not SDD1.  The float T_3((1, 2)) leaves +2.2e-16, and an
+# exhaustive search over subsets named (1, 2), which is an exact witness too.
+TIE_EXACT_WITNESS = np.array([
+    [1.5, 0.9, 0.0, 0.2],
+    [0.1, 3.0, 1.5, 0.06],
+    [0.0, 0.2, 0.93, 0.06],
+    [0.0, 1.5, 1.5, 1.2493548387096776],
+])
+
 
 def _sdd1_by_rounding():
     """12x12, SDD1 only by rounding: rows of n1 without n2 mass have |a_ii| = R_i,

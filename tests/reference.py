@@ -15,7 +15,7 @@ tiled n x n copy, and the exhaustive S-SDD1 witness search that
 (The per-sample ``default_rng`` loop is in ``sampled_norms``.)  The search
 must agree with the library except at a tie that rounding decides, where it
 can name a smaller S that the library's SDD1 test does not admit
-(``TIE_SUBSET_WITNESS``).  The library's LU must agree with
+(``TIE_SUBSET_WITNESS``, ``TIE_EXACT_WITNESS``).  The library's LU must agree with
 ``lu_factor_unblocked`` exactly up to its block width and with
 ``lu_factor_blocked`` at every order; ``is_h_matrix`` must give the
 library's answer on input kept away from singularity; the library's

@@ -29,6 +29,7 @@ from matrices import (
     NORM_8X8,
     SCHUR_5X5,
     SCHUR_6X6,
+    TIE_EXACT_WITNESS,
     TIE_SUBSET_WITNESS,
 )
 from test_oracle import random_sdd
@@ -120,35 +121,48 @@ class TestSSdd1:
         assert rep.partition.n1 == (0,) and len(rep.partition.n2) == 15
         assert not rep.is_sdd1 and rep.s_sdd1_witness is None
 
+    @staticmethod
+    def exact_witnesses(A, n2):
+        """Every nonempty S in n2 that is an S-SDD1 witness of A's stored doubles."""
+        M = [[Fraction(abs(x)) for x in row] for row in A.tolist()]
+        n = len(M)
+        R = [sum(M[i][j] for j in range(n) if j != i) for i in range(n)]
+        subsets = [S for k in range(1, len(n2) + 1) for S in itertools.combinations(n2, k)]
+        return [S for S in subsets
+                if all(M[i][i] > sum(M[i][j] * R[j] / M[j][j] if j in S else M[i][j]
+                                     for j in range(n) if j != i) for i in range(n))]
+
     def test_subset_witness_at_a_decimal_tie_is_not_reported(self):
         rep = classify(TIE_SUBSET_WITNESS)
         assert not rep.is_sdd1 and rep.s_sdd1_witness is None
-        # Exactly, no nonempty S in n2 makes every row S-restricted dominant.
         part = rep.partition
-        M = [[Fraction(abs(x)) for x in row] for row in TIE_SUBSET_WITNESS.tolist()]
-        n = len(M)
-        R = [sum(M[i][j] for j in range(n) if j != i) for i in range(n)]
-        subsets = [S for k in range(1, len(part.n2) + 1) for S in itertools.combinations(part.n2, k)]
-        for S in subsets:
-            T = [sum(M[i][j] * R[j] / M[j][j] if j in S else M[i][j] for j in range(n) if j != i)
-                 for i in range(n)]
-            assert any(M[i][i] <= T[i] for i in range(n)), S
+        assert part.n2 == (0, 1, 3, 4) and self.exact_witnesses(TIE_SUBSET_WITNESS, part.n2) == []
         # In floats the restricted sums for S = (1, 3, 4) leave row 2 a margin.
-        assert part.n2 == (0, 1, 3, 4) and part.diag[2] == part.p_values[2]
+        assert part.diag[2] == part.p_values[2]
         assert (part.diag > _restricted_sums(part, (1, 3, 4))[1]).all()
+
+    def test_exact_witness_at_a_decimal_tie_follows_the_float_rule(self):
+        # Exactly, n2 and (1, 2) are witnesses; the float P_3 says not SDD1,
+        # and the report follows the float rule of the module docstring.
+        rep = classify(TIE_EXACT_WITNESS)
+        part = rep.partition
+        assert part.n2 == (0, 1, 2) and part.diag[3] == part.p_values[3]
+        assert {(1, 2), part.n2} <= set(self.exact_witnesses(TIE_EXACT_WITNESS, part.n2))
+        assert not rep.is_sdd1 and rep.s_sdd1_witness is None
 
     def test_witness_agrees_with_the_exhaustive_search(self, sdd1_ensemble, b1_ensemble):
         fixtures = [A for name, A in vars(matrices).items()
                     if isinstance(A, np.ndarray) and A.ndim == 2 and A.shape[0] == A.shape[1]
-                    and name != "TIE_SUBSET_WITNESS"]
+                    and name not in ("TIE_SUBSET_WITNESS", "TIE_EXACT_WITNESS")]
         assert len(fixtures) >= 15
         for A in [*sdd1_ensemble, *b1_ensemble, *fixtures]:
             part = dominance_partition(A)
             want = part.n2 if part.n2 and is_sdd1(A) else None
             assert find_s_sdd1_witness(A) == reference.find_s_sdd1_witness(A) == want
-        # At the tie the search names a proper subset of n2; the library does not.
+        # At the two ties the search names a proper subset of n2; the library does not.
         assert reference.find_s_sdd1_witness(TIE_SUBSET_WITNESS) == (1, 3, 4)
-        assert find_s_sdd1_witness(TIE_SUBSET_WITNESS) is None
+        assert reference.find_s_sdd1_witness(TIE_EXACT_WITNESS) == (1, 2)
+        assert find_s_sdd1_witness(TIE_SUBSET_WITNESS) is find_s_sdd1_witness(TIE_EXACT_WITNESS) is None
 
 
 class TestInclusionChain:
