@@ -33,13 +33,12 @@ __all__ = [
 # The memo: the MEMO_RECORDS most recently used records, each a validated matrix
 # and its partition and LU factorization, built on first request (24 n^2 + 48 n
 # bytes at most, 16 n^2 + 48 n when the matrix is the caller's own immutable one),
-# and the last sweep of Schur complements made from it, of one alpha or of a family:
-# its certified margins and, until a member is asked for, its complements, a stack of
-# at most oracle.STACK_CHUNK_ENTRIES float64 (512 KiB) for a family and one complement
-# of any order alone; from then on, in place of that stack, every member's result:
-# its frozen complement and that complement's partition, two such stacks (the copies
-# and the moduli), six (m, |bar|) arrays and the objects, about 3 KB a member in all
-# (3.0 MiB for the largest family kept, 924 members of order 6).
+# and the last sweep of Schur complements made from it, of one alpha or of a family,
+# built whole before it is kept: every member's result, its frozen complement and that
+# complement's partition, for a family two stacks of at most oracle.STACK_CHUNK_ENTRIES
+# float64 (512 KiB each: the copies and the moduli), six (m, |bar|) arrays and the
+# objects, about 3 KB a member in all (3.0 MiB for the largest family kept, 924 members
+# of order 6).
 # Only a matrix whose partition or factorization is read, or whose shared copy
 # ``as_matrix`` is asked for, gets one; single reads use ``_checked``.  Two is the
 # fewest with which a dense pass builds nothing twice: A's record outlasts its

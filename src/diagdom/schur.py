@@ -18,6 +18,7 @@ All per-row outputs are dictionaries keyed by original row index.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -157,10 +158,9 @@ def schur_complement(A, alpha) -> SchurResult:
     replaces the kept family: asked between two members of a family, it makes
     the second member sweep the family again.  Likewise a record's first
     complement is its first sweep whether or not alpha has a family, and the
-    next family asked is swept whole.  A kept sweep's results, each
-    complement with its partition, are built together on the first request
-    for one of them, so asking again for any member is a lookup.  Every
-    result has the bits of computing its alpha alone.
+    next family asked is swept whole.  A sweep holds every member's result,
+    each complement with its partition, so asking again for any member is a
+    lookup.  Every result has the bits of computing its alpha alone.
 
     Raises ``SingularBlockError`` when the pivot block cannot be factored,
     ``ValidationError`` for empty or full ``alpha`` and for a complement with
@@ -170,8 +170,22 @@ def schur_complement(A, alpha) -> SchurResult:
     as ``None``.  The complement is left in the memo with its partition.
     """
     rec, part, alpha = _validate_alpha(A, alpha)
-    sweep, j = _swept(rec, part, alpha)
-    return sweep.result(j, part)
+    kept = rec.family
+    if kept is None or alpha not in kept:
+        # Built outside the memo's lock, so other threads' lookups never wait for it; if
+        # another thread kept a sweep holding alpha meanwhile, that one is used.
+        members = None if kept is None else _family(part, alpha)
+        sweep = _sweep(rec.matrix, [alpha] if members is None else list(members), part)
+        with _LOCK:
+            kept = rec.family
+            if kept is None or alpha not in kept:
+                kept = rec.family = sweep
+    member = kept[alpha]
+    if callable(member):
+        raise member()
+    res, cpart = member
+    _adopt(res.complement, cpart)
+    return res
 
 
 def _family(part, alpha):
@@ -188,106 +202,82 @@ def _family(part, alpha):
     return members if 1 < count <= _chunk_length(max(s, part.n - s)) else None
 
 
-def _swept(rec, part, alpha):
-    """A sweep holding alpha, and alpha's place in it: the sweep kept in A's record if alpha
-    is one of its members, else a new one, kept in its place.  The new sweep is alpha's
-    family, or alpha alone if the record has swept nothing yet or alpha's family is not
-    swept whole.  It is built outside the memo's lock, so other threads' lookups never wait
-    for it; if another thread kept a sweep holding alpha meanwhile, that one is used."""
-    kept = rec.family
-    if kept is None or alpha not in kept.index:
-        members = None if kept is None else _family(part, alpha)
-        sweep = _Sweep(rec.matrix, [alpha] if members is None else list(members), part)
-        with _LOCK:
-            kept = rec.family
-            if kept is None or alpha not in kept.index:
-                kept = rec.family = sweep
-    return kept, kept.index[alpha]
-
-
-class _Sweep:
+def _complements(A, alphas):
     """One stacked pass over m pivot sets of one size, in increasing order, of a validated A.
 
-    Holds the complements A/alpha as an (m, |bar|, |bar|) stack, each member's
-    place by its alpha, its bar and the column of its singular pivot (-1 if
-    none) and, given A's partition, the certified margins, (m, |bar|), and
-    their kind.  One path for any m and block order: ``oracle._factor_stack``
-    factors the blocks, ``oracle._substitute`` solves A(alpha, bar), gathered
-    once in pivot order, and one stacked product forms the complements; each
-    member gets the bits of computing it alone.  The factors are dropped once
-    the complements are formed, and the stack once the results are built, each
-    result holding its own read-only copy.  ``check`` raises a member's own
-    error and ``result`` builds its ``SchurResult``; nothing warns.
+    Returns the (m, |alpha|) alphas and (m, |bar|) bars as index arrays, each bar
+    in increasing order, the complements A/alpha as an (m, |bar|, |bar|) stack,
+    and per member None or a factory of its own ``SingularBlockError`` or
+    ``ValidationError``, so every raise is a fresh exception.  One path for any m
+    and block order: ``oracle._factor_stack`` factors the blocks,
+    ``oracle._substitute`` solves A(alpha, bar), gathered once in pivot order,
+    and one stacked product forms the complements; each member gets the bits of
+    computing it alone, and nothing warns.
     """
+    ia = np.array(alphas, dtype=np.intp)
+    m, members = len(alphas), np.arange(len(alphas))[:, None]
+    outside = np.ones((m, A.shape[0]), dtype=bool)
+    outside[members, ia] = False
+    ib = outside.nonzero()[1].reshape(m, -1)  # each member's bar, in increasing order
+    with np.errstate(all="ignore"):
+        packed, perm, _, failed = _factor_stack(A[ia[:, :, None], ia[:, None, :]])
+        X = _substitute(packed, A[ia[members, perm][:, :, None], ib[:, None, :]])
+        comps = A[ib[:, :, None], ib[:, None, :]] - A[ib[:, :, None], ia[:, None, :]] @ X
+    finite = np.isfinite(comps).all(axis=(1, 2)).tolist()
+    return ia, ib, comps, [_error(alpha, column, ok)
+                           for alpha, column, ok in zip(alphas, failed.tolist(), finite)]
 
-    __slots__ = ("alphas", "index", "bars", "complements", "failed", "finite", "margins", "kind",
-                 "results")
 
-    def __init__(self, A, alphas, part=None):
-        ia = np.array(alphas, dtype=np.intp)
-        m, members = len(alphas), np.arange(len(alphas))[:, None]
-        outside = np.ones((m, A.shape[0]), dtype=bool)
-        outside[members, ia] = False
-        ib = outside.nonzero()[1].reshape(m, -1)  # each member's bar, in increasing order
-        with np.errstate(all="ignore"):
-            packed, perm, _, self.failed = _factor_stack(A[ia[:, :, None], ia[:, None, :]])
-            X = _substitute(packed, A[ia[members, perm][:, :, None], ib[:, None, :]])
-            comps = A[ib[:, :, None], ib[:, None, :]] - A[ib[:, :, None], ia[:, None, :]] @ X
-            # One member's margins may overflow; that must not warn when another is asked.
-            self.margins, self.kind = (None, None) if part is None else _certified(part, ia, ib)
-        self.alphas, self.bars, self.complements = alphas, ib, comps
-        self.index = {a: j for j, a in enumerate(alphas)}
-        self.finite = np.isfinite(comps).all(axis=(1, 2))
-        self.results = None
+def _error(alpha, column, finite):
+    """None, or a factory of the error of A/alpha: its pivot block singular in ``column``
+    (-1 if none), or the complement not ``finite``."""
+    labels = tuple(a + 1 for a in alpha)
+    if column >= 0:
+        return functools.partial(SingularBlockError, f"pivot block {labels} is singular",
+                                 column=column)
+    if not finite:
+        return functools.partial(
+            ValidationError, f"complement A/alpha for alpha {labels} has non-finite entries")
+    return None
 
-    def check(self, j):
-        """Raise member j's ``SingularBlockError`` or ``ValidationError``, if it has one."""
-        column = int(self.failed[j])
-        if column >= 0 or not self.finite[j]:
-            labels = tuple(a + 1 for a in self.alphas[j])
-            if column >= 0:
-                raise SingularBlockError(f"pivot block {labels} is singular", column=column)
-            raise ValidationError(f"complement A/alpha for alpha {labels} has non-finite entries")
 
-    def result(self, j, part):
-        """Member j's ``SchurResult`` (``part`` is A's partition), its complement left in the
-        memo with its partition; or the member's error.  Every member's result is built on
-        the first request, and the stack of complements is then dropped."""
-        self.check(j)
-        with _LOCK:
-            if self.results is None:
-                self.results = self._results(part)
-                self.complements = None
-            res, cpart = self.results[j]
-            _adopt(res.complement, cpart)
-        return res
+def _sweep(A, alphas, part):
+    """{alpha: (SchurResult, complement partition), or its error factory} for the members of
+    one ``_complements`` pass of the validated A, whose partition is ``part``.
 
-    def _results(self, part):
-        """(SchurResult, complement partition) of every member whose complement exists: a
-        frozen copy of it and its partition, one stacked partition for two or more members."""
-        ok = ((self.failed < 0) & self.finite).tolist()
-        comps = [_frozen(c) if good else None for c, good in zip(self.complements, ok)]
-        parts = ([_build_partition(self.complements[0])] if len(comps) == 1
-                 else _build_partitions(self.complements))
-        bars = self.bars.tolist()
-        margins = [None] * len(bars) if self.margins is None else self.margins.tolist()
-        return [None if comp is None else (SchurResult(
-            complement=comp,
-            alpha=alpha,
-            alpha_bar=tuple(bar),
-            tilde_n1=tuple(bar[t] for t in cpart.n1),
-            tilde_n2=tuple(bar[t] for t in cpart.n2),
-            certified_lower_bounds=None if row is None else dict(zip(bar, row)),
-            certified_kind=self.kind,
-            _a_partition=part,
-        ), cpart) for alpha, bar, comp, cpart, row in zip(self.alphas, bars, comps, parts, margins)]
+    Each result holds a read-only copy of its complement, partitioned by
+    ``_build_partition`` for one member, by one stacked ``_build_partitions`` for more,
+    and its certified margins, (m, |bar|), and their kind.  Everything is built here, so
+    the sweep never changes once it is returned.
+    """
+    ia, ib, comps, errors = _complements(A, alphas)
+    with np.errstate(all="ignore"):  # one member's margins may overflow; that must not warn
+        margins, kind = _certified(part, ia, ib)
+    if len(alphas) > 1:
+        parts = _build_partitions(comps)
+    else:
+        parts = [None if errors[0] else _build_partition(comps[0])]
+    bars = ib.tolist()
+    rows = [None] * len(bars) if margins is None else margins.tolist()
+    return {alpha: error or (SchurResult(
+        complement=_frozen(comp),
+        alpha=alpha,
+        alpha_bar=tuple(bar),
+        tilde_n1=tuple(bar[t] for t in cpart.n1),
+        tilde_n2=tuple(bar[t] for t in cpart.n2),
+        certified_lower_bounds=None if row is None else dict(zip(bar, row)),
+        certified_kind=kind,
+        _a_partition=part,
+    ), cpart) for alpha, bar, comp, cpart, row, error
+        in zip(alphas, bars, comps, parts, rows, errors)}
 
 
 def _alone(A, alpha):
     """A/alpha of the validated A, computed alone and not recorded; or its error."""
-    sweep = _Sweep(A, [alpha])
-    sweep.check(0)
-    return sweep.complements[0]
+    _, _, comps, (error,) = _complements(A, [alpha])
+    if error:
+        raise error()
+    return comps[0]
 
 
 def _by_row(bar, values):

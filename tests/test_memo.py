@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import sys
 import threading
+import traceback
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 import reference
 from diagdom import (
+    SingularBlockError,
     SingularMatrixError,
     ToolkitError,
     ValidationError,
@@ -629,8 +631,9 @@ def test_family_hit_builds_nothing_per_member(monkeypatch):
                for res in (schur_complement(A, member) for member in family[1:])]
     assert built == []  # no complement, nor A, was checked or partitioned
     monkeypatch.undo()
-    kept = core._record(A).family.results  # (result, complement partition) per member
-    for (res, cpart), (kept_res, kept_part) in zip(answers, kept[1:], strict=True):
+    kept = core._record(A).family  # (result, complement partition) per member
+    for (res, cpart), member in zip(answers, family[1:], strict=True):
+        kept_res, kept_part = kept[member]
         assert res is kept_res and cpart is kept_part
     # The ``schur`` subcommand reads the family's member and the block determinant.
     report = cli._cmd_schur(A, argparse.Namespace(alpha=",".join(str(i + 1) for i in family[0])))
@@ -644,15 +647,13 @@ def test_family_hit_builds_nothing_per_member(monkeypatch):
 def sweeps(monkeypatch):
     """The member count of every Schur sweep built so far."""
     built = []
+    sweep = schur._sweep
 
-    class Counted(schur._Sweep):
-        __slots__ = ()
+    def counted(A, alphas, part):
+        built.append(len(alphas))
+        return sweep(A, alphas, part)
 
-        def __init__(self, A, alphas, part=None):
-            built.append(len(alphas))
-            super().__init__(A, alphas, part)
-
-    monkeypatch.setattr(schur, "_Sweep", Counted)
+    monkeypatch.setattr(schur, "_sweep", counted)
     clear_memo()
     return built
 
@@ -689,7 +690,7 @@ def test_a_record_keeps_one_family_at_a_time(sweeps):
     # its complement's partition the one kept with it.
     lone = [schur_complement(A, part.n2) for _ in range(2)]
     assert sweeps[6:] == [1] and lone[0] is lone[1]
-    assert dominance_partition(lone[0].complement) is core._record(A).family.results[0][1]
+    assert dominance_partition(lone[0].complement) is core._record(A).family[part.n2][1]
     # An alpha with no family, here mixing n1 and n2, is kept in place of the family,
     # so the next member sweeps the family again.
     mixed = sorted([part.n1[0], part.n2[0]])
@@ -707,15 +708,13 @@ def test_a_record_keeps_one_family_at_a_time(sweeps):
 def test_sweeps_are_built_outside_the_memo_lock(monkeypatch):
     # Another thread's lookups, of any matrix, never wait for a sweep's elimination.
     held = []
+    sweep = schur._sweep
 
-    class Watched(schur._Sweep):
-        __slots__ = ()
+    def watched(A, alphas, part):
+        held.append(core._LOCK._is_owned())
+        return sweep(A, alphas, part)
 
-        def __init__(self, A, alphas, part=None):
-            held.append(core._LOCK._is_owned())
-            super().__init__(A, alphas, part)
-
-    monkeypatch.setattr(schur, "_Sweep", Watched)
+    monkeypatch.setattr(schur, "_sweep", watched)
     A = np.array(generate_sdd1(10, 4, n1_fraction=0.5))
     n2 = dominance_partition(A).n2
     clear_memo()
@@ -732,20 +731,79 @@ def test_a_sweep_kept_while_another_is_built_is_used(monkeypatch):
     clear_memo()
     schur_complement(A, family[-1])  # the record's first complement, alone
     inner = []
+    sweep = schur._sweep
 
-    class Raced(schur._Sweep):
-        __slots__ = ()
+    def raced(A, alphas, part):
+        if not inner:
+            inner.append(None)
+            inner[0] = schur_complement(A, family[1])
+        return sweep(A, alphas, part)
 
-        def __init__(self, A, alphas, part=None):
-            if not inner:
-                inner.append(None)
-                inner[0] = schur_complement(A, family[1])
-            super().__init__(A, alphas, part)
-
-    monkeypatch.setattr(schur, "_Sweep", Raced)
+    monkeypatch.setattr(schur, "_sweep", raced)
     rec = core._record(A)  # the two complements recorded next evict it from the memo
     first = schur_complement(A, family[0])
-    assert rec.family.results[0][0] is first and rec.family.results[1][0] is inner[0]
+    assert rec.family[family[0]][0] is first and rec.family[family[1]][0] is inner[0]
+
+
+def test_no_schur_result_is_built_under_the_memo_lock(monkeypatch):
+    # A sweep's frozen complements and their partitions are built before the lock is
+    # taken to keep it, for a lone alpha = n2 and for a family alike.
+    A = generate_sdd1(10, 4, n1_fraction=0.5)
+    clear_memo()
+    n2 = dominance_partition(A).n2  # A's own partition, built by its record
+    held = []
+    for name in ("_build_partitions", "_build_partition", "_frozen"):
+        real = getattr(schur, name)
+        monkeypatch.setattr(schur, name, lambda M, real=real, name=name:
+                            held.append((name, core._LOCK._is_owned())) or real(M))
+    for alpha in (n2, n2[:1], n2[1:2]):  # alone, the family of singles, then a lookup
+        schur_complement(A, alpha)
+    assert held == ([("_build_partition", False), ("_frozen", False), ("_build_partitions", False)]
+                    + [("_frozen", False)] * len(n2))
+
+
+def test_a_family_member_raises_a_fresh_error_each_time():
+    # The matrix of test_vectorized's test_family_members_raise_their_own_errors: n2 = {0},
+    # {0, 1} meets a zero pivot in column 1 and {0, 4} is regular.
+    A = np.array([[4.0, 1.0, 0.0, 0.0, 1.0],
+                  [0.0, 0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 1e300, 0.0],
+                  [0.0, 0.0, 1e300, 1.0, 0.0],
+                  [0.0, 1.0, 0.0, 0.0, 1.0]])
+    family = [(0, e) for e in range(1, 5)]
+    clear_memo()
+    schur_complement(A, family[3])  # the record's first complement, alone
+    raised = []
+    for _ in range(2):  # the family is swept, then the member looked up
+        with pytest.raises(SingularBlockError) as info:
+            schur_complement(A, family[0])
+        raised.append(info.value)
+    first, second = raised
+    assert first is not second
+    assert str(first) == str(second) and first.column == second.column == 1
+    depth = [len(traceback.extract_tb(exc.__traceback__)) for exc in raised]
+    assert depth[1] <= depth[0]
+    res = schur_complement(A, family[3])
+    assert core._record(A).family[family[3]][0] is res
+
+
+def test_lone_complements_build_no_result(monkeypatch):
+    # The checks compute their complements alone: no frozen copy, no result, and no
+    # partition but the one tilde_set_identity_check asks dominance_partition for.
+    A = generate_sdd1(8, 3, n1_fraction=0.5)
+    clear_memo()
+    alpha = dominance_partition(A).n2[:1]  # A's own partition, built by its record
+    built = []
+    for module, name in ((schur, "_build_partitions"), (schur, "_build_partition"),
+                         (schur, "_frozen"), (schur, "SchurResult"), (core, "_build_partition")):
+        real = getattr(module, name)
+        label = f"{module.__name__}.{name}"
+        monkeypatch.setattr(module, name, lambda *a, real=real, label=label, **k:
+                            built.append(label) or real(*a, **k))
+    assert quotient_formula_check(A, list(range(7)), [0])
+    assert built == []
+    assert tilde_set_identity_check(A, alpha)
+    assert built == ["diagdom.core._build_partition"]
 
 
 def test_a_complement_recorded_before_its_sweep_is_found_by_its_bytes(monkeypatch):
@@ -765,7 +823,7 @@ def test_a_complement_recorded_before_its_sweep_is_found_by_its_bytes(monkeypatc
     assert tilde_set_identity_check(A, alpha)
     res = schur_complement(A, alpha)
     assert created == [(8, 8), (7, 7)] and within_bounds()
-    assert core._MEMO[0].family.results[0][0] is res
+    assert core._MEMO[0].family[alpha][0] is res
     assert core._MEMO[1].raw == res.complement.tobytes()
 
 
