@@ -30,22 +30,22 @@ __all__ = [
     "row_sum",
 ]
 
-# The memo: the MEMO_RECORDS most recently used records, each a validated matrix
-# and its partition and LU factorization, built on first request (24 n^2 + 48 n
-# bytes at most, 16 n^2 + 48 n when the matrix is the caller's own immutable one),
-# and the last sweep of Schur complements made from it, of one alpha or of a family,
-# built whole before it is kept: every member's result, its frozen complement and that
-# complement's partition, for a family two stacks of at most oracle.STACK_CHUNK_ENTRIES
-# float64 (512 KiB each: the copies and the moduli), six (m, |bar|) arrays and the
-# objects, about 3 KB a member in all (3.0 MiB for the largest family kept, 924 members
-# of order 6).
-# Only a matrix whose partition or factorization is read, or whose shared copy
-# ``as_matrix`` is asked for, gets one; single reads use ``_checked``.  Two is the
-# fewest with which a dense pass builds nothing twice: A's record outlasts its
-# ordered copy's or its complement's until A is read again.
+# The memo: the MEMO_RECORDS most recently used records, each a validated matrix and
+# its partition and LU factorization, built on first request (24 n^2 + 48 n bytes at
+# most, 16 n^2 + 48 n when the matrix is the caller's own immutable one), and the last
+# sweep of Schur complements made from it, of one alpha or of a family: every member's
+# result, its frozen complement and that complement's partition, for a family two stacks
+# of at most oracle.STACK_CHUNK_ENTRIES float64 (512 KiB each: the copies and the moduli),
+# six (m, |bar|) arrays and the objects, about 3 KB a member in all (3.0 MiB for the
+# largest family kept, 924 members of order 6).  Each result is built whole with _LOCK
+# released, then installed by ``_keep``: the first one installed is the one kept.  Only a
+# matrix whose partition or factorization is read, or whose shared copy ``as_matrix`` is
+# asked for, gets one; single reads use ``_checked``.  Two is the fewest with which a
+# dense pass builds nothing twice: A's record outlasts its ordered copy's or its
+# complement's until A is read again.
 MEMO_RECORDS = 2
 _MEMO = []  # records, least recently used first
-_LOCK = threading.RLock()  # guards _MEMO and the results built into records
+_LOCK = threading.Lock()  # guards _MEMO and each install into a record, never a build
 
 
 class _Record:
@@ -60,10 +60,17 @@ class _Record:
 
     def result(self, name, build):
         """The result ``name``, ``build(matrix)``; kept, unless it raised, while the record is."""
-        with _LOCK:
-            if getattr(self, name) is None:
-                setattr(self, name, build(self.matrix))
-            return getattr(self, name)
+        kept = getattr(self, name)
+        return _keep(self, name, build(self.matrix)) if kept is None else kept
+
+
+def _keep(owner, name, value, stale=lambda kept: kept is None):
+    """``owner.name``, set to the built ``value`` first if it is ``stale``: the one install
+    under _LOCK, so threads that built it at once all get the value installed first."""
+    with _LOCK:
+        if stale(getattr(owner, name)):
+            object.__setattr__(owner, name, value)  # a frozen dataclass's field too
+        return getattr(owner, name)
 
 
 def as_matrix(a) -> np.ndarray:

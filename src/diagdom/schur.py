@@ -27,7 +27,6 @@ import numpy as np
 
 from .classify import _is_sdd1, _require_sdd1
 from .core import (
-    _LOCK,
     IndexPartition,
     _adopt,
     _build_partition,
@@ -35,6 +34,7 @@ from .core import (
     _checked,
     _eliminated_margins,
     _frozen,
+    _keep,
     _record,
     as_index_set,
     dominance_partition,
@@ -91,19 +91,17 @@ class SchurResult:
     certified_lower_bounds: dict[int, float] | None
     certified_kind: str | None
     _a_partition: IndexPartition | None = field(default=None, repr=False, compare=False)
-    _delta: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _delta: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.complement.setflags(write=False)
 
     @property
     def delta(self) -> np.ndarray | None:
-        with _LOCK:
-            if self._a_partition is not None:
-                delta = _coupling_radii(self._a_partition, self.alpha, self.alpha_bar)
-                object.__setattr__(self, "_delta", delta)
-                object.__setattr__(self, "_a_partition", None)  # delta was all it was kept for
-            return self._delta
+        if (part := self._a_partition) is not None:  # read first: _delta is set before release
+            _keep(self, "_delta", (_coupling_radii(part, self.alpha, self.alpha_bar),))
+            object.__setattr__(self, "_a_partition", None)  # delta was all it was kept for
+        return self._delta[0]
 
 
 def _coupling_radii(part, alpha, bar):
@@ -172,14 +170,9 @@ def schur_complement(A, alpha) -> SchurResult:
     rec, part, alpha = _validate_alpha(A, alpha)
     kept = rec.family
     if kept is None or alpha not in kept:
-        # Built outside the memo's lock, so other threads' lookups never wait for it; if
-        # another thread kept a sweep holding alpha meanwhile, that one is used.
         members = None if kept is None else _family(part, alpha)
         sweep = _sweep(rec.matrix, [alpha] if members is None else list(members), part)
-        with _LOCK:
-            kept = rec.family
-            if kept is None or alpha not in kept:
-                kept = rec.family = sweep
+        kept = _keep(rec, "family", sweep, lambda kept: kept is None or alpha not in kept)
     member = kept[alpha]
     if callable(member):
         raise member()

@@ -711,7 +711,7 @@ def test_sweeps_are_built_outside_the_memo_lock(monkeypatch):
     sweep = schur._sweep
 
     def watched(A, alphas, part):
-        held.append(core._LOCK._is_owned())
+        held.append(core._LOCK.locked())
         return sweep(A, alphas, part)
 
     monkeypatch.setattr(schur, "_sweep", watched)
@@ -747,19 +747,99 @@ def test_a_sweep_kept_while_another_is_built_is_used(monkeypatch):
 
 def test_no_schur_result_is_built_under_the_memo_lock(monkeypatch):
     # A sweep's frozen complements and their partitions are built before the lock is
-    # taken to keep it, for a lone alpha = n2 and for a family alike.
+    # taken to keep it, for a lone alpha = n2 and for a family alike; so are A's own
+    # partition and factorization, and a result's delta.
     A = generate_sdd1(10, 4, n1_fraction=0.5)
     clear_memo()
-    n2 = dominance_partition(A).n2  # A's own partition, built by its record
     held = []
-    for name in ("_build_partitions", "_build_partition", "_frozen"):
-        real = getattr(schur, name)
-        monkeypatch.setattr(schur, name, lambda M, real=real, name=name:
-                            held.append((name, core._LOCK._is_owned())) or real(M))
+    for module, name in [(schur, "_build_partitions"), (schur, "_build_partition"),
+                         (schur, "_frozen"), *FIRST_BUILDS.values()]:
+        real, label = getattr(module, name), f"{module.__name__.split('.')[1]}.{name}"
+        monkeypatch.setattr(module, name, lambda *args, real=real, label=label:
+                            held.append((label, core._LOCK.locked())) or real(*args))
+    n2 = dominance_partition(A).n2  # A's own partition, built by its record
     for alpha in (n2, n2[:1], n2[1:2]):  # alone, the family of singles, then a lookup
-        schur_complement(A, alpha)
-    assert held == ([("_build_partition", False), ("_frozen", False), ("_build_partitions", False)]
-                    + [("_frozen", False)] * len(n2))
+        res = schur_complement(A, alpha)
+    lu_factor(A)
+    assert res.delta is not None
+    built = (["core._build_partition", "schur._build_partition", "schur._frozen",
+              "schur._build_partitions"] + ["schur._frozen"] * len(n2)
+             + ["oracle._factorize", "schur._coupling_radii"])
+    assert held == [(label, False) for label in built]
+
+
+# The build of each result kept in the memo, by the call whose first request builds it.
+FIRST_BUILDS = {
+    "dominance_partition": (core, "_build_partition"),
+    "lu_factor": (oracle, "_factorize"),
+    "delta": (schur, "_coupling_radii"),
+}
+
+
+def first_requests(A, alpha):
+    """The three calls of FIRST_BUILDS on A, with delta read from one shared result of
+    alpha made now, and A's record then dropped so that each call builds its result."""
+    shared = schur_complement(A, alpha)
+    clear_memo()
+    return {"dominance_partition": lambda: dominance_partition(A),
+            "lu_factor": lambda: lu_factor(A),
+            "delta": lambda: shared.delta}
+
+
+@pytest.mark.parametrize("call", sorted(FIRST_BUILDS))
+def test_no_lookup_waits_for_another_threads_build(monkeypatch, call):
+    # One thread is parked inside the first build of a result of A; another thread's
+    # dominance_partition of another matrix must finish meanwhile.
+    A, B = generate_sdd1(9, 2, n1_fraction=0.5), generate_sdd1(8, 3, n1_fraction=0.5)
+    clear_memo()
+    run = first_requests(A, dominance_partition(A).n2[:2])[call]
+    module, name = FIRST_BUILDS[call]
+    real, parked, release, done = getattr(module, name), *(threading.Event() for _ in range(3))
+
+    def gated(*args):
+        if not parked.is_set():  # only the first build waits
+            parked.set()
+            release.wait(30)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, gated)
+    builder = threading.Thread(target=run)
+    looker = threading.Thread(target=lambda: (dominance_partition(B), done.set()))
+    try:
+        builder.start()
+        assert parked.wait(30)
+        looker.start()
+        assert done.wait(2)
+    finally:
+        release.set()  # a failing run must not leave a thread parked
+        for thread in (builder, looker):
+            if thread.ident is not None:
+                thread.join(30)
+    assert not builder.is_alive() and not looker.is_alive()
+
+
+def test_threads_racing_for_a_first_result_all_get_the_one_kept(monkeypatch):
+    # A barrier inside each build holds every thread there until all have missed, so each
+    # thread builds each result once; every install after the first returns the first.
+    A = generate_sdd1(10, 6, n1_fraction=0.5)
+    alpha = dominance_partition(A).n2[:2]
+    clear_memo()
+    serial = {call: fingerprint(run()) for call, run in first_requests(A, alpha).items()}
+    calls, count = first_requests(A, alpha), 4
+    barrier, builds = threading.Barrier(count, timeout=10), []
+    for module, name in FIRST_BUILDS.values():
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, real=real, name=name:
+                            (builds.append(name), barrier.wait(), real(*args))[-1])
+    got = [None] * count
+
+    def run(k):
+        got[k] = {call: calls[call]() for call in FIRST_BUILDS}
+
+    in_threads(run, count)
+    assert sorted(builds) == sorted([name for _, name in FIRST_BUILDS.values()] * count)
+    assert all(out[call] is got[0][call] for out in got for call in FIRST_BUILDS)
+    assert {call: fingerprint(got[0][call]) for call in FIRST_BUILDS} == serial
 
 
 def test_a_family_member_raises_a_fresh_error_each_time():

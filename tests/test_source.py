@@ -67,6 +67,24 @@ def test_lu_kernels_are_chosen_only_in_the_oracle():
     assert not found, found
 
 
+def test_only_core_takes_the_memo_lock():
+    # ``core._keep`` is the one install of a result under ``core._LOCK``, and every
+    # result is built before it; a module that names the lock or imports ``threading``
+    # could hold a lock around a build, or keep results by a second rule.
+    found = []
+    for path in sorted(SOURCE_DIR.rglob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None), *(alias.name for alias in node.names)]
+            else:  # a bare name or an attribute
+                names = [getattr(node, "id", getattr(node, "attr", None))]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("_LOCK", "threading")]
+    assert not found, found
+
+
 def test_schur_results_are_read_only_through_their_public_fields():
     # A ``SchurResult``'s private fields and properties are how ``schur`` builds it;
     # another module that reads one depends on how a sweep makes its results.
