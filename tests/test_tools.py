@@ -36,7 +36,7 @@ def test_trajectory_over_committed_bench_files():
     ensemble = lines.index("ensemble-audit throughput_ops_s (1/s, higher is better)")
     for claimed in ("BENCH_7.json", "BENCH_29.json"):  # claimed gains, won on every pair
         assert lines[ensemble + 1 + BENCH_FILES.index(claimed)].split()[5] == "10/10"
-    assert "BENCH_32.json" in BENCH_FILES
+    assert "BENCH_33.json" in BENCH_FILES
     for workload in docs[0]["workloads"]:
         at = lines.index(f"{workload} digests (seeds whose parent and change digests differ)")
         for k, name in enumerate(BENCH_FILES):
@@ -46,7 +46,8 @@ def test_trajectory_over_committed_bench_files():
             # and BENCH_31's closed-form S-SDD1 witness large-dense's: its ``classify``
             # value holds n2 where the skipped search left null at |n2| > 15.
             # Every other file kept them, BENCH_29's once-per-family Schur results,
-            # BENCH_30's results without pivot factors and BENCH_32's sweeps built whole too.
+            # BENCH_30's results without pivot factors, BENCH_32's sweeps built whole and
+            # BENCH_33's results built outside the memo lock too.
             changed = name == "BENCH_21.json" or (name, workload) in (
                 ("BENCH_11.json", "cli-oneshot"), ("BENCH_28.json", "ensemble-audit"),
                 ("BENCH_31.json", "large-dense"))
