@@ -1,13 +1,12 @@
-"""Dense matrix validation, row-sum functionals, and the dominance partition.
+"""Dense matrix validation, the dominance partition, and the row functionals read from it.
 
-Everything downstream consumes these pieces: the restricted row sum
-``row_sum``, its damped counterpart ``damped_row_sum`` (each off-diagonal
-modulus weighted by the neighbour's dominance ratio R_j/|a_jj|), and the
-split of the row indices into the non-dominant set ``n1`` and the strictly
-dominant set ``n2``.
+Everything downstream reads the partition: the split of the row indices into the
+non-dominant set ``n1`` and the strictly dominant set ``n2``, with the row sums
+R_i, R^{n1} and R^{n2} and the damped sum Q^{n2} (each off-diagonal modulus weighted
+by the neighbour's dominance ratio R_j/|a_jj|).  The public ``row_sum`` and
+``damped_row_sum`` read them from it for any row and index set.
 
-All indices in this API are 0-based.  The command-line layer converts to
-1-based for reports.
+All indices in this API are 0-based.  The command-line layer converts to 1-based for reports.
 """
 
 from __future__ import annotations
@@ -226,31 +225,33 @@ class IndexPartition:
 def row_sum(A, i, subset=None) -> float:
     """Restricted absolute row sum R^S_i: sum of |a_ij| over j in S, j != i.
 
-    ``subset=None`` means the full index range, giving R_i.
+    ``subset=None`` means the full index range, giving R_i.  Read from the partition:
+    R_i is ``row_sums[i]``, and R^S_i sums ``off[:, S]`` as ``r_n1`` and ``r_n2`` do.
     """
-    A = _checked(A)
-    n = A.shape[0]
-    (i,) = as_index_set([i], n, name="row index")
-    cols = range(n) if subset is None else as_index_set(subset, n, allow_empty=True, name="subset")
-    return float(sum(abs(A[i, j]) for j in cols if j != i))
+    part = dominance_partition(A)
+    (i,) = as_index_set([i], part.n, name="row index")
+    if subset is None:
+        return float(part.row_sums[i])
+    S = list(as_index_set(subset, part.n, allow_empty=True, name="subset"))
+    with np.errstate(over="ignore"):  # another row's sum may overflow
+        return float(part.off[:, S].sum(axis=1)[i])
 
 
 def damped_row_sum(A, i, subset) -> float:
     """Damped restricted row sum Q^S_i: sum of |a_ij| * R_j / |a_jj| over j in S, j != i.
 
-    Every j in the subset (other than i) must have a nonzero diagonal.
+    Every j in the subset (other than i) must have a nonzero diagonal.  Formed as
+    ``q_n2`` is, ``off[:, S] @ (R_S / |a_SS|)``, so Q^{n2}_i is ``q_n2[i]`` to the bit.
     """
     part = dominance_partition(A)
     (i,) = as_index_set([i], part.n, name="row index")
-    cols = as_index_set(subset, part.n, allow_empty=True, name="subset")
-    total = 0.0
-    for j in cols:
-        if j == i:
-            continue
-        if part.diag[j] == 0.0:
-            raise SingularDiagonalError(f"zero diagonal at index {j} inside damped row sum")
-        total += part.off[i, j] * part.row_sums[j] / part.diag[j]
-    return float(total)
+    S = list(as_index_set(subset, part.n, allow_empty=True, name="subset"))
+    if zero := [j for j in S if j != i and part.diag[j] == 0.0]:
+        raise SingularDiagonalError(f"zero diagonal at index {zero[0]} inside damped row sum")
+    with np.errstate(all="ignore"):  # another row's terms may overflow or be 0 * inf
+        w = part.row_sums / part.diag
+        w[i] = 0.0  # i's own term, off[i, i] * w_i, is 0 even where w_i is not finite
+        return float((part.off[:, S] @ w[S])[i])
 
 
 def dominance_partition(A) -> IndexPartition:

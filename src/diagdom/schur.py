@@ -273,9 +273,9 @@ def _alone(A, alpha):
     return comps[0]
 
 
-def _by_row(bar, values):
-    """Per-row values keyed by original row label."""
-    return dict(zip(bar, values.tolist()))
+def _certified_rows(part, alpha, bar):
+    """A/alpha's certified margins, keyed by original row label, as ``_certified`` gives them."""
+    return dict(zip(bar, _certified(part, np.array([alpha]), np.array([bar]))[0][0].tolist()))
 
 
 def _certified(part, ia, ib):
@@ -321,10 +321,10 @@ def _proper_subset_margins(part, ia, ib):
 def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
     """Certified lower bounds on |a'_tt| - P_t(A/alpha) for alpha inside n2.
 
-    Requires the matrix to be SDD1 and alpha to be a nonempty proper subset
-    of the dominant set.  The returned value for each surviving row ``jt``
-    uses only original entries and is sandwiched between the original margin
-    |a_jt,jt| - P_jt (positive) and the exact complement margin.
+    Requires the matrix to be SDD1 and alpha to be a nonempty proper subset of the
+    dominant set.  The returned value for each surviving row ``jt`` uses only original
+    entries and is sandwiched between the original margin |a_jt,jt| - P_jt (positive)
+    and the exact complement margin.  ``_certified`` is the one regime-to-margin table.
     """
     part, alpha = _validate_alpha(A, alpha)[1:]
     _require_sdd1(part)
@@ -333,12 +333,11 @@ def certified_bound_proper_subset(A, alpha) -> dict[int, float]:
             "alpha is not a proper subset of n2",
             "this regime needs alpha strictly inside the dominant row set",
         )
-    bar = _rest(part.n, alpha)
-    return _by_row(bar, _proper_subset_margins(part, np.array([alpha]), np.array([bar]))[0])
+    return _certified_rows(part, alpha, _rest(part.n, alpha))
 
 
 def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
-    """Certified lower bounds on |a'_tt| - R_t(A/n2): the complement is SDD."""
+    """Certified lower bounds on |a'_tt| - R_t(A/n2): the complement is SDD (``_certified``)."""
     part = dominance_partition(A)
     _require_sdd1(part)
     if not part.n1:
@@ -347,11 +346,11 @@ def certified_bound_alpha_equals_n2(A) -> dict[int, float]:
             "eliminating the dominant set needs a nonempty non-dominant set "
             "(strictly dominant input already has a classical SDD closure)",
         )
-    return _by_row(part.n1, _eliminated_margins(part, part.n2, part.n1, part.p_values))
+    return _certified_rows(part, part.n2, part.n1)
 
 
 def certified_bound_superset(A, alpha) -> dict[int, float]:
-    """Certified lower bounds on |a'_tt| - R_t(A/alpha) for alpha beyond n2."""
+    """Certified lower bounds on |a'_tt| - R_t(A/alpha) for alpha beyond n2 (``_certified``)."""
     part, alpha = _validate_alpha(A, alpha)[1:]
     _require_sdd1(part)
     if not set(part.n2) < set(alpha):
@@ -359,8 +358,7 @@ def certified_bound_superset(A, alpha) -> dict[int, float]:
             "alpha does not strictly contain n2",
             "this regime needs n2 strictly inside alpha, alpha strictly inside N",
         )
-    bar = _rest(part.n, alpha)
-    return _by_row(bar, _eliminated_margins(part, alpha, bar, part.p_values))
+    return _certified_rows(part, alpha, _rest(part.n, alpha))
 
 
 def tilde_set_identity_check(A, alpha) -> bool:

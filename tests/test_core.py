@@ -142,6 +142,39 @@ class TestDampedRowSum:
         )
 
 
+def row_scaled_matrices(count=120):
+    """Random matrices of orders 9-40, each row scaled by 10^k, k in [-3, 3], and about
+    half of the diagonals lifted to 1.5 R_i, so both n1 and n2 are large."""
+    rng = np.random.default_rng(34)
+    for _ in range(count):
+        n = int(rng.integers(9, 41))
+        M = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        lift = np.flatnonzero(rng.random(n) < 0.5)
+        M[lift, lift] = 1.5 * (np.abs(M).sum(axis=1) - np.abs(M.diagonal()))[lift]
+        yield M
+
+
+def test_row_functionals_carry_the_partition_bits(sdd1_ensemble):
+    # Pairwise and recursive summation round differently, so a row functional that
+    # summed its row on its own would differ from the partition in the last bits.
+    for M in [*row_scaled_matrices(), *sdd1_ensemble]:
+        part = dominance_partition(M)
+        for i in range(part.n):
+            assert row_sum(M, i) == part.row_sums[i], (M.shape, i)
+            assert row_sum(M, i, part.n1) == part.r_n1[i], (M.shape, i)
+            assert row_sum(M, i, part.n2) == part.r_n2[i], (M.shape, i)
+            assert damped_row_sum(M, i, part.n2) == part.q_n2[i], (M.shape, i)
+
+
+def test_damped_row_sum_skips_a_zero_diagonal_row_in_its_own_subset():
+    M = np.array([[0.0, 1.0, 2.0], [1.0, 4.0, 1.0], [0.5, 0.5, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = damped_row_sum(M, 0, [0, 1, 2])
+    assert got == 1.0 * 2.0 / 4.0 + 2.0 * 1.0 / 3.0
+    assert damped_row_sum(M, 0, [0]) == 0.0
+
+
 class TestPartition:
     def test_5x5_fixture(self):
         part = dominance_partition(SCHUR_5X5)

@@ -119,6 +119,19 @@ def test_s_equal_to_n2_is_told_apart_only_in_restricted_sums():
     assert found == {("classify.py", "_restricted_sums")}, found
 
 
+def test_only_certified_maps_a_schur_regime_to_its_margins():
+    # ``schur._certified`` picks the margin formula of each regime of alpha; a
+    # ``certified_bound_*`` function that called a formula itself would be a
+    # second table, free to drift from the margins a sweep attaches.
+    path = SOURCE_DIR / "schur.py"
+    found = {fn.name
+             for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if getattr(node, "id", None) in ("_proper_subset_margins", "_eliminated_margins")}
+    assert found == {"_certified"}, found
+
+
 def test_no_public_function_takes_a_partition():
     # Each public function partitions the matrix it is given.  A partition
     # passed in beside the matrix was never checked against it, so
