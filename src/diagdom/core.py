@@ -1,12 +1,11 @@
 """Dense matrix validation, the dominance partition, and the row functionals read from it.
 
-Everything downstream reads the partition: the split of the row indices into the
-non-dominant set ``n1`` and the strictly dominant set ``n2``, with the row sums
-R_i, R^{n1} and R^{n2} and the damped sum Q^{n2} (each off-diagonal modulus weighted
-by the neighbour's dominance ratio R_j/|a_jj|).  The public ``row_sum`` and
-``damped_row_sum`` read them from it for any row and index set.
+Everything downstream reads the partition: the split of the rows into the non-dominant
+set ``n1`` and the strictly dominant set ``n2``, and the row sums R_i, R^{n1}, R^{n2} and
+the damped Q^{n2} (moduli weighted by the dominance ratio R_j/|a_jj|) of every row.
 
-All indices in this API are 0-based.  The command-line layer converts to 1-based for reports.
+All indices in this API are 0-based.  The command-line layer converts to
+1-based for reports.
 """
 
 from __future__ import annotations

@@ -132,6 +132,14 @@ class TestDampedRowSum:
         with pytest.raises(SingularDiagonalError):
             damped_row_sum(M, 1, [0])
 
+    def test_zero_diagonal_row_in_its_own_subset_adds_nothing(self):
+        M = np.array([[0.0, 1.0, 2.0], [1.0, 4.0, 1.0], [0.5, 0.5, 3.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = damped_row_sum(M, 0, [0, 1, 2])
+        assert got == 1.0 * 2.0 / 4.0 + 2.0 * 1.0 / 3.0
+        assert damped_row_sum(M, 0, [0]) == 0.0
+
     def test_additive_over_disjoint_subsets(self):
         rng = np.random.default_rng(5)
         M = rng.normal(size=(6, 6)) + np.diag(np.full(6, 10.0))
@@ -164,15 +172,6 @@ def test_row_functionals_carry_the_partition_bits(sdd1_ensemble):
             assert row_sum(M, i, part.n1) == part.r_n1[i], (M.shape, i)
             assert row_sum(M, i, part.n2) == part.r_n2[i], (M.shape, i)
             assert damped_row_sum(M, i, part.n2) == part.q_n2[i], (M.shape, i)
-
-
-def test_damped_row_sum_skips_a_zero_diagonal_row_in_its_own_subset():
-    M = np.array([[0.0, 1.0, 2.0], [1.0, 4.0, 1.0], [0.5, 0.5, 3.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = damped_row_sum(M, 0, [0, 1, 2])
-    assert got == 1.0 * 2.0 / 4.0 + 2.0 * 1.0 / 3.0
-    assert damped_row_sum(M, 0, [0]) == 0.0
 
 
 class TestPartition:
