@@ -224,8 +224,10 @@ class IndexPartition:
 def row_sum(A, i, subset=None) -> float:
     """Restricted absolute row sum R^S_i: sum of |a_ij| over j in S, j != i.
 
-    ``subset=None`` means the full index range, giving R_i.  Read from the partition:
-    R_i is ``row_sums[i]``, and R^S_i sums ``off[:, S]`` as ``r_n1`` and ``r_n2`` do.
+    Read from the partition.  Only ``subset=None`` reads R_i, as ``row_sums[i]``.  Any
+    explicit S, ``range(n)`` included, sums the column gather ``off[:, S]`` in order, as
+    ``r_n1`` and ``r_n2`` do, so R^{range(n)}_i may differ from ``row_sums[i]`` in the
+    last bits on non-dyadic entries.
     """
     part = dominance_partition(A)
     (i,) = as_index_set([i], part.n, name="row index")

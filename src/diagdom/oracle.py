@@ -43,12 +43,10 @@ __all__ = [
     "lu_solve",
 ]
 
-# Module-level tolerance knobs.  Fixed constants at desk scale; override in
-# one place if a different regime is ever needed.
+# Fixed constants, not options: every oracle, test and report reads these values.
 SINGULAR_PIVOT_RTOL = 1e-13  # pivot threshold relative to the matrix infinity norm
 P_MATRIX_MAX_ORDER = 20      # hard guard for the 2^n principal-minor scan
 LU_BLOCK = 32                # panel width of the blocked LU factorization
-LU_SCALAR_MAX = 16           # largest order the LU eliminates on Python floats (measured crossover)
 STACK_CHUNK_ENTRIES = 2**16  # entries per stacked chunk of small matrices (512 KiB of float64)
 
 
@@ -89,17 +87,16 @@ def lu_factor(A) -> LuFactorization:
     """LU factorization with partial pivoting.
 
     Each column's pivot is its first entry of largest modulus (the first NaN
-    once the elimination has overflowed, as ``np.argmax`` does).  Up to
-    order ``LU_SCALAR_MAX`` the columns are eliminated on Python floats,
-    where one IEEE operation costs less than one NumPy call.  Above it they
-    are eliminated in panels of ``LU_BLOCK``, each in a transposed
+    once the elimination has overflowed, as ``np.argmax`` does).  The
+    columns are eliminated in panels of ``LU_BLOCK``, each in a transposed
     C-contiguous copy so that pivot search, scaling and rank-1 update run on
     contiguous rows; a unit-lower solve then forms the panel's block row of
-    U and one matrix product updates the trailing block.  Both kernels give
-    every element the same IEEE operations in the same order as the blocked
-    loop on the factor array itself, so the factors are bit-identical to it
-    at every order.  Up to order ``LU_BLOCK`` that is the plain column-by-
-    column elimination; above it the trailing updates may round differently.
+    U and one matrix product updates the trailing block.  Every element gets
+    the same IEEE operations in the same order as the blocked loop on the
+    factor array itself, so the factors are bit-identical to it at every
+    order.  Up to order ``LU_BLOCK`` that is the plain column-by-column
+    elimination; above it the trailing updates may round differently.  An
+    elimination that overflows to inf or NaN does so without a warning.
 
     A pivot of modulus at most ``SINGULAR_PIVOT_RTOL`` times the matrix
     infinity norm stops the elimination with a ``SingularMatrixError`` that
@@ -124,70 +121,36 @@ def _factorize(A) -> LuFactorization:
 
 
 def _eliminate(A):
-    """(factor array, perm, sign) of a validated matrix, by the kernel its order selects."""
-    thresh = SINGULAR_PIVOT_RTOL * float(np.abs(A).sum(axis=1).max())
-    return (_lu_scalar if A.shape[0] <= LU_SCALAR_MAX else _lu_blocked)(A, thresh)
-
-
-def _lu_blocked(A, thresh):
-    """The blocked elimination in transposed panels: (factor array, perm, sign)."""
+    """``lu_factor``'s elimination of a validated matrix: (factor array, perm, sign)."""
     n = A.shape[0]
     lu = np.array(A)
     perm = list(range(n))
     sign = 1
-    for k0 in range(0, n, LU_BLOCK):
-        k1 = min(k0 + LU_BLOCK, n)
-        panel = lu[k0:, k0:k1].T.copy()  # row c holds column k0 + c from row k0 down
-        for c in range(k1 - k0):
-            k, col = k0 + c, panel[c]
-            p = c + int(np.abs(col[c:]).argmax())
-            if abs(col[p]) <= thresh:
-                raise SingularMatrixError(f"singular pivot in column {k}", column=k)
-            if p != c:
-                # Slices, not a fancy-index swap, which costs three times as much.
-                panel[:, c], panel[:, p] = panel[:, p].copy(), panel[:, c].copy()
-                lu[k], lu[k0 + p] = lu[k0 + p].copy(), lu[k].copy()  # panel columns rewritten below
-                perm[k], perm[k0 + p] = perm[k0 + p], perm[k]
-                sign = -sign
-            if k + 1 < n:
-                col[c + 1:] /= col[c]
-                panel[c + 1:, c + 1:] -= panel[c + 1:, c, None] * col[c + 1:]
-        lu[k0:, k0:k1] = panel.T
-        if k1 < n:
-            for k in range(k0 + 1, k1):  # U12 = L11^{-1} A12, row by row
-                lu[k, k1:] -= lu[k, k0:k] @ lu[k0:k, k1:]
-            lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
+    with np.errstate(all="ignore"):  # growth may overflow to inf and then NaN; that must not warn
+        thresh = SINGULAR_PIVOT_RTOL * float(np.abs(A).sum(axis=1).max())
+        for k0 in range(0, n, LU_BLOCK):
+            k1 = min(k0 + LU_BLOCK, n)
+            panel = lu[k0:, k0:k1].T.copy()  # row c holds column k0 + c from row k0 down
+            for c in range(k1 - k0):
+                k, col = k0 + c, panel[c]
+                p = c + int(np.abs(col[c:]).argmax())
+                if abs(col[p]) <= thresh:
+                    raise SingularMatrixError(f"singular pivot in column {k}", column=k)
+                if p != c:
+                    # Slices, not a fancy-index swap, which costs three times as much.
+                    panel[:, c], panel[:, p] = panel[:, p].copy(), panel[:, c].copy()
+                    lu[k], lu[k0 + p] = lu[k0 + p].copy(), lu[k].copy()  # panel columns rewritten below
+                    perm[k], perm[k0 + p] = perm[k0 + p], perm[k]
+                    sign = -sign
+                if k + 1 < n:
+                    col[c + 1:] /= col[c]
+                    panel[c + 1:, c + 1:] -= panel[c + 1:, c, None] * col[c + 1:]
+            lu[k0:, k0:k1] = panel.T
+            if k1 < n:
+                for k in range(k0 + 1, k1):  # U12 = L11^{-1} A12, row by row
+                    lu[k, k1:] -= lu[k, k0:k] @ lu[k0:k, k1:]
+                lu[k1:, k1:] -= lu[k1:, k0:k1] @ lu[k0:k1, k1:]
     return lu, perm, sign
-
-
-def _lu_scalar(A, thresh):
-    """The column-by-column elimination on Python floats, operation for operation."""
-    n = A.shape[0]
-    rows = A.tolist()
-    perm = list(range(n))
-    sign = 1
-    for k in range(n):
-        p, top = k, abs(rows[k][k])
-        if top == top:  # as np.argmax: the first NaN, else the first largest modulus
-            for i in range(k + 1, n):
-                v = abs(rows[i][k])
-                if v > top:
-                    p, top = i, v
-                elif v != v:
-                    p = i
-                    break
-        if abs(rows[p][k]) <= thresh:
-            raise SingularMatrixError(f"singular pivot in column {k}", column=k)
-        if p != k:
-            rows[k], rows[p] = rows[p], rows[k]
-            perm[k], perm[p] = perm[p], perm[k]
-            sign = -sign
-        pivot = rows[k]
-        for row in rows[k + 1:]:
-            m = row[k] = row[k] / pivot[k]
-            for j in range(k + 1, n):
-                row[j] -= m * pivot[j]
-    return np.array(rows), perm, sign
 
 
 def lu_solve(fact: LuFactorization, b) -> np.ndarray:
@@ -324,7 +287,8 @@ def _factor_stack(stack):
     """``lu_factor``'s factors of each matrix of a C-ordered (m, s, s) stack, unrecorded: the
     packed factors, (m, s) permutations, signs and singular columns (-1 if none), zeros for
     a singular matrix.  Two or more of order at most ``LU_BLOCK`` are eliminated together
-    by ``_stack_pivots``, any other stack one at a time as ``_factorize`` does."""
+    by ``_stack_pivots``; a lone matrix, and each matrix of a stack of larger order, goes
+    through ``_eliminate``, ``lu_factor``'s one kernel, whatever its order."""
     m, s, _ = stack.shape
     if m > 1 and s <= LU_BLOCK:
         return _stack_pivots(stack, factors=True)

@@ -103,6 +103,19 @@ class TestRowSum:
     def test_restricted(self):
         assert row_sum(SCHUR_5X5, 1, [0, 2]) == 2.0
 
+    def test_explicit_full_range_sums_in_column_order(self):
+        # Only subset=None reads row_sums[i].  An explicit S, the whole range
+        # included, adds off[i, j] over j in S in order, so on non-dyadic
+        # entries the two may differ in the last bits.
+        A = np.random.default_rng(5).normal(size=(20, 20))
+        part = dominance_partition(A)
+        for i in range(20):
+            in_order = 0.0
+            for j in range(20):
+                in_order += float(part.off[i, j])
+            assert row_sum(A, i, range(20)) == in_order
+            assert row_sum(A, i) == part.row_sums[i] == pytest.approx(in_order, rel=1e-14)
+
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError):
             row_sum(SCHUR_5X5, 5)

@@ -468,17 +468,16 @@ def pivoting(n, seed):
 
 @pytest.fixture
 def eliminations(monkeypatch):
-    """The order of each elimination run so far, by counting both kernels and each
-    member of a stacked elimination."""
+    """The order of each elimination run so far, by counting the one-matrix kernel and
+    each member of a stacked elimination."""
     count = []
-    for name in ("_lu_scalar", "_lu_blocked"):
-        kernel = getattr(oracle, name)
+    eliminate = oracle._eliminate
 
-        def spy(A, thresh, kernel=kernel):
-            count.append(A.shape[0])
-            return kernel(A, thresh)
+    def spy(A):
+        count.append(A.shape[0])
+        return eliminate(A)
 
-        monkeypatch.setattr(oracle, name, spy)
+    monkeypatch.setattr(oracle, "_eliminate", spy)
     stack_pivots = oracle._stack_pivots
 
     def stacked(stack, factors=False):

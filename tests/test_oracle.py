@@ -26,7 +26,7 @@ from diagdom import (
     lu_solve,
 )
 from diagdom import oracle
-from diagdom.oracle import LU_BLOCK, LU_SCALAR_MAX, SINGULAR_PIVOT_RTOL
+from diagdom.oracle import LU_BLOCK, SINGULAR_PIVOT_RTOL
 from matrices import (
     DET_6X6_FIRST,
     DET_6X6_FIRST_DET,
@@ -39,6 +39,7 @@ from matrices import (
     tied_moduli,
 )
 from reference import lu_factor_blocked, lu_factor_unblocked
+from test_vectorized import clear_memo
 
 
 def random_sdd(n, seed, scale=1.0):
@@ -156,7 +157,7 @@ def assert_same_lu(A):
         assert same(determinant(A), blocked_determinant(A))
 
 
-# Both sides of the kernel crossover and four panels.
+# One to four panels, every order in between.
 EXACT_ORDERS = range(1, 131)
 
 
@@ -165,11 +166,28 @@ class TestBlockedLu:
 
     @pytest.mark.parametrize("make", [random_sdd, random_pivoting, tied_moduli, overflowing])
     def test_bit_identical_to_blocked_reference(self, make):
-        assert LU_SCALAR_MAX + 1 < LU_BLOCK < EXACT_ORDERS[-1]
+        assert LU_BLOCK < EXACT_ORDERS[-1]
         for n in EXACT_ORDERS:
             assert_same_lu(make(n, 700 + n))
 
-    @pytest.mark.parametrize("n", [2, 5, LU_SCALAR_MAX, LU_SCALAR_MAX + 1, LU_BLOCK + 7, 130])
+    @pytest.mark.parametrize("A", [np.array([[1e307, 9.5e307], [-1e307, 9.5e307]]), overflowing(40, 40)],
+                             ids=["order-2", "order-40"])
+    def test_overflow_raises_no_warning(self, A):
+        # Both pivots of the order-2 matrix pass the threshold and its one
+        # update, 9.5e307 + 9.5e307, overflows to inf; the order-40 matrix
+        # grows to inf and then NaN.  Either way the factors are the
+        # reference's, and lu_factor says nothing at any order.
+        with np.errstate(all="ignore"):
+            want = lu_factor_blocked(A)
+        clear_memo()  # a kept factorization would skip the elimination
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lu_factor(A)
+        assert same(got.packed, want.packed)
+        assert (got.perm, got.sign) == (want.perm, want.sign)
+        assert not np.isfinite(got.packed).all()
+
+    @pytest.mark.parametrize("n", [2, 5, 16, 17, LU_BLOCK + 7, 130])
     def test_pivot_at_threshold(self, n):
         # Rows of an upper triangle, shuffled: every multiplier is zero, so
         # column k's pivot is u_kk itself.  Row k holds nothing else and the
@@ -190,7 +208,7 @@ class TestBlockedLu:
                 else:
                     assert lu_factor(U[order]).upper[k, k] == pivot
 
-    @pytest.mark.parametrize("n", [3, LU_SCALAR_MAX, LU_SCALAR_MAX + 1, 70])
+    @pytest.mark.parametrize("n", [3, 16, 17, 70])
     def test_singular_column_named(self, n):
         rng = np.random.default_rng(80 + n)
         for k in sorted({1, n // 2, n - 1}):

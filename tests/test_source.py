@@ -47,8 +47,7 @@ def test_no_function_cache_outside_the_memo():
     assert not found, found
 
 
-LU_KERNEL_NAMES = ("_stack_pivots", "_factorize", "_eliminate", "_lu_scalar", "_lu_blocked",
-                   "LU_BLOCK")
+LU_KERNEL_NAMES = ("_stack_pivots", "_factorize", "_eliminate", "LU_BLOCK")
 
 
 def test_lu_kernels_are_chosen_only_in_the_oracle():

@@ -11,10 +11,9 @@ matrix at its singular pivot.  Its pivots and signs must equal
 ``lu_factor``'s and ``reference.minor_sign``'s member by member: on every
 principal minor up to order 12 (the ensembles' largest), including tied
 moduli and Wilkinson growth that overflows to inf and NaN; on random stacks
-of orders ``LU_SCALAR_MAX``, ``LU_SCALAR_MAX + 1`` and
-``P_MATRIX_MAX_ORDER``, on both sides of ``lu_factor``'s kernel switch; and
-on a fixed stack whose members swap at different columns while one of them
-drops out.
+of orders 16, 17 and ``P_MATRIX_MAX_ORDER``, which ``lu_factor``'s one
+kernel eliminates in a single panel; and on a fixed stack whose members swap
+at different columns while one of them drops out.
 """
 
 import itertools
@@ -37,7 +36,6 @@ from diagdom import (
 )
 from diagdom.oracle import (
     LU_BLOCK,
-    LU_SCALAR_MAX,
     P_MATRIX_MAX_ORDER,
     _chunk_length,
     _inverse_inf_norms,
@@ -145,7 +143,7 @@ def assert_factors_equal_lu_factor(stack):
 
 @pytest.mark.parametrize("s", range(1, LU_BLOCK + 1))
 def test_stack_factors_equal_lu_factor(s):
-    # Both lu_factor kernels: Python floats up to LU_SCALAR_MAX, one transposed panel above.
+    # Every order that one lu_factor panel covers.
     stack = np.array([instance(kind, s, 100 * s + k) for k in range(3) for kind in STACK_KINDS])
     if s >= 2:
         stack[::4, -1] = 3.0 * stack[::4, 0]  # rank-deficient members meet a singular pivot
@@ -153,10 +151,9 @@ def test_stack_factors_equal_lu_factor(s):
     assert_factors_equal_lu_factor(stack)
 
 
-@pytest.mark.parametrize("s", [LU_SCALAR_MAX, LU_SCALAR_MAX + 1, P_MATRIX_MAX_ORDER])
+@pytest.mark.parametrize("s", [16, 17, P_MATRIX_MAX_ORDER])
 def test_random_stack_pivots_equal_lu_factor(s):
-    # lu_factor eliminates on Python floats up to LU_SCALAR_MAX and in one
-    # transposed panel above it; the stacked pivots must match both.
+    # lu_factor eliminates these in one transposed panel; the stacked pivots must match it.
     stack = np.array([instance(kind, s, 100 * s + k) for k in range(4) for kind in STACK_KINDS])
     stack[::5, -1] = 3.0 * stack[::5, 0]  # rank-deficient members meet a singular pivot
     pivots = assert_pivots_equal_lu_factor(stack)
