@@ -170,8 +170,9 @@ class TestBlockedLu:
         for n in EXACT_ORDERS:
             assert_same_lu(make(n, 700 + n))
 
-    @pytest.mark.parametrize("A", [np.array([[1e307, 9.5e307], [-1e307, 9.5e307]]), overflowing(40, 40)],
-                             ids=["order-2", "order-40"])
+    @pytest.mark.parametrize(
+        "A", [np.array([[1e307, 9.5e307], [-1e307, 9.5e307]]), overflowing(40, 40)],
+        ids=["order-2", "order-40"])
     def test_overflow_raises_no_warning(self, A):
         # Both pivots of the order-2 matrix pass the threshold and its one
         # update, 9.5e307 + 9.5e307, overflows to inf; the order-40 matrix
