@@ -28,32 +28,34 @@ __all__ = [
     "row_sum",
 ]
 
-# The memo: the MEMO_RECORDS most recently used records, each a validated matrix and
-# its partition and LU factorization, built on first request (24 n^2 + 48 n bytes at
-# most, 16 n^2 + 48 n when the matrix is the caller's own immutable one), and the last
-# sweep of Schur complements made from it, of one alpha or of a family: every member's
-# result, its frozen complement and that complement's partition, for a family two stacks
-# of at most oracle.STACK_CHUNK_ENTRIES float64 (512 KiB each: the copies and the moduli),
-# six (m, |bar|) arrays and the objects, about 3 KB a member in all (3.0 MiB for the
-# largest family kept, 924 members of order 6).  Each result is built whole with _LOCK
-# released, then installed by ``_keep``: the first one installed is the one kept.  Only a
-# matrix whose partition or factorization is read, or whose shared copy ``as_matrix`` is
-# asked for, gets one; single reads use ``_checked``.  Two is the fewest with which a
-# dense pass builds nothing twice: A's record outlasts its ordered copy's or its
-# complement's until A is read again.
+# The memo: the MEMO_RECORDS most recently used records, each found by the identity of
+# its validated matrix and holding it, its partition and LU factorization, built on first
+# request (24 n^2 + 48 n bytes at most, 16 n^2 + 48 n when the matrix is the caller's own
+# immutable one), and the last sweep of Schur complements made from it, of one alpha or
+# of a family: every member's result, its frozen complement and that complement's
+# partition, for a family two stacks of at most oracle.STACK_CHUNK_ENTRIES float64 (512
+# KiB each: the copies and the moduli), six (m, |bar|) arrays and the objects, about 3 KB
+# a member in all (3.0 MiB for the largest family kept, 924 members of order 6).  Each
+# result is built whole with _LOCK released, then installed by ``_keep``: the first one
+# installed is the one kept.  Only a matrix whose partition or factorization is read, or
+# whose shared copy ``as_matrix`` is asked for, gets one; single reads use ``_checked``.
+# Two is the fewest with which A's record outlasts its ordered copy's or its complement's
+# until A is read again: a benchmark op then builds 4.0 (ensemble-audit) or 3.5
+# (large-dense) partitions and 1.0 factorization, against 47.6, and 4.5 and 2.0, with
+# one record; three build as many as two.
 MEMO_RECORDS = 2
 _MEMO = []  # records, least recently used first
 _LOCK = threading.Lock()  # guards _MEMO and each install into a record, never a build
 
 
 class _Record:
-    """A validated read-only matrix, the ``bytes`` it views, and the results built from it,
-    each on first request; ``family`` is kept by ``schur`` and replaced there."""
+    """A validated read-only matrix and the results built from it, each on first request;
+    ``family`` is kept by ``schur`` and replaced there.  It is found by the matrix's identity."""
 
-    __slots__ = ("raw", "matrix", "partition", "factorization", "family")
+    __slots__ = ("matrix", "partition", "factorization", "family")
 
-    def __init__(self, matrix, raw):
-        self.raw, self.matrix = raw, matrix
+    def __init__(self, matrix):
+        self.matrix = matrix
         self.partition = self.factorization = self.family = None
 
     def result(self, name, build):
@@ -76,13 +78,15 @@ def as_matrix(a) -> np.ndarray:
 
     Rejects complex input (the bound machinery is real-valued), non-square
     shapes, and non-finite entries.  Returns the read-only matrix of ``a``'s
-    record in the memo, so results that hold it stay immutable, and input with
-    exactly the bytes of a recently analysed matrix gets that matrix back,
-    unchecked and uncopied.  An immutable ``a`` (a C-ordered float64 view of
-    a whole ``bytes`` object, as every matrix diagdom hands out) is recorded
-    as it is and returned itself; any other input is copied once into its
-    record.  Asking for it makes a record, so the library's calls that read
-    their input once validate it with ``_checked`` instead.
+    record in the memo, so results that hold it stay immutable.  The memo
+    finds a record by the identity of its matrix alone, so the returned
+    matrix is the handle that reuses an analysis: pass ``as_matrix(A)`` to
+    later calls and they find its partition and factorization unchecked and
+    uncopied.  An immutable ``a`` (a C-ordered float64 view of a whole
+    ``bytes`` object, as every matrix diagdom hands out) is recorded as it
+    is and returned itself; any other input is copied into a new record on
+    every call.  Asking for it makes a record, so the library's calls that
+    read their input once validate it with ``_checked`` instead.
     """
     return _record(a).matrix
 
@@ -118,37 +122,28 @@ def _immutable_bytes(a):
 
 
 def _record(a) -> _Record:
-    """The memo's record of ``a``: found by the identity of its own matrix, else by equal
-    bytes (so 0.0 and -0.0 differ), else made from ``a`` after ``as_matrix``'s checks.
-
-    Immutable input is compared by the ``bytes`` it views and adopted as the new
-    record's matrix; other input is copied with ``tobytes`` to compare and to keep.
+    """The memo's record of ``a``: found by the identity of its own matrix, else made from
+    ``a`` after ``as_matrix``'s checks.  Immutable input is adopted as the new record's
+    matrix; any other input is copied with ``_frozen``, so it gets a new record every call.
     """
     with _LOCK:
         for rec in _MEMO:
             if rec.matrix is a:
                 return _used(rec)
-        matrix, raw = a, _immutable_bytes(a)
-        if raw is None:  # any other input is compared and kept as an immutable copy
-            matrix = _frozen(_checked(a, finite=False))
-            raw = _immutable_bytes(matrix)
-        for rec in _MEMO:
-            if rec.raw == raw:
-                return _used(rec)
-        return _used(_Record(_checked(matrix), raw))
+        matrix = _checked(a)
+        return _used(_Record(matrix if _immutable_bytes(a) is not None else _frozen(matrix)))
 
 
 def _adopt(matrix, partition) -> _Record:
     """The memo's record of the finite immutable ``matrix`` (as ``_frozen`` makes them),
     holding ``partition``, its dominance partition as ``_build_partition`` gives it: found
-    by identity or by equal bytes, else recorded as it is, with no copy or finite check."""
-    raw = _immutable_bytes(matrix)
+    by identity, else recorded as it is, with no copy or finite check."""
     with _LOCK:
         for rec in _MEMO:
-            if rec.matrix is matrix or rec.raw == raw:
+            if rec.matrix is matrix:
                 break
         else:
-            rec = _Record(matrix, raw)
+            rec = _Record(matrix)
         if rec.partition is None:
             rec.partition = partition
         return _used(rec)

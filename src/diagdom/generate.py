@@ -90,16 +90,17 @@ def generate_sdd1(n, seed, n1_fraction=0.4, positive_diagonal=False, z_pattern=F
         if not ok:
             continue
 
-        part = dominance_partition(A)
+        M = as_matrix(A)  # the record that checks it is the one handed out
+        part = dominance_partition(M)
         if _is_sdd1(part) and part.n1 == tuple(int(i) for i in n1_rows) and part.n2:
-            return as_matrix(A)
+            return M
     raise GenerationError(
         f"no SDD1 instance with {k1} non-dominant rows of order {n} "
         f"within {RETRY_BUDGET} draws"
     )
 
 
-def generate_b1(n, seed, n1_fraction=0.4, shift_probability=0.5):
+def generate_b1(n, seed, n1_fraction=0.4):
     """Random B1 matrix of order ``n`` whose shift split is exactly recoverable.
 
     Builds a nonpositive-off-diagonal SDD1 part with positive diagonal, then
@@ -114,7 +115,7 @@ def generate_b1(n, seed, n1_fraction=0.4, shift_probability=0.5):
         r = np.zeros(n)
         # Roughly a third of the instances keep r = 0 so the reduced
         # coefficient path (no n-1 factor) stays exercised at scale.
-        shift_mask = rng.random(n) < shift_probability
+        shift_mask = rng.random(n) < 0.5
         if rng.random() < 0.3:
             shift_mask[:] = False
         for i in np.where(shift_mask)[0]:

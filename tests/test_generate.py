@@ -14,6 +14,7 @@ from diagdom import (
     is_sdd1,
     run_experiment,
 )
+from diagdom import core
 from matrices import LCP_8X8
 
 
@@ -51,6 +52,16 @@ class TestSdd1Generator:
         with pytest.raises(ValidationError):
             generate_sdd1(5, seed=0, n1_fraction=1.0)
 
+    def test_hands_out_the_matrix_it_partitioned(self, monkeypatch):
+        # The record whose partition passed the check is the one returned, so reading
+        # the partition of the returned matrix builds nothing.
+        A = generate_sdd1(9, 4, 0.5)
+        built = []
+        build = core._build_partition
+        monkeypatch.setattr(core, "_build_partition", lambda M: built.append(M) or build(M))
+        dominance_partition(A)
+        assert built == []
+
 
 class TestB1Generator:
     def test_deterministic(self):
@@ -69,6 +80,12 @@ class TestB1Generator:
             split = b1_split(M)
             assert np.array_equal(split.a + split.c, M)
             assert (split.a.diagonal() > 0).all()
+
+    def test_shift_probability_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            generate_b1(8, 3, shift_probability=0.5)
+        with pytest.raises(TypeError):
+            generate_b1(8, 3, 0.4, 0.5)
 
     def test_mix_of_shifted_and_plain_instances(self):
         shifted = sum(b1_split(generate_b1(8, seed=s)).r.any() for s in range(20))
