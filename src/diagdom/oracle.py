@@ -13,13 +13,13 @@ A diag(x) is SDD by rows.  ``h_scaling`` returns that x as an auditable
 witness; ``is_h_matrix`` asks whether it exists.
 
 Each matrix is factored once.  ``lu_factor`` and ``determinant`` keep the
-factorization in the matrix's record in ``core``'s table of at most
-``core.MEMO_RECORDS`` records, found by the identity of the matrix, so
-factoring a matrix that is still recorded (``determinant(A)`` and then
-``lu_factor(A)`` on one ``A = as_matrix(X)``, as an audit does) returns the
-same read-only factorization.  Singular input is never stored.  The oracles
-that read their matrix once (``inverse``, ``inf_norm``, ``is_p_matrix``,
-``h_scaling``) leave no record, nor does a Schur complement's pivot block.
+factorization in the matrix's record, found by its identity, in ``core``'s
+table of at most ``core.MEMO_RECORDS`` records, so factoring a matrix that
+is still recorded (``determinant(A)`` and then ``lu_factor(A)``, as an audit
+does) returns the same read-only factorization.  Singular input is never
+stored.  The oracles that read their matrix once (``inverse``, ``inf_norm``,
+``is_p_matrix``, ``h_scaling``) leave no record, nor does a Schur
+complement's pivot block.
 """
 
 from __future__ import annotations
@@ -104,11 +104,9 @@ def lu_factor(A) -> LuFactorization:
     names the failing column; near-singular input is never silently factored.
 
     The factorization is kept in the matrix's record in the memo of
-    ``as_matrix``, so the same matrix object (``as_matrix(A)``, or any matrix
-    diagdom hands out) gets the same read-only factorization back without a
-    new elimination while the record lasts; a writable array is copied into
-    a new record and factored on every call.  A singular input raises on
-    every call and is never kept.
+    ``as_matrix``, found by the identity of the matrix, so ``as_matrix(A)``
+    gets the same read-only factorization back without a new elimination
+    while the record lasts; a singular input raises on every call, never kept.
     """
     return _record(A).result("factorization", _factorize)
 

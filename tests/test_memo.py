@@ -584,7 +584,7 @@ def test_determinant_then_lu_factor_eliminates_once(eliminations, n):
 
 
 def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
-    A = as_matrix(np.array(generate_sdd1(12, 5, n1_fraction=0.5)))
+    A = generate_sdd1(12, 5, n1_fraction=0.5)
     alpha = list(dominance_partition(A).n2[:3])
     clear_memo()
     res = schur_complement(A, alpha)
@@ -618,7 +618,7 @@ def test_schur_pivot_blocks_leave_no_record(eliminations, monkeypatch):
     # Criterion 7's sweep of an order-8 matrix, complements and their partitions,
     # records A and one complement per alpha (reading a ``delta`` would add its
     # comparison block's inverse).
-    A = as_matrix(np.array(generate_sdd1(8, 3, n1_fraction=0.5)))
+    A = generate_sdd1(8, 3, n1_fraction=0.5)
     n2 = dominance_partition(A).n2
     alphas = [list(a) for size in range(1, len(n2) + 1) for a in itertools.combinations(n2, size)]
     created = []
@@ -697,7 +697,7 @@ def test_family_above_the_chunk_bound_is_computed_alone(sweeps, eliminations, n)
 
 
 def test_a_record_keeps_one_family_at_a_time(sweeps):
-    A = as_matrix(np.array(generate_sdd1(10, 4, n1_fraction=0.5)))
+    A = generate_sdd1(10, 4, n1_fraction=0.5)
     part = dominance_partition(A)
     singles = [[h] for h in part.n2]
     pairs = [list(p) for p in itertools.combinations(part.n2, 2)]
@@ -739,7 +739,7 @@ def test_sweeps_are_built_outside_the_memo_lock(monkeypatch):
         return sweep(A, alphas, part)
 
     monkeypatch.setattr(schur, "_sweep", watched)
-    A = as_matrix(np.array(generate_sdd1(10, 4, n1_fraction=0.5)))
+    A = generate_sdd1(10, 4, n1_fraction=0.5)
     n2 = dominance_partition(A).n2
     clear_memo()
     for alpha in (n2, n2[:1], n2[1:2]):  # alone, the family of singles, then a lookup
@@ -914,7 +914,7 @@ def test_a_complement_recorded_before_its_sweep_gets_a_record_of_its_own(monkeyp
     # tilde_set_identity_check records A/alpha, computed alone; the sweep's read-only
     # copy of it holds the same bytes but is another matrix, so it gets a record of its
     # own, which evicts the first; A's record and its sweep stay in the memo.
-    A = as_matrix(np.array(generate_sdd1(8, 3, n1_fraction=0.5)))
+    A = generate_sdd1(8, 3, n1_fraction=0.5)
     alpha = dominance_partition(A).n2[:1]
     created = []
 

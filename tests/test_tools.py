@@ -36,7 +36,7 @@ def test_trajectory_over_committed_bench_files():
     ensemble = lines.index("ensemble-audit throughput_ops_s (1/s, higher is better)")
     for claimed in ("BENCH_7.json", "BENCH_29.json"):  # claimed gains, won on every pair
         assert lines[ensemble + 1 + BENCH_FILES.index(claimed)].split()[5] == "10/10"
-    assert "BENCH_35.json" in BENCH_FILES
+    assert "BENCH_35.json" in BENCH_FILES and "BENCH_36.json" in BENCH_FILES
     for workload in docs[0]["workloads"]:
         at = lines.index(f"{workload} digests (seeds whose parent and change digests differ)")
         for k, name in enumerate(BENCH_FILES):
@@ -48,8 +48,9 @@ def test_trajectory_over_committed_bench_files():
             # Every other file kept them, BENCH_29's once-per-family Schur results,
             # BENCH_30's results without pivot factors, BENCH_32's sweeps built whole,
             # BENCH_33's results built outside the memo lock, BENCH_34's row
-            # functionals and certified Schur bounds read from the partition and
-            # BENCH_35's one LU elimination kernel too.
+            # functionals and certified Schur bounds read from the partition,
+            # BENCH_35's one LU elimination kernel and BENCH_36's memo records
+            # found by identity only too.
             changed = name == "BENCH_21.json" or (name, workload) in (
                 ("BENCH_11.json", "cli-oneshot"), ("BENCH_28.json", "ensemble-audit"),
                 ("BENCH_31.json", "large-dense"))
